@@ -50,6 +50,7 @@ from .solvers import (
     EnergyLevel,
     SolverConfig,
     disputed_q_lt_1,
+    morse_asymptotic_spectrum,
     solve_morse_asymptotic,
     solve_morse_exact,
     solve_q_ge_1,

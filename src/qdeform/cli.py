@@ -13,7 +13,6 @@ import argparse
 import json
 import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
@@ -24,7 +23,7 @@ from .oracle import shoot_eigenvalues
 from .solvers import (
     SolverConfig,
     disputed_q_lt_1,
-    solve_morse_asymptotic,
+    morse_asymptotic_spectrum,
     solve_morse_exact,
     solve_q_lt_1,
     spectrum,
@@ -129,18 +128,6 @@ def _write_table(columns, rows, out_path, fmt):
         fh.write(to_json())
 
 
-def _thread_cap():
-    """Sweep parallelism from QDEFORM_THREADS; 0 or unset means auto."""
-    raw = os.environ.get("QDEFORM_THREADS", "0")
-    try:
-        n = int(raw)
-    except ValueError:
-        n = 0
-    if n <= 0:
-        n = os.cpu_count() or 1
-    return n
-
-
 def cmd_spectrum(args):
     constants, params, config = load_config(args.config)
     levels = spectrum(constants, params, config)
@@ -187,11 +174,6 @@ def cmd_wavefunction(args):
     return EXIT_OK
 
 
-def _levels_at_q(constants, params, config, q):
-    p = PotentialParams(params.v1, params.v2, params.alpha, q)
-    return solve_q_lt_1(constants, p, config)
-
-
 def cmd_morse_limit(args):
     constants, params, config = load_config(args.config)
     try:
@@ -207,16 +189,11 @@ def cmd_morse_limit(args):
 
     morse = PotentialParams(params.v1, params.v2, params.alpha, 0.0)
     exact = solve_morse_exact(constants, morse, config)
-    asym = []
-    for n in range(len(exact)):
-        try:
-            asym.append(solve_morse_asymptotic(n, constants, morse, config))
-        except QdeformError:
-            break
-
-    with ThreadPoolExecutor(max_workers=min(_thread_cap(), len(q_list))) as ex:
-        sweeps = list(ex.map(
-            lambda q: _levels_at_q(constants, params, config, q), q_list))
+    asym = morse_asymptotic_spectrum(constants, morse, config)[: len(exact)]
+    sweeps = [solve_q_lt_1(constants,
+                           PotentialParams(params.v1, params.v2, params.alpha, q),
+                           config)
+              for q in q_list]
 
     exact_by_n = {lv.n_r: lv.energy for lv in exact}
     columns = ["q", "n_r", "E", "method", "deviation_from_morse"]

@@ -7,13 +7,16 @@ equation with effective eigenvalue
 
 and effective strengths Vt_i = (M + E - C) V_i.  All derived parameters
 (lambda, eta, a, b, c) are functions of the trial energy E and are
-recomputed on demand, keeping root-finding stateless.
+recomputed on demand, keeping root-finding stateless.  E may be a scalar or
+an array; a function raises if any element lies outside its domain.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+
+import numpy as np
 
 from .deformed import PotentialParams
 from .errors import (
@@ -71,9 +74,9 @@ def effective_eigenvalue(e, dc: DiracConstants) -> float:
 def effective_strengths(e, dc: DiracConstants, p: PotentialParams):
     """(Vt1, Vt2) = (M + E - C) (V1, V2); requires an attractive prefactor."""
     pref = dc.m + e - dc.c_spin
-    if pref <= 0.0:
+    if np.any(pref <= 0.0):
         raise NonBindingError(
-            f"M + E - C = {pref} <= 0: effective well is not attractive"
+            f"M + E - C = {np.min(pref)} <= 0: effective well is not attractive"
         )
     return pref * p.v1, pref * p.v2
 
@@ -87,17 +90,17 @@ def shape_params(e, dc: DiracConstants, p: PotentialParams):
     if p.q <= 0.0:
         raise DomainError("shape_params needs q > 0; use the Morse forms at q = 0")
     et = effective_eigenvalue(e, dc)
-    if et >= 0.0:
-        raise DomainError(f"effective eigenvalue {et} >= 0: not a bound state")
+    if np.any(et >= 0.0):
+        raise DomainError(f"effective eigenvalue {np.max(et)} >= 0: not a bound state")
     v1t, v2t = effective_strengths(e, dc, p)
     sq = math.sqrt(p.q)
     disc = 1.0 + (4.0 / (p.alpha * p.alpha)) * (v1t / p.q - v2t / sq)
-    if disc < 0.0:
+    if np.any(disc < 0.0):
         raise DiscriminantError(
-            f"negative discriminant {disc}: exponent lambda would be complex"
+            f"negative discriminant {np.min(disc)}: exponent lambda would be complex"
         )
-    lam = 0.25 * (1.0 + math.sqrt(disc))
-    eta = math.sqrt(-et) / p.alpha
+    lam = 0.25 * (1.0 + np.sqrt(disc))
+    eta = np.sqrt(-et) / p.alpha
     return lam, eta
 
 
@@ -109,12 +112,15 @@ def abc_params(e, dc: DiracConstants, p: PotentialParams):
     where the condition is a(E) = -n_r.
     """
     lam, eta = shape_params(e, dc, p)
-    v1t, v2t = effective_strengths(e, dc, p)
+    return _abc(lam, eta, *effective_strengths(e, dc, p), p)
+
+
+def _abc(lam, eta, v1t, v2t, p: PotentialParams):
     sq = math.sqrt(p.q)
     disc = 1.0 + (4.0 / (p.alpha * p.alpha * p.q)) * (v1t + v2t * sq)
-    if disc < 0.0:
-        raise DiscriminantError(f"negative discriminant {disc} in (a, b)")
-    root = math.sqrt(disc)
+    if np.any(disc < 0.0):
+        raise DiscriminantError(f"negative discriminant {np.min(disc)} in (a, b)")
+    root = np.sqrt(disc)
     a = eta + lam + 0.25 * (1.0 - root)
     b = eta + lam + 0.25 * (1.0 + root)
     c = 2.0 * eta + 1.0
@@ -125,7 +131,7 @@ def effective_params(e, dc: DiracConstants, p: PotentialParams) -> EffectivePara
     """Bundle every derived quantity at one trial energy."""
     v1t, v2t = effective_strengths(e, dc, p)
     lam, eta = shape_params(e, dc, p)
-    a, b, c = abc_params(e, dc, p)
+    a, b, c = _abc(lam, eta, v1t, v2t, p)
     return EffectiveParams(
         e_tilde=effective_eigenvalue(e, dc),
         v1_tilde=v1t,

@@ -33,10 +33,6 @@ class EmptyWindowError(QdeformError, ValueError):
 class NoRootError(QdeformError, RuntimeError):
     """A quantization equation has no root for the requested level."""
 
-    def __init__(self, message, sign_changes=0):
-        super().__init__(message)
-        self.sign_changes = sign_changes
-
 
 class GridError(QdeformError, ValueError):
     """Radial grid unsuitable for the requested computation."""

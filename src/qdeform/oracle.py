@@ -62,13 +62,6 @@ class RadialGrid:
         return np.linspace(self.r_start, self.r_end, self.n_points)
 
 
-def _left_edge(p: PotentialParams) -> float:
-    r0 = singularity_radius(p)
-    if r0 is not None:
-        return r0 + 1e-6 / p.alpha
-    return 1e-8 / p.alpha
-
-
 def build_grid(dc: DiracConstants, p: PotentialParams,
                r_end: float | None = None, points_per_wavelength: float = 40.0,
                delta_scale: float = 1.0) -> RadialGrid:
@@ -80,7 +73,6 @@ def build_grid(dc: DiracConstants, p: PotentialParams,
     wavelength with ``points_per_wavelength`` points.  ``delta_scale``
     rescales the left offset (used by the boundary-sensitivity self-test).
     """
-    r_left = _left_edge(p)
     r0 = singularity_radius(p)
     if r0 is not None:
         r_left = r0 + delta_scale * 1e-6 / p.alpha

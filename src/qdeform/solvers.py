@@ -10,17 +10,22 @@ Three procedures, dispatched on the deformation q:
 * q = 0 (Morse): zeros of 1F1 at argument 4 sqrt(Vt1)/alpha, plus the
   deep-well asymptotic level formula.
 
-All equations are localized by a uniform scan over the bound window and
-refined by bisection: the hypergeometric functions oscillate violently in
-E near the window edge, so guaranteed bracketing beats fast iteration.
+Each is a sign change of one function of E on the bound window, found by
+one scan-bracket-refine routine: the function is evaluated over the whole
+scan grid in a single array call, and each sign-change bracket is refined
+by Brent's method (scipy.optimize.brentq), which keeps its bracket and
+converges.  The hypergeometric functions oscillate violently in E near
+the window edge, so guaranteed bracketing beats fast iteration.  A
+refinement that fails, or meets a NaN or infinite value, raises.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
+from scipy.optimize import brentq
 
 from .deformed import PotentialParams
 from .effective import (
@@ -30,7 +35,7 @@ from .effective import (
     effective_eigenvalue,
     effective_strengths,
 )
-from .errors import NoRootError, ParameterError, QdeformError
+from .errors import DiscriminantError, NoRootError, NonConvergenceError, ParameterError
 from .special import gauss_2f1, kummer_1f1
 
 __all__ = [
@@ -45,6 +50,7 @@ __all__ = [
     "solve_q_lt_1",
     "solve_morse_exact",
     "solve_morse_asymptotic",
+    "morse_asymptotic_spectrum",
     "spectrum",
     "disputed_q_lt_1",
 ]
@@ -100,68 +106,55 @@ def _scan_window(dc: DiracConstants, cfg: SolverConfig):
     return grid[(grid > lo) & (grid < hi)]
 
 
-def _safe_eval(f, e):
-    try:
-        v = f(e)
-    except QdeformError:
-        return math.nan
-    return v if math.isfinite(v) or math.isinf(v) else math.nan
+def _brackets(x, v):
+    """Sign-change cells i (between x[i] and x[i+1]) and exact zeros of the
+    samples v = f(x); cells touching a NaN are skipped."""
+    ok = ~(np.isnan(v[:-1]) | np.isnan(v[1:]))
+    zero = ok & (v[:-1] == 0.0)
+    cells = np.nonzero(ok & ~zero & ((v[:-1] < 0.0) != (v[1:] < 0.0)))[0]
+    return cells, list(x[:-1][zero])
 
 
-def _bisect(f, a, b, fa, fb, tol):
-    """Plain bisection on a sign-change bracket; robust against wild slopes."""
-    while b - a > tol:
-        m = 0.5 * (a + b)
-        fm = _safe_eval(f, m)
-        if math.isnan(fm):
-            # pathological point inside the bracket: nudge and give up early
-            # if it persists
-            m = a + 0.51 * (b - a)
-            fm = _safe_eval(f, m)
-            if math.isnan(fm):
-                break
-        if (fm < 0.0) == (fa < 0.0):
-            a, fa = m, fm
-        else:
-            b, fb = m, fm
-    return 0.5 * (a + b)
+def _refine(f, lo, hi, tol):
+    """Brent's method on one sign-change bracket of f."""
+    def scalar(e):
+        v = float(f(e))
+        if not math.isfinite(v):
+            raise NonConvergenceError(
+                f"quantization function is {v} at E = {e} in the bracket [{lo}, {hi}]")
+        return v
+
+    root, info = brentq(scalar, lo, hi, xtol=tol, full_output=True, disp=False)
+    if not info.converged:
+        raise NonConvergenceError(
+            f"root refinement in [{lo}, {hi}] did not converge: {info.flag}")
+    return root
 
 
-def _roots_on_grid(f, grid, tol):
-    """All sign-change roots of f on a scan grid, bisection-refined.
+def _roots(f, grid, tol, vals=None):
+    """All sign-change roots of f on a scan grid, refined by brentq.
 
-    Failed evaluations are skipped.  When two adjacent cells both bracket a
-    root the scan is refined locally 10x (double-root guard).
+    ``f`` maps an array of energies to an array of values; ``vals`` may hold
+    f(grid) already.  When two adjacent cells both bracket a root, both are
+    rescanned 10x finer in one more array call (double-root guard).  Roots
+    closer than 10 tol are merged.
     """
-    vals = np.array([_safe_eval(f, e) for e in grid])
-    roots = []
-    bracket_cells = []
-    for i in range(len(grid) - 1):
-        fa, fb = vals[i], vals[i + 1]
-        if math.isnan(fa) or math.isnan(fb):
-            continue
-        if fa == 0.0:
-            roots.append(grid[i])
-            continue
-        if (fa < 0.0) != (fb < 0.0):
-            bracket_cells.append(i)
-
-    refined = set()
-    for j, i in enumerate(bracket_cells):
-        if j + 1 < len(bracket_cells) and bracket_cells[j + 1] == i + 1:
-            refined.update((i, i + 1))
-    for i in bracket_cells:
-        if i in refined:
-            sub = np.linspace(grid[i], grid[i + 1], 11)
-            subvals = np.array([_safe_eval(f, e) for e in sub])
-            for k in range(10):
-                fa, fb = subvals[k], subvals[k + 1]
-                if math.isnan(fa) or math.isnan(fb):
-                    continue
-                if (fa < 0.0) != (fb < 0.0):
-                    roots.append(_bisect(f, sub[k], sub[k + 1], fa, fb, tol))
-        else:
-            roots.append(_bisect(f, grid[i], grid[i + 1], vals[i], vals[i + 1], tol))
+    if vals is None:
+        vals = f(grid)
+    cells, roots = _brackets(grid, vals)
+    adjacent = np.diff(cells) == 1
+    paired = np.zeros(len(cells), dtype=bool)
+    paired[:-1] |= adjacent
+    paired[1:] |= adjacent
+    brackets = [(grid[i], grid[i + 1]) for i in cells[~paired]]
+    if paired.any():
+        sub = np.linspace(grid[cells[paired]], grid[cells[paired] + 1], 11, axis=1)
+        subvals = f(sub.reshape(-1)).reshape(sub.shape)
+        for x, v in zip(sub, subvals):
+            sub_cells, sub_roots = _brackets(x, v)
+            roots += sub_roots
+            brackets += [(x[k], x[k + 1]) for k in sub_cells]
+    roots += [_refine(f, lo, hi, tol) for lo, hi in brackets]
 
     roots.sort()
     deduped = []
@@ -177,6 +170,49 @@ def _level(n_r, e, dc, method):
     )
 
 
+def _zero_levels(f, dc, cfg, method):
+    """Levels at the zeros of F(E), labelled in order of energy."""
+    roots = _roots(f, _scan_window(dc, cfg), cfg.tol_e * dc.m)
+    return [_level(n, e, dc, method) for n, e in enumerate(roots[: cfg.max_levels])]
+
+
+def _crossing_levels(g, dc, cfg, method, ns=None):
+    """Level n at the lowest root of g(E) = -n, for each n in ns (default
+    0 .. max_levels - 1) up to the first n without one; g is evaluated on the
+    scan grid once."""
+    grid = _scan_window(dc, cfg)
+    g_grid = g(grid)
+    levels = []
+    for n in range(cfg.max_levels) if ns is None else ns:
+        roots = _roots(lambda e: g(e) + n, grid, cfg.tol_e * dc.m, g_grid + n)
+        if not roots:
+            break
+        levels.append(_level(n, roots[0], dc, method))
+    return levels
+
+
+def _closed_form_a(dc: DiracConstants, p: PotentialParams):
+    """a(E) of the closed-form condition a(E) = -n_r.
+
+    An attractive wall (q >= 1, V1 < V2 sqrt(q)) is outside the solution
+    class: the discriminant of lambda turns negative for deep enough states.
+    """
+    if p.v1 < p.v2 * math.sqrt(p.q):
+        raise DiscriminantError(
+            f"attractive wall: V1 = {p.v1} < V2 sqrt(q) = {p.v2 * math.sqrt(p.q)}; "
+            "the discriminant of lambda is negative in the bound window"
+        )
+    return lambda e: abc_params(e, dc, p)[0]
+
+
+def _morse_shape(e, dc: DiracConstants, p: PotentialParams):
+    """(eta, s, y0) of the Morse problem: 1F1(1/2 + eta - s, 2 eta + 1; y0)
+    with s = Vt2/(2 alpha sqrt(Vt1)) and y0 = 4 sqrt(Vt1)/alpha."""
+    v1t, v2t = effective_strengths(e, dc, p)
+    eta = np.sqrt(-effective_eigenvalue(e, dc)) / p.alpha
+    return eta, v2t / (2.0 * p.alpha * np.sqrt(v1t)), 4.0 * np.sqrt(v1t) / p.alpha
+
+
 def solve_q_ge_1(n_r, dc: DiracConstants, p: PotentialParams,
                  cfg: SolverConfig = SolverConfig()) -> EnergyLevel:
     """Level n_r of the singular well (q >= 1) from a(E) + n_r = 0."""
@@ -184,19 +220,12 @@ def solve_q_ge_1(n_r, dc: DiracConstants, p: PotentialParams,
         raise ParameterError(f"solve_q_ge_1 requires q >= 1, got {p.q}")
     if n_r < 0:
         raise ParameterError(f"n_r must be non-negative, got {n_r}")
-
-    def f(e):
-        a, _, _ = abc_params(e, dc, p)
-        return a + n_r
-
-    grid = _scan_window(dc, cfg)
-    roots = _roots_on_grid(f, grid, cfg.tol_e * dc.m)
-    if not roots:
+    levels = _crossing_levels(_closed_form_a(dc, p), dc, cfg, METHOD_Q_GE_1, [n_r])
+    if not levels:
         raise NoRootError(
-            f"no level n_r={n_r} for q={p.q}: quantization has no root in the window",
-            sign_changes=0,
+            f"no level n_r={n_r} for q={p.q}: quantization has no root in the window"
         )
-    return _level(n_r, roots[0], dc, METHOD_Q_GE_1)
+    return levels[0]
 
 
 def solve_q_lt_1(dc: DiracConstants, p: PotentialParams,
@@ -206,17 +235,8 @@ def solve_q_lt_1(dc: DiracConstants, p: PotentialParams,
         raise ParameterError(f"solve_q_lt_1 requires 0 < q < 1, got {p.q}")
     sq = math.sqrt(p.q)
     z0 = 4.0 * sq / (1.0 + sq) ** 2
-
-    def g(e):
-        a, b, c = abc_params(e, dc, p)
-        return gauss_2f1(a, b, c, z0)
-
-    grid = _scan_window(dc, cfg)
-    roots = _roots_on_grid(g, grid, cfg.tol_e * dc.m)
-    return [
-        _level(n, e, dc, METHOD_Q_LT_1)
-        for n, e in enumerate(roots[: cfg.max_levels])
-    ]
+    return _zero_levels(lambda e: gauss_2f1(*abc_params(e, dc, p), z0),
+                        dc, cfg, METHOD_Q_LT_1)
 
 
 def solve_morse_exact(dc: DiracConstants, p: PotentialParams,
@@ -225,22 +245,19 @@ def solve_morse_exact(dc: DiracConstants, p: PotentialParams,
     if p.q != 0.0:
         raise ParameterError(f"solve_morse_exact requires q = 0, got q={p.q}")
 
-    def h(e):
-        v1t, v2t = effective_strengths(e, dc, p)
-        et = effective_eigenvalue(e, dc)
-        if et >= 0.0:
-            return math.nan
-        eta = math.sqrt(-et) / p.alpha
-        a = 0.5 - v2t / (2.0 * p.alpha * math.sqrt(v1t)) + eta
-        c = 2.0 * eta + 1.0
-        return kummer_1f1(a, c, 4.0 * math.sqrt(v1t) / p.alpha)
+    def f(e):
+        eta, s, y0 = _morse_shape(e, dc, p)
+        return kummer_1f1(0.5 + eta - s, 2.0 * eta + 1.0, y0)
 
-    grid = _scan_window(dc, cfg)
-    roots = _roots_on_grid(h, grid, cfg.tol_e * dc.m)
-    return [
-        _level(n, e, dc, METHOD_MORSE_EXACT)
-        for n, e in enumerate(roots[: cfg.max_levels])
-    ]
+    return _zero_levels(f, dc, cfg, METHOD_MORSE_EXACT)
+
+
+def _morse_asymptotic_g(dc: DiracConstants, p: PotentialParams):
+    """g(E) = eta + 1/2 - s of the deep-well condition g(E) = -n_r."""
+    def g(e):
+        eta, s, _ = _morse_shape(e, dc, p)
+        return eta + 0.5 - s
+    return g
 
 
 def solve_morse_asymptotic(n_r, dc: DiracConstants, p: PotentialParams,
@@ -254,36 +271,28 @@ def solve_morse_asymptotic(n_r, dc: DiracConstants, p: PotentialParams,
         raise ParameterError(f"solve_morse_asymptotic requires q = 0, got q={p.q}")
     if n_r < 0:
         raise ParameterError(f"n_r must be non-negative, got {n_r}")
-
-    def phi(e):
-        v1t, v2t = effective_strengths(e, dc, p)
-        et = effective_eigenvalue(e, dc)
-        if et >= 0.0:
-            return math.nan
-        eta = math.sqrt(-et) / p.alpha
-        return eta + n_r + 0.5 - v2t / (2.0 * p.alpha * math.sqrt(v1t))
-
-    grid = _scan_window(dc, cfg)
-    roots = _roots_on_grid(phi, grid, cfg.tol_e * dc.m)
-    if not roots:
+    levels = _crossing_levels(_morse_asymptotic_g(dc, p), dc, cfg,
+                              METHOD_MORSE_ASYMPTOTIC, [n_r])
+    if not levels:
         raise NoRootError(
-            f"no asymptotic Morse level n_r={n_r}: the well supports fewer states",
-            sign_changes=0,
+            f"no asymptotic Morse level n_r={n_r}: the well supports fewer states"
         )
-    return _level(n_r, roots[0], dc, METHOD_MORSE_ASYMPTOTIC)
+    return levels[0]
+
+
+def morse_asymptotic_spectrum(dc: DiracConstants, p: PotentialParams,
+                              cfg: SolverConfig = SolverConfig()) -> list[EnergyLevel]:
+    """All deep-well asymptotic Morse levels n_r = 0, 1, ... (q = 0)."""
+    if p.q != 0.0:
+        raise ParameterError(f"morse_asymptotic_spectrum requires q = 0, got q={p.q}")
+    return _crossing_levels(_morse_asymptotic_g(dc, p), dc, cfg, METHOD_MORSE_ASYMPTOTIC)
 
 
 def spectrum(dc: DiracConstants, p: PotentialParams,
              cfg: SolverConfig = SolverConfig()) -> list[EnergyLevel]:
     """Full bound spectrum, dispatched on the deformation regime."""
     if p.q >= 1.0:
-        levels = []
-        for n_r in range(cfg.max_levels):
-            try:
-                levels.append(solve_q_ge_1(n_r, dc, p, cfg))
-            except NoRootError:
-                break
-        return levels
+        return _crossing_levels(_closed_form_a(dc, p), dc, cfg, METHOD_Q_GE_1)
     if p.q > 0.0:
         return solve_q_lt_1(dc, p, cfg)
     return solve_morse_exact(dc, p, cfg)
@@ -299,18 +308,4 @@ def disputed_q_lt_1(dc: DiracConstants, p: PotentialParams,
     """
     if not (0.0 < p.q < 1.0):
         raise ParameterError(f"disputed_q_lt_1 requires 0 < q < 1, got {p.q}")
-
-    def f_for(n_r):
-        def f(e):
-            a, _, _ = abc_params(e, dc, p)
-            return a + n_r
-        return f
-
-    grid = _scan_window(dc, cfg)
-    levels = []
-    for n_r in range(cfg.max_levels):
-        roots = _roots_on_grid(f_for(n_r), grid, cfg.tol_e * dc.m)
-        if not roots:
-            break
-        levels.append(_level(n_r, roots[0], dc, "disputed-closed-form"))
-    return levels
+    return _crossing_levels(_closed_form_a(dc, p), dc, cfg, "disputed-closed-form")

@@ -1,9 +1,15 @@
 """Analytic kernels: log-gamma, Gauss 2F1, Kummer 1F1, Jacobi polynomials.
 
-All evaluators are real-argument, double precision.  The hypergeometric
-series are summed with compensated (Kahan) accumulation; the Gauss function
-switches to the 1-z connection formula past z = 1/2, with an Euler-transform
-fallback when the connection formula degenerates (c-a-b near an integer).
+All evaluators are real-argument, double precision and array-first: the
+parameters and the argument broadcast together, and scalar inputs return a
+float.  Every element picks its own branch by mask: a terminating
+polynomial (redone in exact rational arithmetic where it cancels), the
+direct series, the Pfaff transform for z < -1/2, the 1-z connection formula
+for z > 1/2 with an Euler-transform fallback when it degenerates (c-a-b
+near an integer), and Kummer reflection for negative 1F1 arguments.  The
+series are summed with compensated (Kahan) accumulation, each element until
+its own terms stop mattering.  Only the large-argument 1F1 asymptotic
+(|z| > 500) runs one element at a time.
 """
 
 from __future__ import annotations
@@ -19,7 +25,6 @@ from .errors import DomainError, NonConvergenceError, ParameterError
 __all__ = [
     "ln_gamma",
     "gauss_2f1",
-    "gauss_2f1_many",
     "kummer_1f1",
     "jacobi_p",
     "confluent_limit_residual",
@@ -28,7 +33,6 @@ __all__ = [
 _MAX_TERMS = 100_000
 _DEGENERATE_TOL = 1e-6
 _KUMMER_ASYM_Z = 500.0
-_EXP_MAX = 745.0  # just above log(DBL_MAX); exp() past this is +inf
 
 
 def ln_gamma(x: float) -> float:
@@ -38,66 +42,72 @@ def ln_gamma(x: float) -> float:
     return float(gammaln(x))
 
 
-def _nonpos_int_degree(x) -> int | None:
-    """If x is a non-positive integer return n = -x, else None."""
-    if x <= 0.0 and x == round(x):
-        return int(-round(x))
-    return None
+def _nonpos_int_degree(x):
+    """n = -x where x is a non-positive integer, NaN elsewhere."""
+    return np.where((x <= 0.0) & (x == np.round(x)), -np.round(x), np.nan)
 
 
-def _safe_exp(L: float) -> float:
-    if L > _EXP_MAX:
-        return math.inf
-    return math.exp(L)
+def _safe_exp(L):
+    """exp(L), +inf past the float range without a warning."""
+    with np.errstate(over="ignore"):
+        return np.exp(L)
 
 
-def _kahan_series(ratio_fn, z, nterms=None):
+def _kahan_series(num, c, z, nterms=None):
     """Sum a hypergeometric-type series with term recurrence.
 
-    ``ratio_fn(k)`` gives the z-free factor term_{k+1}/(term_k * z); z may
-    be an array.  With ``nterms`` the sum is the exact truncation after that
-    many post-leading terms (terminating series); otherwise summation stops
-    once the term has been below 1e-16 of the running sum for 3 consecutive
-    terms everywhere.
+    The ratio of consecutive terms is z prod_i (num_i + k) / ((c + k)(k + 1)).
+    The parameters, z and ``nterms`` broadcast together.  Where ``nterms``
+    is finite the sum is the exact truncation after that many post-leading
+    terms (terminating series); elsewhere an element stops once its term
+    has been below 1e-16 of its running sum for 3 consecutive terms.  Each
+    element is summed as if alone, so an array call gives the scalar calls'
+    values.  Returns the sum and the sum of |terms| (a cancellation gauge).
     """
-    z = np.asarray(z, dtype=float)
-    term = np.ones_like(z)
-    s = np.ones_like(z)
-    comp = np.zeros_like(z)
-    small = np.zeros(z.shape, dtype=np.int64)
-    kmax = nterms if nterms is not None else _MAX_TERMS
-    for k in range(kmax):
-        term = term * (ratio_fn(k) * z)
+    cols = np.broadcast_arrays(z, np.inf if nterms is None else nterms, c, *num)
+    shape = cols[0].shape
+    z, limit, c, *num = [np.array(col, dtype=float).reshape(-1) for col in cols]
+    out = np.ones(z.size)
+    out_mag = np.ones(z.size)
+    live = np.nonzero(limit > 0)[0]
+    cols = [z[live], limit[live], c[live], *(p[live] for p in num)]
+    term, s, mag = np.ones(live.size), np.ones(live.size), np.ones(live.size)
+    comp, small = np.zeros(live.size), np.zeros(live.size, dtype=np.int64)
+    k = 0
+    while live.size:
+        if k == _MAX_TERMS:
+            raise NonConvergenceError(
+                f"hypergeometric series did not converge in {_MAX_TERMS} terms"
+            )
+        z, limit, c, *num = cols
+        ratio = num[0] + k
+        for p in num[1:]:
+            ratio = ratio * (p + k)
+        term = term * (ratio / ((c + k) * (k + 1.0)) * z)
         y = term - comp
         t = s + y
         comp = (t - s) - y
         s = t
-        if nterms is None:
-            small = np.where(np.abs(term) <= 1e-16 * np.abs(s), small + 1, 0)
-            if np.all(small >= 3):
-                return s
-    if nterms is None:
-        raise NonConvergenceError(
-            f"hypergeometric series did not converge in {_MAX_TERMS} terms"
-        )
-    return s
+        mag = mag + np.abs(term)
+        k += 1
+        small = np.where(np.abs(term) <= 1e-16 * np.abs(s), small + 1, 0)
+        done = np.where(np.isfinite(limit), k >= limit, small >= 3)
+        if done.any():
+            out[live[done]] = s[done]
+            out_mag[live[done]] = mag[done]
+            keep = ~done
+            live, term, s, mag, comp, small = (
+                x[keep] for x in (live, term, s, mag, comp, small))
+            cols = [x[keep] for x in cols]
+    return out.reshape(shape), out_mag.reshape(shape)
 
 
-def _series_2f1(a, b, c, z, nterms=None):
-    return _kahan_series(
-        lambda k: (a + k) * (b + k) / ((c + k) * (k + 1.0)), z, nterms
-    )
+def _series_2f1(a, b, c, z):
+    return _kahan_series((a, b), c, z)[0]
 
 
 def _series_1f1(a, c, z, nterms=None):
-    return _kahan_series(lambda k: (a + k) / ((c + k) * (k + 1.0)), z, nterms)
-
-
-def _series_2f1_abs(a, b, c, z, n):
-    """Sum of |terms| of the degree-n terminating series (cancellation gauge)."""
-    return _kahan_series(
-        lambda k: abs((a + k) * (b + k) / ((c + k) * (k + 1.0))),
-        np.abs(z), nterms=n)
+    return _kahan_series((a,), c, z, nterms)[0]
 
 
 def _terminating_2f1_exact(a, b, c, z, n):
@@ -116,100 +126,96 @@ def _terminating_2f1_exact(a, b, c, z, n):
     return float(total)
 
 
-def _check_2f1_params(a, b, c):
-    """Return terminating degree n (or None); reject parameter poles."""
-    na, nb = _nonpos_int_degree(a), _nonpos_int_degree(b)
-    n = None
-    if na is not None and nb is not None:
-        n = min(na, nb)
-    elif na is not None:
-        n = na
-    elif nb is not None:
-        n = nb
+def _terminating_2f1(a, b, c, z, n):
+    """Degree-n terminating 2F1; where the alternating polynomial cancels
+    more than ~3 digits the element is redone in exact rational arithmetic."""
+    s, mag = _kahan_series((a, b), c, z, n)
+    for i in np.nonzero((n >= 2) & (np.abs(s) < 1e-3 * mag))[0]:
+        s[i] = _terminating_2f1_exact(a[i], b[i], c[i], z[i], int(n[i]))
+    return s
+
+
+def _reject_poles(n, c, name):
+    """Raise where a non-positive integer c is reached by the series of
+    degree n (NaN: non-terminating)."""
     nc = _nonpos_int_degree(c)
-    if nc is not None and (n is None or n > nc):
+    pole = ~np.isnan(nc) & (np.isnan(n) | (n > nc))
+    if pole.any():
         raise ParameterError(
-            f"2F1 pole: c={c} is a non-positive integer reached by the series"
+            f"{name} pole: c={c[pole][0]} is a non-positive integer reached by the series"
         )
-    return n
 
 
 def _gamma_ratio_sign_log(num, den):
     """sign and log-magnitude of prod Gamma(num_i) / prod Gamma(den_i)."""
-    sign = 1.0
-    L = 0.0
+    sign = np.ones_like(num[0])
+    L = np.zeros_like(num[0])
     for x in num:
-        sign *= gammasgn(x)
-        L += gammaln(x)
+        sign = sign * gammasgn(x)
+        L = L + gammaln(x)
     for x in den:
-        g = gammasgn(x)
-        if g == 0.0:  # pole in the denominator kills the whole term
-            return 0.0, -math.inf
-        sign *= g
-        L -= gammaln(x)
-    return sign, L
+        sign = sign * gammasgn(x)
+        L = L - gammaln(x)
+    # a pole in the denominator kills the whole term
+    return sign, np.where(sign == 0.0, -np.inf, L)
 
 
-def gauss_2f1_many(a, b, c, z):
-    """Gauss 2F1(a, b, c; z) elementwise over an array of arguments z.
+def _connection_2f1(a, b, c, z):
+    """2F1 for 1/2 < z < 1 by the 1-z connection formula (c-a-b = m not an
+    integer): two series in w = 1-z with Gamma-ratio weights in log form."""
+    w = 1.0 - z
+    m = c - a - b
+    s1, L1 = _gamma_ratio_sign_log((c, m), (c - a, c - b))
+    s2, L2 = _gamma_ratio_sign_log((c, -m), (a, b))
+    f1 = _series_2f1(a, b, 1.0 - m, w)
+    f2 = _series_2f1(c - a, c - b, 1.0 + m, w)
+    ew = _safe_exp(L2 + m * np.log(w))
+    with np.errstate(invalid="ignore"):
+        t2 = np.where(np.isinf(ew), np.sign(s2 * f2) * np.inf, s2 * ew * f2)
+    return s1 * _safe_exp(L1) * f1 + t2
 
-    Shares one parameter triple across the whole array; used for sampling
-    wavefunctions on radial grids.  Each z must satisfy |z| < 1 unless the
-    series terminates.
+
+def _broadcast(*xs):
+    """The shape the inputs broadcast to, and each input flattened to it."""
+    xs = np.broadcast_arrays(*(np.asarray(x, dtype=float) for x in xs))
+    return xs[0].shape, [x.reshape(-1) for x in xs]
+
+
+def _result(out, shape):
+    out = out.reshape(shape)
+    return out if out.ndim else float(out)
+
+
+def gauss_2f1(a, b, c, z):
+    """Gauss hypergeometric 2F1(a, b; c; z) for real arguments.
+
+    a, b, c and z broadcast together; scalar inputs return a float.  Each
+    element needs |z| < 1 unless its series terminates.
     """
-    n = _check_2f1_params(a, b, c)
-    z = np.asarray(z, dtype=float)
-    out = np.empty_like(z)
-    if n is not None:
-        out[...] = _series_2f1(a, b, c, z, nterms=n)
-        if n >= 2:
-            # alternating polynomial: where cancellation eats more than
-            # ~3 digits, redo those points in exact rational arithmetic
-            mag = _series_2f1_abs(a, b, c, z, n)
-            bad = np.abs(out) < 1e-3 * mag
-            if np.any(bad):
-                flat = out.reshape(-1)
-                zf = z.reshape(-1)
-                for i in np.nonzero(bad.reshape(-1))[0]:
-                    flat[i] = _terminating_2f1_exact(a, b, c, zf[i], n)
-        return out
-    if np.any(np.abs(z) >= 1.0):
+    shape, (a, b, c, z) = _broadcast(a, b, c, z)
+    n = np.fmin(_nonpos_int_degree(a), _nonpos_int_degree(b))
+    _reject_poles(n, c, "2F1")
+    poly = ~np.isnan(n)
+    if np.any(np.abs(z[~poly]) >= 1.0):
         raise DomainError("non-terminating 2F1 requires |z| < 1")
-
-    direct = np.abs(z) <= 0.5
-    if np.any(direct):
-        out[direct] = _series_2f1(a, b, c, z[direct])
-
-    neg = (~direct) & (z < 0.0)
-    if np.any(neg):
+    m = c - a - b
+    upper = ~poly & (z > 0.5)
+    euler = upper & (np.abs(m - np.round(m)) < _DEGENERATE_TOL)
+    out = np.empty(z.shape)
+    for mask, fn in (
+        (poly, lambda a, b, c, z: _terminating_2f1(a, b, c, z, n[poly])),
+        (~poly & (np.abs(z) <= 0.5), _series_2f1),
         # Pfaff transform maps z in (-1, -1/2) to w in (1/3, 1/2)
-        zn = z[neg]
-        w = zn / (zn - 1.0)
-        out[neg] = (1.0 - zn) ** (-a) * _series_2f1(a, c - b, c, w)
-
-    upper = (~direct) & (z > 0.0)
-    if np.any(upper):
-        zu = z[upper]
-        w = 1.0 - zu
-        m = c - a - b
-        if abs(m - round(m)) < _DEGENERATE_TOL:
-            # Euler fallback: still a |z|<1 series, just slower near z=1
-            out[upper] = w ** m * _series_2f1(c - a, c - b, c, zu)
-        else:
-            s1, L1 = _gamma_ratio_sign_log((c, m), (c - a, c - b))
-            s2, L2 = _gamma_ratio_sign_log((c, -m), (a, b))
-            f1 = _series_2f1(a, b, 1.0 - m, w)
-            f2 = _series_2f1(c - a, c - b, 1.0 + m, w)
-            Lw = L2 + m * np.log(w)
-            t2 = s2 * np.exp(np.minimum(Lw, _EXP_MAX)) * f2
-            t2 = np.where(Lw > _EXP_MAX, np.sign(s2 * f2) * np.inf, t2)
-            out[upper] = s1 * _safe_exp(L1) * f1 + t2
-    return out
-
-
-def gauss_2f1(a, b, c, z) -> float:
-    """Gauss hypergeometric 2F1(a, b, c; z) for real scalar arguments."""
-    return float(gauss_2f1_many(a, b, c, np.atleast_1d(float(z)))[0])
+        (~poly & (z < -0.5), lambda a, b, c, z:
+         (1.0 - z) ** (-a) * _series_2f1(a, c - b, c, z / (z - 1.0))),
+        # Euler fallback: still a |z|<1 series, just slower near z=1
+        (euler, lambda a, b, c, z:
+         (1.0 - z) ** (c - a - b) * _series_2f1(c - a, c - b, c, z)),
+        (upper & ~euler, _connection_2f1),
+    ):
+        if mask.any():
+            out[mask] = fn(a[mask], b[mask], c[mask], z[mask])
+    return _result(out, shape)
 
 
 def _kummer_asym(a, c, z):
@@ -233,57 +239,46 @@ def _kummer_asym(a, c, z):
     return gammasgn(c) * rgamma(a) * total, L
 
 
-def kummer_1f1(a, c, z) -> float:
-    """Confluent hypergeometric 1F1(a, c; z) for real scalar arguments.
+def _kummer_asym_each(a, c, z, shift):
+    """smooth * exp(L + shift) from ``_kummer_asym``, one element at a time."""
+    out = np.empty(z.shape)
+    for i in range(z.size):
+        smooth, L = _kummer_asym(float(a[i]), float(c[i]), float(z[i]))
+        out[i] = smooth * _safe_exp(L + shift[i])
+    return out
 
-    Direct compensated series for moderate z.  For large |z| the dominant
-    asymptotic branch is used; there the magnitude saturates at the float
-    range but signs and zero locations (a near -n) remain faithful, which
-    is all the quantization root-finders require.
+
+def kummer_1f1(a, c, z):
+    """Confluent hypergeometric 1F1(a; c; z) for real arguments.
+
+    a, c and z broadcast together; scalar inputs return a float.  Direct
+    compensated series for moderate z, Kummer reflection for z < 0.  For
+    |z| > 500 the dominant asymptotic branch is used; there the magnitude
+    saturates at the float range but signs and zero locations (a near -n)
+    remain faithful, which is all the quantization root-finders require.
     """
+    shape, (a, c, z) = _broadcast(a, c, z)
     n = _nonpos_int_degree(a)
-    nc = _nonpos_int_degree(c)
-    if nc is not None and (n is None or n > nc):
-        raise ParameterError(
-            f"1F1 pole: c={c} is a non-positive integer reached by the series"
-        )
-    z = float(z)
-    if z == 0.0:
-        return 1.0
-    if n is not None:
-        return float(_series_1f1(a, c, np.atleast_1d(z), nterms=n)[0])
-    if z < 0.0:
+    _reject_poles(n, c, "1F1")
+    poly = ~np.isnan(n)
+    small = np.abs(z) <= _KUMMER_ASYM_Z
+    out = np.empty(z.shape)
+    for mask, fn in (
+        (poly, lambda a, c, z: _series_1f1(a, c, z, n[poly])),
+        (~poly & small & (z >= 0.0), _series_1f1),
         # Kummer reflection 1F1(a,c;z) = e^z 1F1(c-a,c;-z): the direct
         # alternating series cancels catastrophically already at z ~ -20,
         # while the reflected series has (eventually) single-signed terms.
-        if -z <= _KUMMER_ASYM_Z:
-            return math.exp(z) * float(
-                _series_1f1(c - a, c, np.atleast_1d(-z))[0])
-        smooth, L = _kummer_asym(c - a, c, -z)
-        return smooth * _safe_exp(L + z)
-    if z <= _KUMMER_ASYM_Z:
-        return float(_series_1f1(a, c, np.atleast_1d(z))[0])
-    smooth, L = _kummer_asym(a, c, z)
-    return smooth * _safe_exp(L)
-
-
-def kummer_1f1_many(a, c, z):
-    """Vector version of ``kummer_1f1`` over an array of arguments."""
-    z = np.asarray(z, dtype=float)
-    n = _nonpos_int_degree(a)
-    if n is not None:
-        return _series_1f1(a, c, z, nterms=n)
-    out = np.empty_like(z)
-    small = (z >= 0.0) & (z <= _KUMMER_ASYM_Z)
-    if np.any(small):
-        out[small] = _series_1f1(a, c, z[small])
-    neg = (z < 0.0) & (z >= -_KUMMER_ASYM_Z)
-    if np.any(neg):
-        out[neg] = np.exp(z[neg]) * _series_1f1(c - a, c, -z[neg])
-    rest = ~(small | neg)
-    if np.any(rest):
-        out[rest] = [kummer_1f1(a, c, zi) for zi in z[rest]]
-    return out
+        (~poly & small & (z < 0.0), lambda a, c, z:
+         np.exp(z) * _series_1f1(c - a, c, -z)),
+        (~poly & ~small & (z > 0.0), lambda a, c, z:
+         _kummer_asym_each(a, c, z, np.zeros_like(z))),
+        (~poly & ~small & (z < 0.0), lambda a, c, z:
+         _kummer_asym_each(c - a, c, -z, z)),
+    ):
+        if mask.any():
+            out[mask] = fn(a[mask], c[mask], z[mask])
+    return _result(out, shape)
 
 
 def jacobi_p(n: int, alpha: float, beta: float, x):

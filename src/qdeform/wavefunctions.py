@@ -33,7 +33,7 @@ from .solvers import (
     METHOD_Q_LT_1,
     EnergyLevel,
 )
-from .special import gauss_2f1_many, jacobi_p, kummer_1f1_many
+from .special import gauss_2f1, jacobi_p, kummer_1f1
 
 __all__ = [
     "WavefunctionGrid",
@@ -89,7 +89,7 @@ def upper_q_ge_1_hypergeometric(r, n_r, e, dc: DiracConstants, p: PotentialParam
     t = np.asarray(tanh_q(x, sq))
     z = t * t
     env = (p.q ** 0.25 / np.asarray(cosh_q(x, sq))) ** (2.0 * eta) * t ** (2.0 * lam)
-    return env * gauss_2f1_many(
+    return env * gauss_2f1(
         -float(n_r), n_r + 2.0 * lam + 2.0 * eta + 0.5, 2.0 * lam + 0.5, z
     )
 
@@ -106,7 +106,7 @@ def upper_q_lt_1(r, e, dc: DiracConstants, p: PotentialParams):
     sq = math.sqrt(p.q)
     ch = np.asarray(cosh_q(0.5 * p.alpha * r, sq))
     z = sq / (ch * ch)
-    return z ** eta * (1.0 - z) ** lam * gauss_2f1_many(a, b, c, z)
+    return z ** eta * (1.0 - z) ** lam * gauss_2f1(a, b, c, z)
 
 
 def upper_morse(r, e, dc: DiracConstants, p: PotentialParams):
@@ -126,7 +126,7 @@ def upper_morse(r, e, dc: DiracConstants, p: PotentialParams):
     a = 0.5 - v2t / (2.0 * p.alpha * math.sqrt(v1t)) + eta
     c = 2.0 * eta + 1.0
     y = (4.0 * math.sqrt(v1t) / p.alpha) * np.exp(-p.alpha * r)
-    return np.exp(-kappa * r) * np.exp(-0.5 * y) * kummer_1f1_many(a, c, y)
+    return np.exp(-kappa * r) * np.exp(-0.5 * y) * kummer_1f1(a, c, y)
 
 
 def analytic_upper(r, level: EnergyLevel, dc: DiracConstants, p: PotentialParams):

@@ -5,7 +5,7 @@ import json
 
 import pytest
 
-from qdeform.cli import EXIT_CONFIG, EXIT_NO_LEVEL, EXIT_OK, _fmt, main
+from qdeform.cli import EXIT_CONFIG, EXIT_NO_LEVEL, EXIT_OK, EXIT_SOLVER, _fmt, main
 
 
 @pytest.fixture
@@ -58,6 +58,17 @@ class TestSpectrum:
         assert main(["spectrum", "--config", str(path)]) == EXIT_OK
         err = capsys.readouterr().err
         assert "no bound states" in err
+
+    def test_attractive_wall_exits_3(self, tmp_path, capsys):
+        path = tmp_path / "attractive.json"
+        path.write_text(json.dumps({
+            "potential": {"v1": 25.0, "v2": 20.0, "alpha": 1.0, "q": 4.0},
+            "dirac": {"mass": 1.0},
+        }))
+        assert main(["spectrum", "--config", str(path)]) == EXIT_SOLVER
+        err = capsys.readouterr().err
+        assert "discriminant" in err
+        assert "no bound states" not in err
 
     def test_missing_field_exits_2(self, tmp_path, capsys):
         path = tmp_path / "bad.json"

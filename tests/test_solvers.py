@@ -11,6 +11,8 @@ from qdeform import (
     METHOD_Q_GE_1,
     METHOD_Q_LT_1,
     DiracConstants,
+    DiscriminantError,
+    NonConvergenceError,
     ParameterError,
     PotentialParams,
     SolverConfig,
@@ -26,6 +28,7 @@ from qdeform import (
     solve_q_lt_1,
     spectrum,
 )
+from qdeform.solvers import _roots
 
 DC = DiracConstants(m=1.0, c_spin=0.0)
 
@@ -56,6 +59,14 @@ class TestSolveQGe1:
     def test_rejects_q_below_one(self):
         p = PotentialParams(25.0, 10.0, 1.0, 0.5)
         with pytest.raises(ParameterError):
+            solve_q_ge_1(0, DC, p)
+
+    def test_attractive_wall_raises(self):
+        # V2 sqrt(q) = 40 > V1 = 25: outside the solution class, not empty
+        p = PotentialParams(25.0, 20.0, 1.0, 4.0)
+        with pytest.raises(DiscriminantError):
+            spectrum(DC, p)
+        with pytest.raises(DiscriminantError):
             solve_q_ge_1(0, DC, p)
 
     def test_shallow_well_binds_nothing(self):
@@ -165,6 +176,33 @@ class TestSpectrumDispatch:
         n_shallow = len(spectrum(DC, PotentialParams(25.0, 10.0, 1.0, 2.0)))
         n_deep = len(spectrum(DC, PotentialParams(250.0, 100.0, 1.0, 2.0)))
         assert n_deep > n_shallow
+
+
+class TestRefinement:
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_non_finite_value_in_bracket_raises(self, bad):
+        # finite at every grid point, so the scan brackets the root at 0.55,
+        # but not finite around it: no unconverged answer may come back
+        def f(e):
+            e = np.asarray(e, dtype=float)
+            return np.where(abs(e - 0.55) < 0.04, bad, e - 0.55)
+
+        grid = np.linspace(0.0, 1.0, 11)
+        with pytest.raises(NonConvergenceError):
+            _roots(f, grid, 1e-12)
+
+    @pytest.mark.parametrize("f, expected", [
+        (lambda e: np.cos(10.0 * e), [0.05 * math.pi, 0.15 * math.pi, 0.25 * math.pi]),
+        # adjacent bracketing cells, one with three roots: the double-root
+        # guard rescans both 10x finer and finds all four
+        (lambda e: (e - 0.45) * (e - 0.552) * (e - 0.565) * (e - 0.578),
+         [0.45, 0.552, 0.565, 0.578]),
+        (lambda e: e + 5.0, []),
+    ])
+    def test_roots_of_array_function(self, f, expected):
+        grid = np.linspace(0.0, 1.0, 11)
+        roots = _roots(lambda e: f(np.asarray(e)), grid, 1e-13)
+        assert roots == pytest.approx(expected, abs=1e-12)
 
 
 class TestDisputed:

@@ -16,6 +16,7 @@ from qdeform import (
     kummer_1f1,
     ln_gamma,
 )
+from qdeform import special
 
 mpmath.mp.dps = 50
 
@@ -152,10 +153,12 @@ class TestKummer1F1:
             assert kummer_1f1(a, c, z) == pytest.approx(ref, rel=1e-9,
                                                         abs=1e-12)
 
-    @given(a=st.floats(-3.0, 3.0), c=st.floats(0.5, 6.0),
-           z=st.floats(0.1, 30.0))
+    @given(a=st.integers(-3 * 2**20, 3 * 2**20),
+           c=st.integers(2**19, 6 * 2**20), z=st.floats(0.1, 30.0))
     @settings(max_examples=120, deadline=None)
     def test_kummer_reflection(self, a, c, z):
+        # a and c on a dyadic grid, so that c - a is exact in floating point
+        a, c = a / 2**20, c / 2**20
         lhs = kummer_1f1(a, c, z)
         rhs = math.exp(z) * kummer_1f1(c - a, c, -z)
         assert lhs == pytest.approx(rhs, rel=1e-9, abs=1e-9)
@@ -166,6 +169,67 @@ class TestKummer1F1:
         for z in (600.0, 900.0):
             ref = mpmath.hyp1f1(a, c, z)
             assert math.copysign(1.0, kummer_1f1(a, c, z)) == mpmath.sign(ref)
+
+
+# One row per branch, each with a z in that branch's region.
+GAUSS_BRANCHES = [
+    ((0.3, 1.1, 2.2), 0.4),     # direct series
+    ((0.7, 1.3, 2.5), -0.8),    # Pfaff transform
+    ((0.6, 0.9, 2.9), 0.85),    # 1-z connection formula
+    ((0.3, 0.7, 2.0), 0.8),     # Euler fallback: c - a - b = 1
+    ((-3.0, 2.7, 1.4), 0.9),    # terminating
+    ((-8.0, 9.0, 1.5), 0.8),    # terminating, cancels: rational rescue
+]
+KUMMER_BRANCHES = [
+    ((0.7, 1.9), 12.0),         # direct series
+    ((-1.3, 2.4), -35.0),       # Kummer reflection
+    ((-3.7, 2.1), 900.0),       # asymptotic, z > 500
+    ((2.2, 3.1), -700.0),       # reflected asymptotic
+    ((-2.0, 1.5), 3.0),         # terminating
+]
+
+
+def _broadcast_cases(rows):
+    params = np.array([p for p, _ in rows])
+    zs = np.array([z for _, z in rows])
+    cols = tuple(params.T)
+    return {
+        # every branch in one call, element by element
+        "array-z": (cols, zs),
+        # every parameter row against one z
+        "scalar-z": (cols, float(zs[-1])),
+        # every parameter row against every z: a 2-d broadcast
+        "outer": (tuple(c[:, None] for c in cols), zs[None, :]),
+    }
+
+
+class TestBroadcastKernels:
+    @pytest.mark.parametrize("kind", ["array-z", "scalar-z", "outer"])
+    @pytest.mark.parametrize("fn, rows", [(gauss_2f1, GAUSS_BRANCHES),
+                                          (kummer_1f1, KUMMER_BRANCHES)],
+                             ids=["gauss_2f1", "kummer_1f1"])
+    def test_array_call_equals_scalar_calls(self, fn, rows, kind, monkeypatch):
+        calls = {"rescue": 0, "asymptotic": 0}
+        for key, name in (("rescue", "_terminating_2f1_exact"),
+                          ("asymptotic", "_kummer_asym")):
+            orig = getattr(special, name)
+
+            def spy(*args, key=key, orig=orig):
+                calls[key] += 1
+                return orig(*args)
+
+            monkeypatch.setattr(special, name, spy)
+        args = _broadcast_cases(rows)[kind]
+        got = fn(*args[0], args[1])
+        params = np.broadcast_arrays(*args[0], args[1])
+        want = np.array([fn(*(float(x) for x in el))
+                         for el in zip(*(x.reshape(-1) for x in params))])
+        assert got.shape == params[0].shape
+        np.testing.assert_allclose(got.reshape(-1), want, rtol=1e-14, atol=0.0)
+        if kind != "scalar-z":
+            key = "rescue" if fn is gauss_2f1 else "asymptotic"
+            assert calls[key] > 0
+        assert isinstance(fn(*(float(x) for x in rows[0][0]), rows[0][1]), float)
 
 
 class TestJacobiP:

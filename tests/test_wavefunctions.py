@@ -94,10 +94,13 @@ class TestNormalization:
 
 class TestDualRoutes:
     def test_jacobi_vs_hypergeometric(self):
-        # two independent closed forms, equal up to one global constant
-        p = PotentialParams(25.0, 18.0, 0.5, 2.0)
+        # two independent closed forms, equal up to one global constant;
+        # V2 sqrt(q) = 24.04 < V1 keeps the wall repulsive (solution class)
+        p = PotentialParams(25.0, 17.0, 0.5, 2.0)
         r = np.linspace(singularity_radius(p) + 0.05, 15.0, 500)
-        for lv in spectrum(DC, p)[:4]:
+        levels = spectrum(DC, p)
+        assert len(levels) >= 4
+        for lv in levels[:4]:
             f1 = upper_q_ge_1(r, lv.n_r, lv.energy, DC, p)
             f2 = upper_q_ge_1_hypergeometric(r, lv.n_r, lv.energy, DC, p)
             i = int(np.argmax(np.abs(f1)))
