@@ -136,7 +136,8 @@ def cmd_spectrum(args):
     rows = [[lv.n_r, lv.energy, lv.e_tilde, lv.method] for lv in levels]
 
     if args.verify and levels:
-        oracle = shoot_eigenvalues(constants, params, n_max=len(levels))
+        oracle = shoot_eigenvalues(constants, params, n_max=len(levels),
+                                   tol=config.tol_e * constants.m)
         by_n = {lv.n_r: lv.energy for lv in oracle}
         columns.append("residual_vs_oracle")
         for row, lv in zip(rows, levels):
@@ -222,7 +223,8 @@ def cmd_verify(args):
         _write_table(["n_r", "E_analytic", "E_oracle", "abs_diff"], [],
                      args.out, args.format)
         return EXIT_OK
-    oracle = shoot_eigenvalues(constants, params, n_max=len(levels))
+    oracle = shoot_eigenvalues(constants, params, n_max=len(levels),
+                               tol=config.tol_e * constants.m)
     by_n = {lv.n_r: lv.energy for lv in oracle}
     columns = ["n_r", "E_analytic", "E_oracle", "abs_diff"]
     rows = []

@@ -1,31 +1,49 @@
-"""Independent eigenvalue oracle: Numerov shooting on the effective equation.
+"""Independent eigenvalue oracle: matched Numerov shooting on the effective equation.
 
-Integrates u'' = [(M + E - C) Sigma(r) - Et(E)] u outward from the left
-boundary and bisects the energy until the terminal log-derivative matches
-the analytic decay rate -sqrt(-Et).  Node counting labels the levels.  This
-module is pure numerics with no knowledge of the closed-form spectra, so it
-serves as the ground truth the analytic solvers are checked against.
+The upper component obeys u'' = W(r) u with W = (M + E - C) V(r) - Et(E).
+
+Grid.  For q >= 1 the well has a repulsive 1/(r - r0)^2 wall at
+r0 = ln(q)/(2 alpha), and a grid uniform in r would take its step from the
+wall.  The oracle integrates instead in s, with r = r0 + L ln(1 + e^s) and
+L = 1/alpha: next to the wall r - r0 ~ L e^s is logarithmic, far from it
+r ~ r0 + L s is uniform.  With g' = dr/ds = L sigma(s), sigma = 1/(1 + e^-s),
+the Liouville substitution u = (g')^(1/2) v gives
+
+    v'' = Q(s) v,    Q = g'^2 W(r(s)) + (1 - sigma^2)/4,
+
+which is still in Numerov form, so one kernel serves every grid.  For
+0 <= q < 1 the grid is uniform in r: sigma = 1, g' = 1 and Q = W.  The step
+is uniform in the integration coordinate and resolves the largest |Q| over
+the bound window with a fixed number of points per local wavelength.
+
+Search.  Each trial energy makes one sweep: outward from the left edge
+(v = 0) and inward from r_end (decaying start), both halves stopping at the
+outermost classically allowed grid point m.  Each half has a Pruefer phase
+theta = pi * nodes + (atan2(v_m, dv/ds) mod pi), the derivative taken as the
+difference over the step (m - 1, m) shared by both halves.  The matched
+phase Theta(E) = theta_out + theta_in is continuous and rises with E, and
+level n_r is the root of Theta = (n_r + 1) pi; at a root the two halves
+match for any choice of m.  Brent's method (scipy.optimize.brentq) solves
+each level inside the tightest bracket the energies already swept give,
+starting from the previous level and the top of the window.
+
+The module takes only the potential and the effective eigenvalue, no
+closed-form spectrum, so it serves as the ground truth the analytic solvers
+are checked against.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
+from scipy.optimize import brentq
 
 from .deformed import PotentialParams, potential_value, singularity_radius
 from .effective import DiracConstants, bound_window, effective_eigenvalue
-from .errors import GridError
+from .errors import GridError, NonConvergenceError
 from .solvers import METHOD_ORACLE, EnergyLevel
-
-try:
-    from numba import njit
-except ImportError:  # pragma: no cover - numba is a hard dependency in practice
-    def njit(*args, **kwargs):
-        if args and callable(args[0]):
-            return args[0]
-        return lambda f: f
 
 __all__ = [
     "RadialGrid",
@@ -41,44 +59,81 @@ _MAX_POINTS = 3_000_000
 
 @dataclass(frozen=True)
 class RadialGrid:
-    """Uniform radial grid for the shooting integration."""
+    """Grid uniform in the integration coordinate t.
+
+    Without a ``wall``, t = r.  With a wall at r0, r = r0 + scale*ln(1 + e^t),
+    logarithmic in r - r0 next to the wall and uniform far from it.
+    """
 
     r_start: float
     r_end: float
     n_points: int
+    wall: float | None = None
+    scale: float = 1.0
 
     def __post_init__(self):
         if self.r_start >= self.r_end:
             raise GridError(f"need r_start < r_end, got {self.r_start}, {self.r_end}")
         if self.n_points < 1000:
             raise GridError(f"need at least 1000 points, got {self.n_points}")
+        if self.wall is not None and not (self.wall < self.r_start and self.scale > 0.0):
+            raise GridError(f"need wall < r_start and scale > 0, got wall {self.wall}, "
+                            f"r_start {self.r_start}, scale {self.scale}")
+
+    def _coordinate(self, r: float) -> float:
+        if self.wall is None:
+            return r
+        x = (r - self.wall) / self.scale
+        return x + math.log(-math.expm1(-x))  # ln(e^x - 1) without overflow
 
     @property
     def spacing(self) -> float:
-        return (self.r_end - self.r_start) / (self.n_points - 1)
+        """The uniform step in t."""
+        t0, t1 = self._coordinate(self.r_start), self._coordinate(self.r_end)
+        return (t1 - t0) / (self.n_points - 1)
 
     @property
     def radii(self) -> np.ndarray:
-        return np.linspace(self.r_start, self.r_end, self.n_points)
+        return self.mapping()[0]
+
+    def mapping(self):
+        """(r, dr/dt, sigma) at every grid point.
+
+        On the wall map dr/dt = scale * sigma with sigma = 1/(1 + e^-t);
+        for t = r both are 1.
+        """
+        t = np.linspace(self._coordinate(self.r_start),
+                        self._coordinate(self.r_end), self.n_points)
+        if self.wall is None:
+            one = np.ones_like(t)
+            return t, one, one
+        sig = 1.0 / (1.0 + np.exp(-t))
+        return self.wall + self.scale * np.logaddexp(0.0, t), self.scale * sig, sig
+
+
+def sweep_terms(p: PotentialParams, grid: RadialGrid):
+    """(g'^2 V, g'^2, Liouville term) on the grid, reusable across trial energies.
+
+    Q(E) = (M + E - C) g'^2 V - Et(E) g'^2 + (1 - sigma^2)/4.
+    """
+    r, jac, sig = grid.mapping()
+    jac2 = jac * jac
+    return jac2 * np.asarray(potential_value(r, p), dtype=float), jac2, 0.25 * (1.0 - sig * sig)
 
 
 def build_grid(dc: DiracConstants, p: PotentialParams,
-               r_end: float | None = None, points_per_wavelength: float = 40.0,
-               delta_scale: float = 1.0) -> RadialGrid:
-    """Choose a grid adapted to the well depth and decay lengths.
+               r_end: float | None = None,
+               points_per_wavelength: float = 160.0) -> RadialGrid:
+    """Choose a grid adapted to the wall, the well depth and the decay lengths.
 
     The right cutoff is placed where the potential term has fallen below
     1e-10 of the deepest effective eigenvalue, plus a generous tail for
-    weakly bound states.  The step resolves the shortest local de Broglie
-    wavelength with ``points_per_wavelength`` points.  ``delta_scale``
-    rescales the left offset (used by the boundary-sensitivity self-test).
+    weakly bound states.  For q >= 1 the grid starts 1e-9/alpha from the
+    wall and maps it logarithmically.  The step resolves the largest |Q|
+    over the bound window with ``points_per_wavelength`` points; a grid
+    that would need more than 3,000,000 points raises GridError.
     """
     r0 = singularity_radius(p)
-    if r0 is not None:
-        r_left = r0 + delta_scale * 1e-6 / p.alpha
-    else:
-        r_left = delta_scale * 1e-8 / p.alpha
-
     m, c = dc.m, dc.c_spin
     et_min = effective_eigenvalue(0.5 * c, dc)  # most negative over the window
     pref_max = 2.0 * m - c
@@ -92,112 +147,120 @@ def build_grid(dc: DiracConstants, p: PotentialParams,
             raise GridError("could not place the right cutoff: potential decays too slowly")
         r_end = probe[ok[0]] + 60.0 / p.alpha
 
-    # probe |W| away from the (integrable) singular point to set the step
-    excl = 0.01 / p.alpha if r0 is not None else 0.0
-    probe = np.geomspace(max(r_left, (r0 or 0.0) + excl) - (r0 or 0.0) + 1e-300,
-                         r_end - (r0 or 0.0), 600) + (r0 or 0.0)
-    probe = probe[probe > r_left]
-    w_probe = pref_max * np.abs(potential_value(probe, p)) + abs(et_min)
-    k_max = math.sqrt(float(np.max(w_probe)))
-    h = 2.0 * math.pi / (points_per_wavelength * k_max)
-    n = int(math.ceil((r_end - r_left) / h)) + 1
-    n = max(n, 1000)
-    n = min(n, _MAX_POINTS)
-    return RadialGrid(r_start=r_left, r_end=float(r_end), n_points=n)
-
-
-@njit(cache=True)
-def _numerov_kernel(w, h):
-    """Outward Numerov sweep of u'' = w u with u(0)=0, u'(0)=1.
-
-    Returns (terminal log-derivative, interior node count).  u is
-    renormalized whenever it exceeds 1e150; sign changes are not counted
-    where the step cannot resolve the local scale (h^2 |w|/12 > 1, only
-    possible inside a hard repulsive wall where u cannot oscillate).
-    """
-    n = w.shape[0]
-    h2 = h * h / 12.0
-    u_ppp = 0.0  # u_{i-3}, kept for the terminal log-derivative
-    u_pp = 0.0
-    u_p = h
-    f_pp = 1.0 - h2 * w[0]
-    f_p = 1.0 - h2 * w[1]
-    nodes = 0
-    for i in range(2, n):
-        f_i = 1.0 - h2 * w[i]
-        u_i = (2.0 * u_p * (1.0 + 5.0 * h2 * w[i - 1]) - u_pp * f_pp) / f_i
-        if u_i * u_p < 0.0 and h2 * abs(w[i]) < 1.0:
-            nodes += 1
-        if abs(u_i) > _RENORM:
-            s = 1.0 / abs(u_i)
-            u_i *= s
-            u_p *= s
-            u_pp *= s
-            u_ppp *= s
-        u_ppp = u_pp
-        u_pp = u_p
-        u_p = u_i
-        f_pp = f_p
-        f_p = f_i
-    if u_pp == 0.0:
-        ld = math.inf
+    if r0 is None:
+        grid = RadialGrid(1e-8 / p.alpha, float(r_end), 1000)
     else:
-        ld = (u_p - u_ppp) / (2.0 * h * u_pp)
-    return ld, nodes
+        grid = RadialGrid(r0 + 1e-9 / p.alpha, float(r_end), 1000,
+                          wall=r0, scale=1.0 / p.alpha)
+
+    # bound |Q| over the window on a dense probe of the same map to set the step
+    pot, jac2, liouville = sweep_terms(p, replace(grid, n_points=4000))
+    q_max = float(np.max(pref_max * np.abs(pot) + abs(et_min) * jac2 + liouville))
+    h = 2.0 * math.pi / (points_per_wavelength * math.sqrt(q_max))
+    t_span = grid.spacing * (grid.n_points - 1)
+    n = max(int(math.ceil(t_span / h)) + 1, 1000)
+    if n > _MAX_POINTS:
+        raise GridError(f"the well needs {n} grid points, more than {_MAX_POINTS}")
+    return replace(grid, n_points=n)
 
 
-def sigma_samples(p: PotentialParams, grid: RadialGrid) -> np.ndarray:
-    """Potential samples on the grid (reusable across trial energies)."""
-    return np.asarray(potential_value(grid.radii, p), dtype=float)
+def _numerov(a_coef, b_coef, u2, u1):
+    """Run u_i = A_i u_{i-1} - B_i u_{i-2} from (u2, u1) = (u_0, u_1).
+
+    Returns the last two values and the number of sign changes.  u is
+    renormalized whenever it exceeds 1e150, which changes no sign and no
+    ratio.
+    """
+    nodes = 0
+    for a, b in zip(a_coef, b_coef):
+        u = a * u1 - b * u2
+        if u * u1 < 0.0:
+            nodes += 1
+        if u > _RENORM or u < -_RENORM:
+            s = 1.0 / abs(u)
+            u *= s
+            u1 *= s
+        u2 = u1
+        u1 = u
+    return u2, u1, nodes
+
+
+def _sweep(f, u0, u1):
+    """Numerov along f = 1 - h^2 Q/12 from (u_0, u_1); see ``_numerov``."""
+    a_coef = (12.0 - 10.0 * f[1:-1]) / f[2:]
+    b_coef = f[:-2] / f[2:]
+    return _numerov(memoryview(a_coef), memoryview(b_coef), u0, u1)
+
+
+def _phase(u, slope, nodes):
+    return math.pi * nodes + math.atan2(u, slope) % math.pi
 
 
 def integrate_radial(e, dc: DiracConstants, p: PotentialParams,
-                     grid: RadialGrid, sigma: np.ndarray | None = None):
-    """One outward sweep at trial energy E: (log-derivative at r_end, nodes)."""
-    if sigma is None:
-        sigma = sigma_samples(p, grid)
-    w = (dc.m + e - dc.c_spin) * sigma - effective_eigenvalue(e, dc)
-    return _numerov_kernel(w, grid.spacing)
+                     grid: RadialGrid, terms=None):
+    """One matched sweep at trial energy E: (Theta, nodes).
+
+    Theta = theta_out + theta_in is the matched Pruefer phase (level n_r
+    sits at Theta = (n_r + 1) pi) and nodes = floor(Theta / pi), the zero
+    count of the solution regular at the left edge, equal to the number of
+    levels below E.  Raises GridError where the step cannot resolve the
+    local scale (h^2 |Q|/12 >= 1), since sign changes there are spurious.
+    """
+    pot, jac2, liouville = sweep_terms(p, grid) if terms is None else terms
+    q = (dc.m + e - dc.c_spin) * pot - effective_eigenvalue(e, dc) * jac2 + liouville
+    h = grid.spacing
+    g = (h * h / 12.0) * q
+    if not np.all(np.abs(g) < 1.0):
+        raise GridError(f"the step {h:.3g} does not resolve the well at E = {e}")
+    f = 1.0 - g
+    allowed = np.flatnonzero(q < 0.0)
+    m = int(allowed[-1]) if len(allowed) else int(np.argmin(q))
+    m = min(max(m, 2), len(f) - 3)
+
+    # outward to m from u_0 = 0, u_1 = h; inward to m - 1 from a decaying start
+    u_prev, u_m, nodes_out = _sweep(f[:m + 1], 0.0, h)
+    w_m, w_prev, nodes_in = _sweep(f[m - 1:][::-1], 1.0,
+                                   math.exp(h * math.sqrt(max(q[-1], 0.0))))
+    if w_m * w_prev < 0.0:  # the step (m - 1, m) belongs to the outward half
+        nodes_in -= 1
+
+    theta = (_phase(u_m, (u_m - u_prev) / h, nodes_out)
+             + _phase(w_m, (w_prev - w_m) / h, nodes_in))
+    return theta, int(theta // math.pi)
 
 
 def shoot_eigenvalues(dc: DiracConstants, p: PotentialParams,
                       grid: RadialGrid | None = None, n_max: int = 64,
                       tol: float = 1e-9) -> list[EnergyLevel]:
-    """All bound levels up to n_max by node-count + log-derivative bisection.
+    """All bound levels up to n_max: roots of Theta(E) = (n_r + 1) pi.
 
-    For each n_r, bisects on the predicate "past the level": either more
-    than n_r nodes, or exactly n_r nodes with the terminal log-derivative
-    already below the analytic decay rate -sqrt(-Et).
+    The phase at the top of the window counts the levels.  Each level is
+    solved by Brent's method to the absolute energy tolerance ``tol``
+    inside the tightest bracket of the energies already swept; every sweep
+    is remembered.
     """
     if grid is None:
         grid = build_grid(dc, p)
-    sigma = sigma_samples(p, grid)
+    terms = sweep_terms(p, grid)
     lo, hi = bound_window(dc)
     eps = 1e-8 * dc.m
-    a0, b0 = lo + eps, hi - eps
+    swept = {}  # trial energy -> Theta / pi
 
-    def probe(e):
-        ld, nodes = integrate_radial(e, dc, p, grid, sigma)
-        kappa = math.sqrt(max(-effective_eigenvalue(e, dc), 0.0))
-        return nodes, ld + kappa
+    def turns(e):
+        if e not in swept:
+            swept[e] = integrate_radial(e, dc, p, grid, terms)[0] / math.pi
+        return swept[e]
 
-    def past_level(nodes, phi, n):
-        return nodes > n or (nodes == n and phi < 0.0)
-
+    bottom, top = lo + eps, hi - eps
     levels = []
-    nodes_b, phi_b = probe(b0)
-    for n in range(n_max):
-        if not past_level(nodes_b, phi_b, n):
-            break
-        a, b = a0, b0
-        while b - a > tol:
-            mid = 0.5 * (a + b)
-            nodes_m, phi_m = probe(mid)
-            if past_level(nodes_m, phi_m, n):
-                b = mid
-            else:
-                a = mid
-        e_n = 0.5 * (a + b)
+    for n in range(min(n_max, int(turns(top)))):
+        target = n + 1
+        a = max((e for e, t in swept.items() if t < target), default=bottom)
+        b = min(e for e, t in swept.items() if e > a and t >= target)
+        e_n, info = brentq(lambda e: turns(e) - target, a, b, xtol=tol,
+                           full_output=True, disp=False)
+        if not info.converged:
+            raise NonConvergenceError(f"level {n}: Brent did not converge in [{a}, {b}]")
         levels.append(EnergyLevel(
             n_r=n, energy=e_n, e_tilde=effective_eigenvalue(e_n, dc),
             method=METHOD_ORACLE,

@@ -5,6 +5,7 @@ import json
 
 import pytest
 
+import qdeform.cli as cli
 from qdeform.cli import EXIT_CONFIG, EXIT_NO_LEVEL, EXIT_OK, EXIT_SOLVER, _fmt, main
 
 
@@ -181,3 +182,32 @@ class TestVerify:
         lines = captured.out.strip().splitlines()
         assert lines[0] == "n_r,E_analytic,E_oracle,abs_diff"
         assert float(lines[1].split(",")[-1]) <= 1e-6
+
+    def test_weak_wall_passes(self, tmp_path, capsys):
+        # V2 sqrt(q) = 24.9 < V1 = 25: a wall that barely repels
+        path = tmp_path / "weak.json"
+        path.write_text(json.dumps({
+            "potential": {"v1": 25.0, "v2": 17.6, "alpha": 1.0, "q": 2.0},
+            "dirac": {"mass": 1.0},
+        }))
+        assert main(["verify", "--config", str(path)]) == EXIT_OK
+        assert "verify: OK" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", [["verify"], ["spectrum", "--verify"]])
+    def test_oracle_tolerance_from_config(self, command, tmp_path, monkeypatch):
+        path = tmp_path / "tol.json"
+        path.write_text(json.dumps({
+            "potential": {"v1": 25.0, "v2": 10.0, "alpha": 1.0, "q": 2.0},
+            "dirac": {"mass": 2.0},
+            "solver": {"tol_e": 1e-7},
+        }))
+        seen = []
+        real = cli.shoot_eigenvalues
+
+        def spy(*args, **kwargs):
+            seen.append(kwargs.get("tol"))
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(cli, "shoot_eigenvalues", spy)
+        assert main(command + ["--config", str(path)]) == EXIT_OK
+        assert seen == [pytest.approx(2e-7, rel=1e-15)]

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from qdeform import oracle
 from qdeform import (
     METHOD_ORACLE,
     DiracConstants,
@@ -44,6 +45,28 @@ class TestRadialGrid:
         g = build_grid(DC, p)
         assert g.r_end > 20.0
 
+    def test_wall_map_is_logarithmic_near_the_wall(self):
+        p = PotentialParams(25.0, 10.0, 1.0, 2.0)
+        g = build_grid(DC, p)
+        r0 = singularity_radius(p)
+        r = g.radii
+        assert r[0] - r0 == pytest.approx(1e-9, rel=1e-6)
+        assert r[-1] == pytest.approx(g.r_end, rel=1e-12)
+        assert np.all(np.diff(r) > 0.0)
+        # equal steps in t: ratios in r - r0 near the wall, differences far out
+        d = r[:3] - r0
+        assert d[1] / d[0] == pytest.approx(d[2] / d[1], rel=1e-6)
+        assert r[-1] - r[-2] == pytest.approx(g.spacing / p.alpha, rel=1e-9)
+
+    def test_wall_must_sit_left_of_the_grid(self):
+        with pytest.raises(GridError):
+            RadialGrid(1.0, 10.0, 1000, wall=1.0)
+
+    def test_build_grid_refuses_instead_of_coarsening(self):
+        p = PotentialParams(25.0, 10.0, 1.0, 2.0)
+        with pytest.raises(GridError, match="grid points"):
+            build_grid(DC, p, points_per_wavelength=1e5)
+
 
 class TestShooting:
     def test_node_count_increases_with_energy(self):
@@ -74,6 +97,40 @@ class TestShooting:
         assert [lv.n_r for lv in oracle] == [lv.n_r for lv in analytic]
         for a, o in zip(analytic, oracle):
             assert o.energy == pytest.approx(a.energy, abs=1e-7)
+
+    @pytest.mark.parametrize("well", [(25.0, 17.6, 1.0, 2.0), (25.0, 24.9, 1.0, 1.0)])
+    def test_weak_wall_agrees_level_by_level(self, well):
+        # V2 sqrt(q) close to V1: the wall barely repels, and a step sized
+        # away from it or a left edge far from r0 shows as a miss of ~1e-5
+        p = PotentialParams(*well)
+        analytic = spectrum(DC, p)
+        oracle_levels = shoot_eigenvalues(DC, p, tol=1e-10 * DC.m)
+        assert len(analytic) >= 3
+        assert [lv.n_r for lv in oracle_levels] == [lv.n_r for lv in analytic]
+        for a, o in zip(analytic, oracle_levels):
+            assert abs(o.energy - a.energy) <= 1e-8 * DC.m
+
+    def test_sweep_budget(self, monkeypatch):
+        sweeps, kernel_runs = [], []
+        real_sweep, real_kernel = oracle.integrate_radial, oracle._numerov
+
+        def count_sweep(*args, **kwargs):
+            sweeps.append(args[0])
+            return real_sweep(*args, **kwargs)
+
+        def count_kernel(*args):
+            kernel_runs.append(1)
+            return real_kernel(*args)
+
+        monkeypatch.setattr(oracle, "integrate_radial", count_sweep)
+        monkeypatch.setattr(oracle, "_numerov", count_kernel)
+        p = PotentialParams(25.0, 18.0, 0.5, 1.0)
+        levels = shoot_eigenvalues(DC, p)
+        assert len(levels) == 6
+        assert len(sweeps) <= 12 * len(levels)
+        assert len(set(sweeps)) == len(sweeps)  # no energy is swept twice
+        # every sweep runs through integrate_radial: one outward, one inward half
+        assert len(kernel_runs) == 2 * len(sweeps)
 
     def test_empty_for_shallow_well(self):
         p = PotentialParams(4.0, 1.0, 1.0, 2.0)
