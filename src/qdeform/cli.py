@@ -98,23 +98,37 @@ def load_config(path):
     return constants, params, config
 
 
+_JSON_NONFINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
+
+
+def _json_list(items):
+    """A list one level deep in the indent-2 JSON layout, from its items
+    already encoded and indented."""
+    return "[\n" + ",\n".join(items) + "\n  ]" if items else "[]"
+
+
 def _write_table(columns, rows, out_path, fmt):
-    """Write rows as CSV or JSON; when out_path is given, write both mirrors."""
+    """Write rows as CSV or JSON; when out_path is given, write both mirrors.
+
+    Each number is formatted once by ``_fmt``: the CSV holds that text and
+    the JSON the float it parses to, in the layout of
+    ``json.dumps({"columns": columns, "rows": [...]}, indent=2)``.
+    """
+    cells = [[v if isinstance(v, str) else _fmt(v) for v in row] for row in rows]
+
     def to_csv():
-        lines = [",".join(columns)]
-        for row in rows:
-            lines.append(",".join(_fmt(v) if not isinstance(v, str) else v
-                                  for v in row))
-        return "\n".join(lines) + "\n"
+        return "".join(",".join(line) + "\n" for line in [columns, *cells])
 
     def to_json():
+        keys = ["      " + json.dumps(k) + ": " for k in columns]
         recs = []
-        for row in rows:
-            rec = {}
-            for key, val in zip(columns, row):
-                rec[key] = val if isinstance(val, str) else float(_fmt(val))
-            recs.append(rec)
-        return json.dumps({"columns": columns, "rows": recs}, indent=2) + "\n"
+        for row, texts in zip(rows, cells):
+            fields = [key + (json.dumps(v) if isinstance(v, str)
+                             else _JSON_NONFINITE.get(t) or repr(float(t)))
+                      for key, v, t in zip(keys, row, texts)]
+            recs.append("    {\n" + ",\n".join(fields) + "\n    }" if fields else "    {}")
+        return ('{\n  "columns": ' + _json_list(["    " + json.dumps(c) for c in columns])
+                + ',\n  "rows": ' + _json_list(recs) + "\n}\n")
 
     if out_path is None:
         sys.stdout.write(to_csv() if fmt == "csv" else to_json())

@@ -23,7 +23,7 @@ theta = pi * nodes + (atan2(v_m, dv/ds) mod pi), the derivative taken as the
 difference over the step (m - 1, m) shared by both halves.  The matched
 phase Theta(E) = theta_out + theta_in is continuous and rises with E, and
 level n_r is the root of Theta = (n_r + 1) pi; at a root the two halves
-match for any choice of m.  Brent's method (scipy.optimize.brentq) solves
+match for any choice of m.  Brent's method (``solvers._brentq``) solves
 each level inside the tightest bracket the energies already swept give,
 starting from the previous level and the top of the window.
 
@@ -38,12 +38,11 @@ import math
 from dataclasses import dataclass, replace
 
 import numpy as np
-from scipy.optimize import brentq
 
 from .deformed import PotentialParams, potential_value, singularity_radius
 from .effective import DiracConstants, bound_window, effective_eigenvalue
-from .errors import GridError, NonConvergenceError
-from .solvers import METHOD_ORACLE, EnergyLevel
+from .errors import GridError
+from .solvers import METHOD_ORACLE, EnergyLevel, _brentq
 
 __all__ = [
     "RadialGrid",
@@ -237,7 +236,7 @@ def shoot_eigenvalues(dc: DiracConstants, p: PotentialParams,
     The phase at the top of the window counts the levels.  Each level is
     solved by Brent's method to the absolute energy tolerance ``tol``
     inside the tightest bracket of the energies already swept; every sweep
-    is remembered.
+    is remembered.  Raises NonConvergenceError if Brent's method fails.
     """
     if grid is None:
         grid = build_grid(dc, p)
@@ -257,10 +256,7 @@ def shoot_eigenvalues(dc: DiracConstants, p: PotentialParams,
         target = n + 1
         a = max((e for e, t in swept.items() if t < target), default=bottom)
         b = min(e for e, t in swept.items() if e > a and t >= target)
-        e_n, info = brentq(lambda e: turns(e) - target, a, b, xtol=tol,
-                           full_output=True, disp=False)
-        if not info.converged:
-            raise NonConvergenceError(f"level {n}: Brent did not converge in [{a}, {b}]")
+        e_n = _brentq(lambda e: turns(e) - target, a, b, tol)
         levels.append(EnergyLevel(
             n_r=n, energy=e_n, e_tilde=effective_eigenvalue(e_n, dc),
             method=METHOD_ORACLE,

@@ -13,7 +13,7 @@ Three procedures, dispatched on the deformation q:
 Each is a sign change of one function of E on the bound window, found by
 one scan-bracket-refine routine: the function is evaluated over the whole
 scan grid in a single array call, and each sign-change bracket is refined
-by Brent's method (scipy.optimize.brentq), which keeps its bracket and
+by Brent's method (``_brentq``), which keeps its bracket and
 converges.  The hypergeometric functions oscillate violently in E near
 the window edge, so guaranteed bracketing beats fast iteration.  A
 refinement that fails, or meets a NaN or infinite value, raises.
@@ -25,7 +25,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import brentq
 
 from .deformed import PotentialParams
 from .effective import (
@@ -115,6 +114,72 @@ def _brackets(x, v):
     return cells, list(x[:-1][zero])
 
 
+_BRENT_RTOL = 4.0 * np.finfo(float).eps
+_BRENT_MAXITER = 100
+
+
+def _brentq(f, xa, xb, xtol):
+    """A root of f in [xa, xb] by Brent's method (Brent 1973, ch. 4).
+
+    Step for step the algorithm of scipy's ``brentq`` with its default
+    rtol = 4 eps and 100 iterations, so it makes the same evaluations and
+    returns the same root.  It stops once the bracket is narrower than
+    2 delta, delta = (xtol + rtol |x|)/2, or f(x) = 0.  Raises
+    NonConvergenceError when f(xa) and f(xb) have the same sign, when f is
+    NaN, and after 100 steps without convergence.
+    """
+    def value(x):
+        v = f(x)
+        if v != v:
+            raise NonConvergenceError(f"f is NaN at x = {x} in the bracket [{xa}, {xb}]")
+        return v
+
+    xpre, xcur = float(xa), float(xb)
+    xblk = fblk = spre = scur = 0.0
+    fpre, fcur = value(xpre), value(xcur)
+    if fpre == 0.0:
+        return xpre
+    if fcur == 0.0:
+        return xcur
+    if (fpre < 0.0) == (fcur < 0.0):
+        raise NonConvergenceError(f"f has the same sign at both ends of [{xa}, {xb}]")
+    for _ in range(_BRENT_MAXITER):
+        if (fpre < 0.0) != (fcur < 0.0):
+            xblk, fblk = xpre, fpre
+            spre = scur = xcur - xpre
+        if abs(fblk) < abs(fcur):
+            xpre, xcur, xblk = xcur, xblk, xcur
+            fpre, fcur, fblk = fcur, fblk, fcur
+
+        delta = (xtol + _BRENT_RTOL * abs(xcur)) / 2.0
+        sbis = (xblk - xcur) / 2.0
+        if fcur == 0.0 or abs(sbis) < delta:
+            return xcur
+
+        if abs(spre) > delta and abs(fcur) < abs(fpre):
+            if xpre == xblk:  # secant
+                stry = -fcur * (xcur - xpre) / (fcur - fpre)
+            else:  # inverse quadratic interpolation
+                dpre = (fpre - fcur) / (xpre - xcur)
+                dblk = (fblk - fcur) / (xblk - xcur)
+                stry = -fcur * (fblk * dblk - fpre * dpre) / (dblk * dpre * (fblk - fpre))
+            if 2.0 * abs(stry) < min(abs(spre), 3.0 * abs(sbis) - delta):
+                spre, scur = scur, stry  # good short step
+            else:
+                spre = scur = sbis
+        else:
+            spre = scur = sbis
+
+        xpre, fpre = xcur, fcur
+        if abs(scur) > delta:
+            xcur += scur
+        else:
+            xcur += delta if sbis > 0.0 else -delta
+        fcur = value(xcur)
+    raise NonConvergenceError(
+        f"Brent's method did not converge in {_BRENT_MAXITER} steps in [{xa}, {xb}]")
+
+
 def _refine(f, lo, hi, tol):
     """Brent's method on one sign-change bracket of f."""
     def scalar(e):
@@ -124,15 +189,11 @@ def _refine(f, lo, hi, tol):
                 f"quantization function is {v} at E = {e} in the bracket [{lo}, {hi}]")
         return v
 
-    root, info = brentq(scalar, lo, hi, xtol=tol, full_output=True, disp=False)
-    if not info.converged:
-        raise NonConvergenceError(
-            f"root refinement in [{lo}, {hi}] did not converge: {info.flag}")
-    return root
+    return _brentq(scalar, lo, hi, tol)
 
 
 def _roots(f, grid, tol, vals=None):
-    """All sign-change roots of f on a scan grid, refined by brentq.
+    """All sign-change roots of f on a scan grid, refined by Brent's method.
 
     ``f`` maps an array of energies to an array of values; ``vals`` may hold
     f(grid) already.  When two adjacent cells both bracket a root, both are

@@ -18,7 +18,6 @@ import math
 from fractions import Fraction
 
 import numpy as np
-from scipy.special import gammaln, gammasgn, rgamma
 
 from .errors import DomainError, NonConvergenceError, ParameterError
 
@@ -39,7 +38,20 @@ def ln_gamma(x: float) -> float:
     """log Gamma(x) for x > 0."""
     if x <= 0.0:
         raise DomainError(f"ln_gamma requires x > 0, got {x}")
-    return float(gammaln(x))
+    return math.lgamma(x)
+
+
+def _gamma_sign_log(x):
+    """Sign and log|Gamma(x)| of each element of x, with sign 0 and log +inf
+    at the poles x = 0, -1, -2, ...; NaN gives NaN."""
+    x = np.asarray(x, dtype=float)
+    floor = np.floor(x)
+    pole = (x <= 0.0) & (x == floor)
+    with np.errstate(invalid="ignore"):  # floor(inf) % 2
+        sign = np.where(x > 0.0, 1.0, np.where(pole, 0.0, 1.0 - 2.0 * (floor % 2.0)))
+    log = np.fromiter(map(math.lgamma, np.where(pole, 1.0, x).ravel().tolist()),
+                      float, x.size).reshape(x.shape)
+    return sign, np.where(pole, np.inf, log)
 
 
 def _nonpos_int_degree(x):
@@ -151,11 +163,11 @@ def _gamma_ratio_sign_log(num, den):
     sign = np.ones_like(num[0])
     L = np.zeros_like(num[0])
     for x in num:
-        sign = sign * gammasgn(x)
-        L = L + gammaln(x)
+        s, log = _gamma_sign_log(x)
+        sign, L = sign * s, L + log
     for x in den:
-        sign = sign * gammasgn(x)
-        L = L - gammaln(x)
+        s, log = _gamma_sign_log(x)
+        sign, L = sign * s, L - log
     # a pole in the denominator kills the whole term
     return sign, np.where(sign == 0.0, -np.inf, L)
 
@@ -235,8 +247,10 @@ def _kummer_asym(a, c, z):
             break
         prev = abs(s)
         total += s
-    L = z + (a - c) * math.log(z) + gammaln(c)
-    return gammasgn(c) * rgamma(a) * total, L
+    sign_c, log_c = _gamma_sign_log(c)
+    sign_a, log_a = _gamma_sign_log(a)
+    L = z + (a - c) * math.log(z) + float(log_c)
+    return float(sign_c * sign_a * _safe_exp(-log_a)) * total, L
 
 
 def _kummer_asym_each(a, c, z, shift):

@@ -15,7 +15,6 @@ import math
 from dataclasses import dataclass, replace
 
 import numpy as np
-from scipy.integrate import simpson
 
 from .deformed import PotentialParams, cosh_q, singularity_radius, tanh_q
 from .effective import (
@@ -151,15 +150,36 @@ def _derivative_5pt(f: np.ndarray, h: float) -> np.ndarray:
     return d
 
 
+def _uniform_step(r, min_points, caller):
+    """The step of the uniform grid r, which needs min_points samples."""
+    if len(r) < min_points:
+        raise DomainError(f"{caller} needs at least {min_points} samples")
+    h = r[1] - r[0]
+    if not np.allclose(np.diff(r), h, rtol=1e-8):
+        raise DomainError(f"{caller} requires a uniform grid")
+    return h
+
+
+def _simpson(y, h):
+    """Composite Simpson's rule for samples y at step h.
+
+    For an even number of samples the last interval is added by the
+    three-point rule h (5 y[-1] + 8 y[-2] - y[-3]) / 12, as in scipy's
+    ``integrate.simpson``.
+    """
+    n = len(y)
+    odd = y[: n - 1 + n % 2]
+    total = h / 3.0 * (odd[0] + odd[-1] + 4.0 * odd[1:-1:2].sum() + 2.0 * odd[2:-1:2].sum())
+    if n % 2 == 0:
+        total += h * (5.0 * y[-1] + 8.0 * y[-2] - y[-3]) / 12.0
+    return float(total)
+
+
 def lower_component(radii, f_values, e, dc: DiracConstants) -> np.ndarray:
     """G from the first-order coupling; needs a uniform grid with r > 0."""
     r = np.asarray(radii, dtype=float)
     f = np.asarray(f_values, dtype=float)
-    if len(r) < 5:
-        raise DomainError("need at least 5 samples for the derivative stencil")
-    h = r[1] - r[0]
-    if not np.allclose(np.diff(r), h, rtol=1e-8):
-        raise DomainError("lower_component requires a uniform grid")
+    h = _uniform_step(r, 5, "lower_component")
     denom = dc.m + e - dc.c_spin
     if abs(denom) < 1e-12 * dc.m:
         raise DomainError(f"M + E - C = {denom} too close to zero")
@@ -167,9 +187,10 @@ def lower_component(radii, f_values, e, dc: DiracConstants) -> np.ndarray:
 
 
 def normalize(wf: WavefunctionGrid) -> WavefunctionGrid:
-    """Rescale F and G by one constant so int (F^2 + G^2) dr = 1."""
-    integrand = wf.f_values ** 2 + wf.g_values ** 2
-    total = float(simpson(integrand, x=wf.radii))
+    """Rescale F and G by one constant so int (F^2 + G^2) dr = 1 (Simpson's
+    rule; needs a uniform grid of at least 3 points)."""
+    h = _uniform_step(np.asarray(wf.radii, dtype=float), 3, "normalize")
+    total = _simpson(wf.f_values ** 2 + wf.g_values ** 2, h)
     if total <= 0.0:
         raise ZeroNormError("cannot normalize a zero wavefunction")
     s = 1.0 / math.sqrt(total)

@@ -1,8 +1,13 @@
 """Command-line interface: output formats, round-trips, exit codes."""
 
 import csv
+import io
 import json
+import os
+import subprocess
+import sys
 
+import numpy as np
 import pytest
 
 import qdeform.cli as cli
@@ -118,6 +123,54 @@ class TestRoundTrip:
                 v if isinstance(v, str) else _fmt(v)
                 for v in (rec[c] for c in mirror["columns"])))
         assert "\n".join(lines) + "\n" == csv_text
+
+
+def _reference_table(columns, rows):
+    """CSV and JSON of the straightforward writer: json.dumps of the parsed
+    numbers."""
+    def cell(v):
+        return v if isinstance(v, str) else _fmt(v)
+
+    csv_text = "\n".join(",".join(map(cell, row)) for row in [columns, *rows]) + "\n"
+    recs = [{k: v if isinstance(v, str) else float(_fmt(v)) for k, v in zip(columns, row)}
+            for row in rows]
+    return csv_text, json.dumps({"columns": columns, "rows": recs}, indent=2) + "\n"
+
+
+TABLES = {
+    "mixed": (["n_r", "E", "method", "x"], [
+        [0, 0.587541449360766, "closed-form-q>=1", float("nan")],
+        [np.int64(3), np.float64(1e-300), "quote\" and \u00e9", float("inf")],
+        [-2, 1.234567890123456e15, "", -float("inf")],
+        [7, -0.0, "a,b", 1.0 / 3.0],
+    ]),
+    "empty": (["n_r", "E_analytic", "E_oracle", "abs_diff"], []),
+}
+
+
+class TestTableWriter:
+    @pytest.mark.parametrize("name", sorted(TABLES))
+    def test_mirrors_match_reference(self, name, tmp_path, monkeypatch):
+        columns, rows = TABLES[name]
+        want_csv, want_json = _reference_table(columns, rows)
+        cli._write_table(columns, rows, str(tmp_path / "t.csv"), "csv")
+        assert (tmp_path / "t.csv").read_text() == want_csv
+        assert (tmp_path / "t.json").read_text() == want_json
+        for fmt, want in (("csv", want_csv), ("json", want_json)):
+            out = io.StringIO()
+            monkeypatch.setattr(sys, "stdout", out)
+            cli._write_table(columns, rows, None, fmt)
+            assert out.getvalue() == want
+
+
+def test_import_loads_no_scipy():
+    src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
+    code = ("import sys, qdeform.cli; "
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+    env = dict(os.environ, PYTHONPATH=src)
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True).stdout
+    assert out.strip() == "[]"
 
 
 class TestWavefunction:

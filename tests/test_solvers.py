@@ -4,6 +4,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy.optimize import brentq
 
 from qdeform import (
     METHOD_MORSE_ASYMPTOTIC,
@@ -28,7 +29,7 @@ from qdeform import (
     solve_q_lt_1,
     spectrum,
 )
-from qdeform.solvers import _roots
+from qdeform.solvers import _brentq, _roots
 
 DC = DiracConstants(m=1.0, c_spin=0.0)
 
@@ -203,6 +204,58 @@ class TestRefinement:
         grid = np.linspace(0.0, 1.0, 11)
         roots = _roots(lambda e: f(np.asarray(e)), grid, 1e-13)
         assert roots == pytest.approx(expected, abs=1e-12)
+
+
+def _brent_cases():
+    """300 random sign-change brackets of smooth, steep and piecewise functions."""
+    rng = np.random.default_rng(23)
+    kinds = [
+        lambda r, k: lambda x: math.sin(k * (x - r)) + 0.3 * (x - r),
+        lambda r, k: lambda x: math.exp(x - r) - 1.0,
+        lambda r, k: lambda x: (x - r) ** 3 + 1e-3 * (x - r),
+        lambda r, k: lambda x: math.tanh(k * 1e3 * (x - r)),
+        lambda r, k: lambda x: math.copysign(abs(x - r) ** 0.1, x - r),
+        lambda r, k: lambda x: (x - r) if x < r else k * (x - r) + 1e-3,
+        lambda r, k: lambda x: math.floor(4.0 * (x - r)) + 0.5,
+    ]
+    cases = []
+    while len(cases) < 300:
+        r, k = rng.uniform(-2.0, 2.0), rng.uniform(0.5, 5.0)
+        lo, hi = r - rng.uniform(0.01, 3.0), r + rng.uniform(0.01, 3.0)
+        f = kinds[len(cases) % len(kinds)](r, k)
+        if f(lo) * f(hi) < 0.0:
+            cases.append((f, lo, hi, 10.0 ** rng.uniform(-14.0, -3.0)))
+    return cases
+
+
+class TestBrent:
+    def test_same_steps_and_root_as_scipy(self):
+        for f, lo, hi, xtol in _brent_cases():
+            ours, theirs = [], []
+            root = _brentq(lambda x: ours.append(x) or f(x), lo, hi, xtol)
+            assert root == brentq(lambda x: theirs.append(x) or f(x), lo, hi, xtol=xtol)
+            assert ours == theirs
+
+    def test_no_sign_change_raises(self):
+        with pytest.raises(NonConvergenceError, match="same sign"):
+            _brentq(lambda x: x * x + 1.0, -1.0, 2.0, 1e-12)
+
+    def test_iteration_limit_raises(self):
+        # a root at 0 with the smallest subnormal as xtol: the steps halve
+        # the bracket, and 100 halvings do not reach the tolerance
+        f = lambda x: math.copysign(abs(x) ** 0.1, x)  # noqa: E731
+        info = brentq(f, -1.0, 2.0, xtol=5e-324, full_output=True, disp=False)[1]
+        assert not info.converged and info.iterations == 100
+        with pytest.raises(NonConvergenceError, match="did not converge in 100 steps"):
+            _brentq(f, -1.0, 2.0, 5e-324)
+
+    def test_nan_raises(self):
+        with pytest.raises(NonConvergenceError, match="NaN"):
+            _brentq(lambda x: math.nan if x > 0.5 else x - 0.7, 0.0, 1.0, 1e-12)
+
+    def test_exact_zero_at_an_end(self):
+        assert _brentq(lambda x: x - 1.0, 1.0, 3.0, 1e-12) == 1.0
+        assert _brentq(lambda x: x - 3.0, 1.0, 3.0, 1e-12) == 3.0
 
 
 class TestDisputed:

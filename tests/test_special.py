@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.special import gammaln, gammasgn
 
 from qdeform import (
     DomainError,
@@ -47,6 +48,29 @@ class TestLnGamma:
             ln_gamma(0.0)
         with pytest.raises(DomainError):
             ln_gamma(-2.5)
+
+
+class TestGammaSignLog:
+    def test_matches_scipy_away_from_poles(self):
+        rng = np.random.default_rng(31)
+        x = np.concatenate([rng.uniform(-40.0, 40.0, 2000),
+                            rng.uniform(1e-8, 1.0, 200), [0.5, 1.0, 2.0, 171.0, 1e5]])
+        x = x[(x > 0.0) | (np.abs(x - np.round(x)) > 1e-9)]
+        sign, log = special._gamma_sign_log(x)
+        np.testing.assert_array_equal(sign, gammasgn(x))
+        np.testing.assert_allclose(log, gammaln(x), rtol=1e-13, atol=1e-13)
+
+    def test_poles_have_sign_zero(self):
+        poles = np.array([0.0, -1.0, -2.0, -7.0, -60.0])
+        sign, log = special._gamma_sign_log(poles)
+        np.testing.assert_array_equal(sign, 0.0)
+        np.testing.assert_array_equal(log, np.inf)
+
+    def test_scalar_keeps_shape(self):
+        sign, log = special._gamma_sign_log(-0.5)
+        assert sign.shape == log.shape == ()
+        assert float(sign) == -1.0
+        assert float(log) == pytest.approx(math.log(2.0 * math.sqrt(math.pi)), rel=1e-14)
 
 
 class TestGauss2F1:
@@ -122,6 +146,17 @@ class TestGauss2F1:
         ref = math.exp(ln_gamma(c) + ln_gamma(c - a - b)
                        - ln_gamma(c - a) - ln_gamma(c - b))
         assert gauss_2f1(a, b, c, 1.0 - 1e-12) == pytest.approx(ref, rel=1e-8)
+
+    @pytest.mark.parametrize("a, b, c, z, expected", [
+        (2.3, 0.4, -0.7, 0.8, -854.615102839119),
+        (1.5, 0.25, -1.5, 0.9, 2604.51248092826),
+    ])
+    def test_connection_with_denominator_pole(self, a, b, c, z, expected):
+        # c - a = -3: Gamma(c - a) in a denominator has a pole, so the
+        # first term of the 1-z connection formula vanishes
+        ref = mp_2f1(a, b, c, z)
+        assert ref == pytest.approx(expected, rel=1e-14)
+        assert gauss_2f1(a, b, c, z) == pytest.approx(ref, rel=1e-12)
 
     def test_degenerate_difference_path(self):
         # c - a - b an exact integer must still evaluate correctly

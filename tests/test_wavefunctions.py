@@ -81,6 +81,21 @@ class TestNormalization:
         with pytest.raises(ZeroNormError):
             normalize(wf)
 
+    @pytest.mark.parametrize("n", [3, 4, 101, 1000, 10001])
+    def test_simpson_matches_scipy(self, n):
+        rng = np.random.default_rng(n)
+        r = np.linspace(0.3, 7.0, n)
+        f = np.sin(3.0 * r) * np.exp(-0.5 * r) + 0.1 * rng.standard_normal(n)
+        g = 0.2 * np.cos(r) + 0.1 * rng.standard_normal(n)
+        wf = normalize(WavefunctionGrid(r, f, g))
+        total = simpson(f ** 2 + g ** 2, x=r)
+        assert wf.norm_constant == pytest.approx(1.0 / math.sqrt(total), rel=1e-13)
+
+    def test_normalize_needs_uniform_grid(self):
+        r = np.array([1.0, 2.0, 4.0, 5.0, 6.0])
+        with pytest.raises(DomainError):
+            normalize(WavefunctionGrid(r, np.ones_like(r), np.ones_like(r)))
+
     def test_orthogonality(self):
         wfs = [make_wavefunction(DC, DEEP, lv) for lv in spectrum(DC, DEEP)[:3]]
         for i in range(3):
