@@ -237,7 +237,11 @@ def cmd_verify(args):
         _write_table(["n_r", "E_analytic", "E_oracle", "abs_diff"], [],
                      args.out, args.format)
         return EXIT_OK
-    oracle = shoot_eigenvalues(constants, params, n_max=len(levels),
+    # ask the oracle for one level more than the analytic count, so that a
+    # level the scan missed shows; at the max_levels cap the analytic list
+    # stops on purpose
+    n_max = len(levels) + (len(levels) < config.max_levels)
+    oracle = shoot_eigenvalues(constants, params, n_max=n_max,
                                tol=config.tol_e * constants.m)
     by_n = {lv.n_r: lv.energy for lv in oracle}
     columns = ["n_r", "E_analytic", "E_oracle", "abs_diff"]
@@ -249,6 +253,11 @@ def cmd_verify(args):
         worst = max(worst, diff)
         rows.append([lv.n_r, lv.energy, e_ref, diff])
     _write_table(columns, rows, args.out, args.format)
+    if len(oracle) != len(levels):
+        more = " or more" if len(oracle) == n_max > len(levels) else ""
+        print("verify: FAIL (the oracle counts %d%s levels, the analytic spectrum %d)"
+              % (len(oracle), more, len(levels)), file=sys.stderr)
+        return EXIT_SOLVER
     tol = 1e-6 * constants.m
     if not (worst <= tol):
         print("verify: FAIL (max |dE| = %s exceeds %s)" % (_fmt(worst), _fmt(tol)),

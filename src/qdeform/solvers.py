@@ -22,6 +22,7 @@ refinement that fails, or meets a NaN or infinite value, raises.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -114,7 +115,7 @@ def _brackets(x, v):
     return cells, list(x[:-1][zero])
 
 
-_BRENT_RTOL = 4.0 * np.finfo(float).eps
+_BRENT_RTOL = 4.0 * sys.float_info.epsilon  # a Python float keeps the iterates Python floats
 _BRENT_MAXITER = 100
 
 

@@ -246,6 +246,29 @@ class TestVerify:
         assert main(["verify", "--config", str(path)]) == EXIT_OK
         assert "verify: OK" in capsys.readouterr().err
 
+    def test_near_unit_q_passes(self, tmp_path, capsys):
+        # q -> 1-: a near-wall at the origin, resolved by the oracle's map
+        path = tmp_path / "q0999.json"
+        path.write_text(json.dumps({
+            "potential": {"v1": 25.0, "v2": 10.0, "alpha": 1.0, "q": 0.999},
+            "dirac": {"mass": 1.0},
+        }))
+        assert main(["verify", "--config", str(path)]) == EXIT_OK
+        assert "verify: OK" in capsys.readouterr().err
+
+    def test_level_missed_by_the_scan_fails(self, tmp_path, capsys, monkeypatch):
+        path = tmp_path / "six.json"
+        path.write_text(json.dumps({
+            "potential": {"v1": 25.0, "v2": 18.0, "alpha": 0.5, "q": 1.0},
+            "dirac": {"mass": 1.0},
+        }))
+        real = cli.spectrum
+        monkeypatch.setattr(cli, "spectrum", lambda *args: real(*args)[:-1])
+        assert main(["verify", "--config", str(path)]) == EXIT_SOLVER
+        err = capsys.readouterr().err
+        assert "verify: FAIL" in err
+        assert "oracle counts 6 or more levels, the analytic spectrum 5" in err
+
     @pytest.mark.parametrize("command", [["verify"], ["spectrum", "--verify"]])
     def test_oracle_tolerance_from_config(self, command, tmp_path, monkeypatch):
         path = tmp_path / "tol.json"

@@ -257,6 +257,19 @@ class TestBrent:
         assert _brentq(lambda x: x - 1.0, 1.0, 3.0, 1e-12) == 1.0
         assert _brentq(lambda x: x - 3.0, 1.0, 3.0, 1e-12) == 3.0
 
+    def test_iterates_stay_python_floats(self):
+        # a numpy scalar in the step would reach f and turn its arithmetic
+        # into numpy scalars, whose overflow warns instead of giving inf quietly
+        seen = []
+
+        def f(x):
+            seen.append(x)
+            return 1e250 * math.sinh(40.0 * (x - 0.3))
+
+        _brentq(f, 0.0, 1.0, 1e-12)
+        assert len(seen) > 3
+        assert all(type(x) is float for x in seen)
+
 
 class TestDisputed:
     def test_disagrees_with_valid_solver(self):
