@@ -53,7 +53,6 @@ from .solvers import (
     morse_asymptotic_spectrum,
     solve_morse_asymptotic,
     solve_morse_exact,
-    solve_q_ge_1,
     solve_q_lt_1,
     spectrum,
 )

@@ -142,6 +142,25 @@ def _write_table(columns, rows, out_path, fmt):
         fh.write(to_json())
 
 
+def _oracle_levels(constants, params, config, levels):
+    """The oracle's energies by n_r for a non-empty analytic spectrum, and
+    the FAIL message when the two count different levels (else None).
+
+    The oracle is asked for one level more than the analytic count, so that
+    a level the scan missed shows; at the max_levels cap the analytic list
+    stops on purpose.
+    """
+    n_max = len(levels) + (len(levels) < config.max_levels)
+    oracle = shoot_eigenvalues(constants, params, n_max=n_max,
+                               tol=config.tol_e * constants.m)
+    mismatch = None
+    if len(oracle) != len(levels):
+        more = " or more" if len(oracle) == n_max > len(levels) else ""
+        mismatch = ("verify: FAIL (the oracle counts %d%s levels, the analytic spectrum %d)"
+                    % (len(oracle), more, len(levels)))
+    return {lv.n_r: lv.energy for lv in oracle}, mismatch
+
+
 def cmd_spectrum(args):
     constants, params, config = load_config(args.config)
     levels = spectrum(constants, params, config)
@@ -149,10 +168,9 @@ def cmd_spectrum(args):
     columns = ["n_r", "E", "E_tilde", "method"]
     rows = [[lv.n_r, lv.energy, lv.e_tilde, lv.method] for lv in levels]
 
+    mismatch = None
     if args.verify and levels:
-        oracle = shoot_eigenvalues(constants, params, n_max=len(levels),
-                                   tol=config.tol_e * constants.m)
-        by_n = {lv.n_r: lv.energy for lv in oracle}
+        by_n, mismatch = _oracle_levels(constants, params, config, levels)
         columns.append("residual_vs_oracle")
         for row, lv in zip(rows, levels):
             row.append(abs(lv.energy - by_n[lv.n_r])
@@ -169,6 +187,9 @@ def cmd_spectrum(args):
     if not levels:
         print("note: no bound states for these parameters", file=sys.stderr)
     _write_table(columns, rows, args.out, args.format)
+    if mismatch:
+        print(mismatch, file=sys.stderr)
+        return EXIT_SOLVER
     return EXIT_OK
 
 
@@ -237,13 +258,7 @@ def cmd_verify(args):
         _write_table(["n_r", "E_analytic", "E_oracle", "abs_diff"], [],
                      args.out, args.format)
         return EXIT_OK
-    # ask the oracle for one level more than the analytic count, so that a
-    # level the scan missed shows; at the max_levels cap the analytic list
-    # stops on purpose
-    n_max = len(levels) + (len(levels) < config.max_levels)
-    oracle = shoot_eigenvalues(constants, params, n_max=n_max,
-                               tol=config.tol_e * constants.m)
-    by_n = {lv.n_r: lv.energy for lv in oracle}
+    by_n, mismatch = _oracle_levels(constants, params, config, levels)
     columns = ["n_r", "E_analytic", "E_oracle", "abs_diff"]
     rows = []
     worst = 0.0
@@ -253,10 +268,8 @@ def cmd_verify(args):
         worst = max(worst, diff)
         rows.append([lv.n_r, lv.energy, e_ref, diff])
     _write_table(columns, rows, args.out, args.format)
-    if len(oracle) != len(levels):
-        more = " or more" if len(oracle) == n_max > len(levels) else ""
-        print("verify: FAIL (the oracle counts %d%s levels, the analytic spectrum %d)"
-              % (len(oracle), more, len(levels)), file=sys.stderr)
+    if mismatch:
+        print(mismatch, file=sys.stderr)
         return EXIT_SOLVER
     tol = 1e-6 * constants.m
     if not (worst <= tol):

@@ -39,9 +39,10 @@ difference over the step (m - 1, m) shared by both halves, divided by g'.  The m
 phase Theta(E) = theta_out + theta_in is continuous and, apart from a dip
 between the window bottom and the first level, rises with E; level n_r is
 the root of Theta = (n_r + 1) pi, and at a root the two halves match for
-any choice of m.  Brent's method (``solvers._brentq``) solves
-each level inside the tightest bracket the energies already swept give,
-starting from the previous level and the top of the window.
+any choice of m.  Brent's method solves each level inside the tightest
+bracket the energies already swept give, starting from the previous level
+and the top of the window.  The sweeps are sequential, so each level is a
+one-bracket call of the lockstep ``solvers._brentq``.
 
 The module takes only the potential and the effective eigenvalue, no
 closed-form spectrum, so it serves as the ground truth the analytic solvers
@@ -348,7 +349,7 @@ def shoot_eigenvalues(dc: DiracConstants, p: PotentialParams,
         target = n + 1
         a = max((e for e, t in swept.items() if t < target), default=bottom)
         b = min(e for e, t in swept.items() if e > a and t >= target)
-        e_n = _brentq(lambda e: turns(e) - target, a, b, tol)
+        e_n = _brentq(lambda e: [turns(x) - target for x in e.tolist()], a, b, tol)
         levels.append(EnergyLevel(
             n_r=n, energy=e_n, e_tilde=effective_eigenvalue(e_n, dc),
             method=METHOD_ORACLE,

@@ -12,11 +12,14 @@ Three procedures, dispatched on the deformation q:
 
 Each is a sign change of one function of E on the bound window, found by
 one scan-bracket-refine routine: the function is evaluated over the whole
-scan grid in a single array call, and each sign-change bracket is refined
-by Brent's method (``_brentq``), which keeps its bracket and
-converges.  The hypergeometric functions oscillate violently in E near
-the window edge, so guaranteed bracketing beats fast iteration.  A
-refinement that fails, or meets a NaN or infinite value, raises.
+scan grid in a single array call, and all sign-change brackets are refined
+in lockstep by Brent's method (``_brentq``), one array call of the
+function per step.  Brent's method keeps its bracket and converges; the
+hypergeometric functions oscillate violently in E near the window edge,
+so guaranteed bracketing beats fast iteration.  The crossings g(E) = -n
+of the closed-form conditions are found for every n at once, one row of
+the scan per n.  A refinement that fails, or meets a NaN or infinite
+value, raises.
 """
 
 from __future__ import annotations
@@ -46,7 +49,6 @@ __all__ = [
     "METHOD_MORSE_EXACT",
     "METHOD_MORSE_ASYMPTOTIC",
     "METHOD_ORACLE",
-    "solve_q_ge_1",
     "solve_q_lt_1",
     "solve_morse_exact",
     "solve_morse_asymptotic",
@@ -106,123 +108,164 @@ def _scan_window(dc: DiracConstants, cfg: SolverConfig):
     return grid[(grid > lo) & (grid < hi)]
 
 
-def _brackets(x, v):
-    """Sign-change cells i (between x[i] and x[i+1]) and exact zeros of the
-    samples v = f(x); cells touching a NaN are skipped."""
-    ok = ~(np.isnan(v[:-1]) | np.isnan(v[1:]))
-    zero = ok & (v[:-1] == 0.0)
-    cells = np.nonzero(ok & ~zero & ((v[:-1] < 0.0) != (v[1:] < 0.0)))[0]
-    return cells, list(x[:-1][zero])
+def _brackets(v):
+    """Sign-change cells and exact zeros of samples v along the last axis.
+
+    Returns two index tuples (rows..., i): the cells between points i and
+    i + 1, and the exact zeros.  Cells touching a NaN are skipped.
+    """
+    ok = ~(np.isnan(v[..., :-1]) | np.isnan(v[..., 1:]))
+    zero = ok & (v[..., :-1] == 0.0)
+    cells = ok & ~zero & ((v[..., :-1] < 0.0) != (v[..., 1:] < 0.0))
+    return np.nonzero(cells), np.nonzero(zero)
 
 
-_BRENT_RTOL = 4.0 * sys.float_info.epsilon  # a Python float keeps the iterates Python floats
+_BRENT_RTOL = 4.0 * sys.float_info.epsilon
 _BRENT_MAXITER = 100
 
 
-def _brentq(f, xa, xb, xtol):
-    """A root of f in [xa, xb] by Brent's method (Brent 1973, ch. 4).
+def _brentq(f, xa, xb, xtol, *per_bracket, fa=None, fb=None):
+    """Roots of f in the brackets [xa, xb] by Brent's method (Brent 1973, ch. 4).
 
-    Step for step the algorithm of scipy's ``brentq`` with its default
-    rtol = 4 eps and 100 iterations, so it makes the same evaluations and
-    returns the same root.  It stops once the bracket is narrower than
-    2 delta, delta = (xtol + rtol |x|)/2, or f(x) = 0.  Raises
-    NonConvergenceError when f(xa) and f(xb) have the same sign, when f is
-    NaN, and after 100 steps without convergence.
+    ``xa``, ``xb``, ``xtol`` and the ``per_bracket`` arrays broadcast
+    together, one element per bracket, and all brackets are refined in
+    lockstep: each step makes one call f(x, *per_bracket) on the float64
+    array of the brackets still live and drops those that have converged.
+    ``fa`` and ``fb``, given together, hold f at the ends.  Element by
+    element this is the algorithm of scipy's ``brentq`` with its default
+    rtol = 4 eps and 100 iterations, so each bracket makes the same
+    evaluations and returns the same root.  A bracket stops once it is
+    narrower than 2 delta, delta = (xtol + rtol |x|)/2, or f(x) = 0.
+    Scalar inputs return a float.  Raises NonConvergenceError, naming the
+    bracket, when f has the same sign at both ends, when f is NaN or
+    infinite, and after 100 steps without convergence.
     """
-    def value(x):
-        v = f(x)
-        if v != v:
-            raise NonConvergenceError(f"f is NaN at x = {x} in the bracket [{xa}, {xb}]")
-        return v
+    xa, xb, xtol, *args = np.broadcast_arrays(xa, xb, xtol, *per_bracket)
+    shape = xa.shape
+    xa, xb, xtol = (np.array(v, dtype=float).ravel() for v in (xa, xb, xtol))
+    args = [a.ravel() for a in args]
 
-    xpre, xcur = float(xa), float(xb)
-    xblk = fblk = spre = scur = 0.0
-    fpre, fcur = value(xpre), value(xcur)
-    if fpre == 0.0:
-        return xpre
-    if fcur == 0.0:
-        return xcur
-    if (fpre < 0.0) == (fcur < 0.0):
-        raise NonConvergenceError(f"f has the same sign at both ends of [{xa}, {xb}]")
+    def finite(idx, x, fx):
+        fx = np.asarray(fx, dtype=float).reshape(x.shape)
+        bad = np.flatnonzero(~np.isfinite(fx))
+        if len(bad):
+            k = bad[np.argmin(idx[bad])]  # the first bracket, its lower end first
+            v = "NaN" if np.isnan(fx[k]) else fx[k]
+            raise NonConvergenceError(
+                f"f is {v} at x = {x[k]} in the bracket [{xa[idx[k]]}, {xb[idx[k]]}]")
+        return fx
+
+    def call(idx, x):
+        return finite(idx, x, f(x, *(a[idx] for a in args)))
+
+    every = np.arange(xa.size)
+    idx, x = np.concatenate([every, every]), np.concatenate([xa, xb])
+    if fa is None or fb is None:
+        ends = call(idx, x)
+    else:
+        ends = finite(idx, x, np.concatenate([np.broadcast_to(fa, shape).ravel(),
+                                              np.broadcast_to(fb, shape).ravel()]))
+    fpre, fcur = ends[:xa.size], ends[xa.size:]
+    roots = np.where(fpre == 0.0, xa, xb)
+    same = (fpre != 0.0) & (fcur != 0.0) & ((fpre < 0.0) == (fcur < 0.0))
+    if same.any():
+        k = np.flatnonzero(same)[0]
+        raise NonConvergenceError(f"f has the same sign at both ends of [{xa[k]}, {xb[k]}]")
+
+    live = np.flatnonzero((fpre != 0.0) & (fcur != 0.0))
+    xpre, xcur, fpre, fcur, xtol = xa[live], xb[live], fpre[live], fcur[live], xtol[live]
+    xblk = fblk = spre = scur = np.zeros(len(live))
     for _ in range(_BRENT_MAXITER):
-        if (fpre < 0.0) != (fcur < 0.0):
-            xblk, fblk = xpre, fpre
-            spre = scur = xcur - xpre
-        if abs(fblk) < abs(fcur):
-            xpre, xcur, xblk = xcur, xblk, xcur
-            fpre, fcur, fblk = fcur, fblk, fcur
+        flip = (fpre < 0.0) != (fcur < 0.0)
+        xblk, fblk, spre, scur = np.where(flip, [xpre, fpre, xcur - xpre, xcur - xpre],
+                                          [xblk, fblk, spre, scur])
+        swap = np.abs(fblk) < np.abs(fcur)
+        xpre, xcur, xblk, fpre, fcur, fblk = np.where(
+            swap, [xcur, xblk, xcur, fcur, fblk, fcur], [xpre, xcur, xblk, fpre, fcur, fblk])
 
-        delta = (xtol + _BRENT_RTOL * abs(xcur)) / 2.0
+        delta = (xtol + _BRENT_RTOL * np.abs(xcur)) / 2.0
         sbis = (xblk - xcur) / 2.0
-        if fcur == 0.0 or abs(sbis) < delta:
-            return xcur
+        done = (fcur == 0.0) | (np.abs(sbis) < delta)
+        if done.any():
+            roots[live[done]] = xcur[done]
+            keep = ~done
+            live, xpre, xcur, xblk, fpre, fcur, fblk, spre, scur, sbis, delta, xtol = (
+                a[keep] for a in (live, xpre, xcur, xblk, fpre, fcur, fblk,
+                                  spre, scur, sbis, delta, xtol))
+        if not len(live):
+            break
 
-        if abs(spre) > delta and abs(fcur) < abs(fpre):
-            if xpre == xblk:  # secant
-                stry = -fcur * (xcur - xpre) / (fcur - fpre)
-            else:  # inverse quadratic interpolation
-                dpre = (fpre - fcur) / (xpre - xcur)
-                dblk = (fblk - fcur) / (xblk - xcur)
-                stry = -fcur * (fblk * dblk - fpre * dpre) / (dblk * dpre * (fblk - fpre))
-            if 2.0 * abs(stry) < min(abs(spre), 3.0 * abs(sbis) - delta):
-                spre, scur = scur, stry  # good short step
-            else:
-                spre = scur = sbis
-        else:
-            spre = scur = sbis
+        # every element gets both interpolation steps; where one divides by
+        # zero or overflows, np.where takes bisection or the other step
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+            secant = -fcur * (xcur - xpre) / (fcur - fpre)
+            dpre = (fpre - fcur) / (xpre - xcur)
+            dblk = (fblk - fcur) / (xblk - xcur)
+            quadratic = -fcur * (fblk * dblk - fpre * dpre) / (dblk * dpre * (fblk - fpre))
+            stry = np.where(xpre == xblk, secant, quadratic)
+            good = ((np.abs(spre) > delta) & (np.abs(fcur) < np.abs(fpre))
+                    & (2.0 * np.abs(stry)
+                       < np.minimum(np.abs(spre), 3.0 * np.abs(sbis) - delta)))
+        spre, scur = np.where(good, scur, sbis), np.where(good, stry, sbis)
 
         xpre, fpre = xcur, fcur
-        if abs(scur) > delta:
-            xcur += scur
-        else:
-            xcur += delta if sbis > 0.0 else -delta
-        fcur = value(xcur)
-    raise NonConvergenceError(
-        f"Brent's method did not converge in {_BRENT_MAXITER} steps in [{xa}, {xb}]")
+        xcur = np.where(np.abs(scur) > delta, xcur + scur,
+                        xcur + np.where(sbis > 0.0, delta, -delta))
+        fcur = call(live, xcur)
+    if len(live):
+        k = live[0]
+        raise NonConvergenceError(f"Brent's method did not converge in {_BRENT_MAXITER} "
+                                  f"steps in [{xa[k]}, {xb[k]}]")
+    return float(roots[0]) if shape == () else roots.reshape(shape)
 
 
-def _refine(f, lo, hi, tol):
-    """Brent's method on one sign-change bracket of f."""
-    def scalar(e):
-        v = float(f(e))
-        if not math.isfinite(v):
-            raise NonConvergenceError(
-                f"quantization function is {v} at E = {e} in the bracket [{lo}, {hi}]")
-        return v
+def _roots(f, grid, vals, tol, *per_row):
+    """The sign-change roots of f on a scan grid, one sorted list per row of
+    ``vals``, refined by Brent's method in lockstep.
 
-    return _brentq(scalar, lo, hi, tol)
-
-
-def _roots(f, grid, tol, vals=None):
-    """All sign-change roots of f on a scan grid, refined by Brent's method.
-
-    ``f`` maps an array of energies to an array of values; ``vals`` may hold
-    f(grid) already.  When two adjacent cells both bracket a root, both are
-    rescanned 10x finer in one more array call (double-root guard).  Roots
-    closer than 10 tol are merged.
+    ``vals`` holds f(grid, *per_row), one row per element of the
+    ``per_row`` arrays.  When two adjacent cells of a row both bracket a
+    root, both are rescanned 10x finer in one more array call (double-root
+    guard).  Roots closer than 10 tol are merged.
     """
-    if vals is None:
-        vals = f(grid)
-    cells, roots = _brackets(grid, vals)
-    adjacent = np.diff(cells) == 1
-    paired = np.zeros(len(cells), dtype=bool)
+    (row, i), (zero_row, zero_i) = _brackets(vals)
+    adjacent = (np.diff(i) == 1) & (np.diff(row) == 0)
+    paired = np.zeros(len(i), dtype=bool)
     paired[:-1] |= adjacent
     paired[1:] |= adjacent
-    brackets = [(grid[i], grid[i + 1]) for i in cells[~paired]]
+    r, c = row[~paired], i[~paired]
+    rows, lo, hi, flo, fhi = [r], [grid[c]], [grid[c + 1]], [vals[r, c]], [vals[r, c + 1]]
+    zero_rows, zeros = [zero_row], [grid[zero_i]]
     if paired.any():
-        sub = np.linspace(grid[cells[paired]], grid[cells[paired] + 1], 11, axis=1)
-        subvals = f(sub.reshape(-1)).reshape(sub.shape)
-        for x, v in zip(sub, subvals):
-            sub_cells, sub_roots = _brackets(x, v)
-            roots += sub_roots
-            brackets += [(x[k], x[k + 1]) for k in sub_cells]
-    roots += [_refine(f, lo, hi, tol) for lo, hi in brackets]
+        r = row[paired]
+        sub = np.linspace(grid[i[paired]], grid[i[paired] + 1], 11, axis=1)
+        subvals = f(sub.reshape(-1), *(np.repeat(a[r], 11) for a in per_row))
+        subvals = np.asarray(subvals, dtype=float).reshape(sub.shape)
+        (k, j), (zk, zj) = _brackets(subvals)
+        rows.append(r[k])
+        lo.append(sub[k, j])
+        hi.append(sub[k, j + 1])
+        flo.append(subvals[k, j])
+        fhi.append(subvals[k, j + 1])
+        zero_rows.append(r[zk])
+        zeros.append(sub[zk, zj])
+    rows = np.concatenate(rows)
+    refined = _brentq(f, np.concatenate(lo), np.concatenate(hi), tol,
+                      *(a[rows] for a in per_row),
+                      fa=np.concatenate(flo), fb=np.concatenate(fhi))
 
-    roots.sort()
+    found = [[] for _ in range(len(vals))]
+    for n, e in zip(np.concatenate([*zero_rows, rows]).tolist(),
+                    np.concatenate([*zeros, refined]).tolist()):
+        found[n].append(e)
     deduped = []
-    for r in roots:
-        if not deduped or r - deduped[-1] > 10.0 * tol:
-            deduped.append(r)
+    for roots in found:
+        roots.sort()
+        kept = []
+        for e in roots:
+            if not kept or e - kept[-1] > 10.0 * tol:
+                kept.append(e)
+        deduped.append(kept)
     return deduped
 
 
@@ -234,19 +277,27 @@ def _level(n_r, e, dc, method):
 
 def _zero_levels(f, dc, cfg, method):
     """Levels at the zeros of F(E), labelled in order of energy."""
-    roots = _roots(f, _scan_window(dc, cfg), cfg.tol_e * dc.m)
+    grid = _scan_window(dc, cfg)
+    roots = _roots(f, grid, f(grid)[np.newaxis], cfg.tol_e * dc.m)[0]
     return [_level(n, e, dc, method) for n, e in enumerate(roots[: cfg.max_levels])]
 
 
 def _crossing_levels(g, dc, cfg, method, ns=None):
     """Level n at the lowest root of g(E) = -n, for each n in ns (default
-    0 .. max_levels - 1) up to the first n without one; g is evaluated on the
-    scan grid once."""
+    0 .. max_levels - 1) up to the first n without one.
+
+    g is evaluated on the scan grid once, and the roots of g(E) + n for
+    every n are refined in one lockstep call.
+    """
     grid = _scan_window(dc, cfg)
     g_grid = g(grid)
+    ns = np.arange(cfg.max_levels) if ns is None else np.asarray(ns)
+    # g + n > 0 on the whole grid once n > -min g: no root there
+    ns = ns[ns <= -np.min(g_grid[~np.isnan(g_grid)], initial=np.inf)]
+    vals = g_grid + ns[:, np.newaxis]
     levels = []
-    for n in range(cfg.max_levels) if ns is None else ns:
-        roots = _roots(lambda e: g(e) + n, grid, cfg.tol_e * dc.m, g_grid + n)
+    for n, roots in zip(ns.tolist(), _roots(lambda e, n: g(e) + n, grid, vals,
+                                            cfg.tol_e * dc.m, ns)):
         if not roots:
             break
         levels.append(_level(n, roots[0], dc, method))
@@ -273,21 +324,6 @@ def _morse_shape(e, dc: DiracConstants, p: PotentialParams):
     v1t, v2t = effective_strengths(e, dc, p)
     eta = np.sqrt(-effective_eigenvalue(e, dc)) / p.alpha
     return eta, v2t / (2.0 * p.alpha * np.sqrt(v1t)), 4.0 * np.sqrt(v1t) / p.alpha
-
-
-def solve_q_ge_1(n_r, dc: DiracConstants, p: PotentialParams,
-                 cfg: SolverConfig = SolverConfig()) -> EnergyLevel:
-    """Level n_r of the singular well (q >= 1) from a(E) + n_r = 0."""
-    if p.q < 1.0:
-        raise ParameterError(f"solve_q_ge_1 requires q >= 1, got {p.q}")
-    if n_r < 0:
-        raise ParameterError(f"n_r must be non-negative, got {n_r}")
-    levels = _crossing_levels(_closed_form_a(dc, p), dc, cfg, METHOD_Q_GE_1, [n_r])
-    if not levels:
-        raise NoRootError(
-            f"no level n_r={n_r} for q={p.q}: quantization has no root in the window"
-        )
-    return levels[0]
 
 
 def solve_q_lt_1(dc: DiracConstants, p: PotentialParams,

@@ -256,7 +256,8 @@ class TestVerify:
         assert main(["verify", "--config", str(path)]) == EXIT_OK
         assert "verify: OK" in capsys.readouterr().err
 
-    def test_level_missed_by_the_scan_fails(self, tmp_path, capsys, monkeypatch):
+    @pytest.mark.parametrize("command", [["verify"], ["spectrum", "--verify"]])
+    def test_level_missed_by_the_scan_fails(self, command, tmp_path, capsys, monkeypatch):
         path = tmp_path / "six.json"
         path.write_text(json.dumps({
             "potential": {"v1": 25.0, "v2": 18.0, "alpha": 0.5, "q": 1.0},
@@ -264,7 +265,7 @@ class TestVerify:
         }))
         real = cli.spectrum
         monkeypatch.setattr(cli, "spectrum", lambda *args: real(*args)[:-1])
-        assert main(["verify", "--config", str(path)]) == EXIT_SOLVER
+        assert main(command + ["--config", str(path)]) == EXIT_SOLVER
         err = capsys.readouterr().err
         assert "verify: FAIL" in err
         assert "oracle counts 6 or more levels, the analytic spectrum 5" in err

@@ -1,6 +1,7 @@
 """Quantization solvers for the three deformation regimes."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -25,11 +26,11 @@ from qdeform import (
     kummer_1f1,
     solve_morse_asymptotic,
     solve_morse_exact,
-    solve_q_ge_1,
     solve_q_lt_1,
     spectrum,
 )
-from qdeform.solvers import _brentq, _roots
+import qdeform.solvers as solvers
+from qdeform.solvers import _brackets, _brentq, _morse_shape, _roots, _scan_window
 
 DC = DiracConstants(m=1.0, c_spin=0.0)
 
@@ -37,7 +38,7 @@ DC = DiracConstants(m=1.0, c_spin=0.0)
 class TestSolveQGe1:
     def test_known_single_level(self):
         p = PotentialParams(25.0, 10.0, 1.0, 2.0)
-        lv = solve_q_ge_1(0, DC, p)
+        lv = {lv.n_r: lv for lv in spectrum(DC, p)}[0]
         assert lv.energy == pytest.approx(0.587541449360766, abs=1e-9)
         assert lv.method == METHOD_Q_GE_1
         assert lv.e_tilde == pytest.approx(
@@ -57,18 +58,11 @@ class TestSolveQGe1:
         assert es == sorted(es)
         assert len(set(es)) == len(es)
 
-    def test_rejects_q_below_one(self):
-        p = PotentialParams(25.0, 10.0, 1.0, 0.5)
-        with pytest.raises(ParameterError):
-            solve_q_ge_1(0, DC, p)
-
     def test_attractive_wall_raises(self):
         # V2 sqrt(q) = 40 > V1 = 25: outside the solution class, not empty
         p = PotentialParams(25.0, 20.0, 1.0, 4.0)
         with pytest.raises(DiscriminantError):
             spectrum(DC, p)
-        with pytest.raises(DiscriminantError):
-            solve_q_ge_1(0, DC, p)
 
     def test_shallow_well_binds_nothing(self):
         # this well's effective depth never reaches the first level
@@ -190,7 +184,7 @@ class TestRefinement:
 
         grid = np.linspace(0.0, 1.0, 11)
         with pytest.raises(NonConvergenceError):
-            _roots(f, grid, 1e-12)
+            _roots(f, grid, f(grid)[np.newaxis], 1e-12)
 
     @pytest.mark.parametrize("f, expected", [
         (lambda e: np.cos(10.0 * e), [0.05 * math.pi, 0.15 * math.pi, 0.25 * math.pi]),
@@ -202,8 +196,22 @@ class TestRefinement:
     ])
     def test_roots_of_array_function(self, f, expected):
         grid = np.linspace(0.0, 1.0, 11)
-        roots = _roots(lambda e: f(np.asarray(e)), grid, 1e-13)
+        roots, = _roots(f, grid, f(grid)[np.newaxis], 1e-13)
         assert roots == pytest.approx(expected, abs=1e-12)
+
+    def test_rows_equal_one_row_calls(self):
+        # one row per shift s: four roots behind the double-root guard, the
+        # same moved out of the grid in part, and none at all
+        def f(e, s):
+            e = e - s
+            return (e - 0.45) * (e - 0.552) * (e - 0.565) * (e - 0.578)
+
+        grid = np.linspace(0.0, 1.0, 11)
+        shifts = np.array([0.0, 0.43, 0.2, 2.0])
+        rows = _roots(f, grid, f(grid, shifts[:, np.newaxis]), 1e-13, shifts)
+        assert [len(r) for r in rows] == [4, 1, 4, 0]
+        for s, roots in zip(shifts, rows):
+            assert _roots(lambda e: f(e, s), grid, f(grid, s)[np.newaxis], 1e-13) == [roots]
 
 
 def _brent_cases():
@@ -228,17 +236,62 @@ def _brent_cases():
     return cases
 
 
+def _quantization(p):
+    """F(E) of the 0 < q < 1 or the Morse solver, on arrays of energies."""
+    if p.q == 0.0:
+        def f(e):
+            eta, s, y0 = _morse_shape(e, DC, p)
+            return kummer_1f1(0.5 + eta - s, 2.0 * eta + 1.0, y0)
+        return f
+    z0 = 4.0 * math.sqrt(p.q) / (1.0 + math.sqrt(p.q)) ** 2
+    return lambda e: gauss_2f1(*abc_params(e, DC, p), z0)
+
+
+def _with_good_brackets(f_bad, lo, hi, xtol):
+    """One lockstep call: the bracket [lo, hi] of f_bad among three good
+    brackets of x - 0.3, with f_bad's bracket third."""
+    def f(x, bad):
+        return np.where(bad, f_bad(x), x - 0.3)
+
+    return _brentq(f, [0.0, -2.0, lo, 0.25], [1.0, 0.5, hi, 3.0],
+                   [1e-12, 1e-12, xtol, 1e-12], [False, False, True, False])
+
+
 class TestBrent:
     def test_same_steps_and_root_as_scipy(self):
-        for f, lo, hi, xtol in _brent_cases():
-            ours, theirs = [], []
-            root = _brentq(lambda x: ours.append(x) or f(x), lo, hi, xtol)
-            assert root == brentq(lambda x: theirs.append(x) or f(x), lo, hi, xtol=xtol)
-            assert ours == theirs
+        # all 300 brackets in one lockstep call, each with its own xtol
+        cases = _brent_cases()
+        ours = [[] for _ in cases]
+
+        def f(x, case):
+            out = []
+            for x_k, k in zip(x.tolist(), case.tolist()):
+                ours[k].append(x_k)
+                out.append(cases[k][0](x_k))
+            return out
+
+        roots = _brentq(f, [c[1] for c in cases], [c[2] for c in cases],
+                        [c[3] for c in cases], np.arange(len(cases)))
+        for k, (g, lo, hi, xtol) in enumerate(cases):
+            theirs = []
+            assert roots[k] == brentq(lambda x: theirs.append(x) or g(x), lo, hi, xtol=xtol)
+            assert ours[k] == theirs
+
+    @pytest.mark.parametrize("q", [0.0, 0.3])
+    def test_lockstep_equals_one_bracket_calls(self, q):
+        # the brackets of the 35 (q = 0) and 36 (q = 0.3) levels of a deep well
+        p = PotentialParams(400.0, 300.0, 0.3, q)
+        f = _quantization(p)
+        grid = _scan_window(DC, SolverConfig())
+        (cells,), _ = _brackets(f(grid))
+        lo, hi = grid[cells], grid[cells + 1]
+        assert len(cells) >= 35
+        lockstep = _brentq(f, lo, hi, 1e-10)
+        assert lockstep.tolist() == [_brentq(f, a, b, 1e-10) for a, b in zip(lo, hi)]
 
     def test_no_sign_change_raises(self):
-        with pytest.raises(NonConvergenceError, match="same sign"):
-            _brentq(lambda x: x * x + 1.0, -1.0, 2.0, 1e-12)
+        with pytest.raises(NonConvergenceError, match=r"same sign.*\[-1\.0, 2\.0\]"):
+            _with_good_brackets(lambda x: x * x + 1.0, -1.0, 2.0, 1e-12)
 
     def test_iteration_limit_raises(self):
         # a root at 0 with the smallest subnormal as xtol: the steps halve
@@ -246,29 +299,69 @@ class TestBrent:
         f = lambda x: math.copysign(abs(x) ** 0.1, x)  # noqa: E731
         info = brentq(f, -1.0, 2.0, xtol=5e-324, full_output=True, disp=False)[1]
         assert not info.converged and info.iterations == 100
-        with pytest.raises(NonConvergenceError, match="did not converge in 100 steps"):
-            _brentq(f, -1.0, 2.0, 5e-324)
+        with pytest.raises(NonConvergenceError,
+                           match=r"did not converge in 100 steps in \[-1\.0, 2\.0\]"):
+            _with_good_brackets(lambda x: np.copysign(np.abs(x) ** 0.1, x), -1.0, 2.0, 5e-324)
+
+    @pytest.mark.parametrize("bad, fragment", [
+        (math.nan, "NaN"), (math.inf, "inf"), (-math.inf, "-inf")])
+    def test_non_finite_value_raises(self, bad, fragment):
+        # the first step from [-1, 2] is the secant step to 0.7
+        with pytest.raises(NonConvergenceError,
+                           match=rf"f is {fragment} at x = .* in the bracket \[-1\.0, 2\.0\]"):
+            _with_good_brackets(lambda x: np.where(abs(x - 0.7) < 0.1, bad, x - 0.7),
+                                -1.0, 2.0, 1e-12)
 
     def test_nan_raises(self):
         with pytest.raises(NonConvergenceError, match="NaN"):
-            _brentq(lambda x: math.nan if x > 0.5 else x - 0.7, 0.0, 1.0, 1e-12)
+            _brentq(lambda x: np.where(x > 0.5, math.nan, x - 0.7), 0.0, 1.0, 1e-12)
 
     def test_exact_zero_at_an_end(self):
         assert _brentq(lambda x: x - 1.0, 1.0, 3.0, 1e-12) == 1.0
         assert _brentq(lambda x: x - 3.0, 1.0, 3.0, 1e-12) == 3.0
+        assert _brentq(lambda x: x - 1.0, [1.0, 0.0], [3.0, 1.0], 1e-12).tolist() == [1.0, 1.0]
 
-    def test_iterates_stay_python_floats(self):
-        # a numpy scalar in the step would reach f and turn its arithmetic
-        # into numpy scalars, whose overflow warns instead of giving inf quietly
+    def test_steps_raise_no_floating_point_warnings(self):
+        # the interpolation steps overflow here: every element computes
+        # both of them, and none of that may warn
         seen = []
 
         def f(x):
             seen.append(x)
-            return 1e250 * math.sinh(40.0 * (x - 0.3))
+            return 1e250 * np.sinh(40.0 * (x - 0.3))
 
-        _brentq(f, 0.0, 1.0, 1e-12)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            root = _brentq(f, [0.0, 0.1], [1.0, 0.9], 1e-12)
+        assert root == pytest.approx([0.3, 0.3], abs=1e-12)
         assert len(seen) > 3
-        assert all(type(x) is float for x in seen)
+        assert all(type(x) is np.ndarray and x.dtype == np.float64 for x in seen)
+
+
+class TestLockstepBudget:
+    ITEM_1_WELL = (519.3001686780265, 330.1893523433154, 0.2576858226816229,
+                   0.933114315474702)
+
+    @pytest.mark.parametrize("well, n_levels", [
+        ((400.0, 300.0, 0.3, 0.0), 35), ((400.0, 300.0, 0.3, 0.3), 36), (ITEM_1_WELL, 42)])
+    def test_kernel_calls_per_spectrum(self, well, n_levels, monkeypatch):
+        # a count, not a timing: refining one bracket at a time made 256,
+        # 233 and 464 kernel calls on these wells
+        calls = []
+        for name in ("gauss_2f1", "kummer_1f1"):
+            real = getattr(solvers, name)
+            monkeypatch.setattr(solvers, name,
+                                lambda *args, real=real: calls.append(1) or real(*args))
+        assert len(spectrum(DC, PotentialParams(*well))) == n_levels
+        assert len(calls) <= 25
+
+    def test_one_refinement_call_for_all_crossings(self, monkeypatch):
+        calls = []
+        real = solvers._brentq
+        monkeypatch.setattr(solvers, "_brentq",
+                            lambda *args, **kwargs: calls.append(1) or real(*args, **kwargs))
+        assert len(spectrum(DC, PotentialParams(25.0, 18.0, 0.5, 1.0))) == 6
+        assert len(calls) == 1
 
 
 class TestDisputed:
