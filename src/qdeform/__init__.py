@@ -10,7 +10,6 @@ scale is 1.
 from .deformed import (
     PotentialParams,
     cosh_q,
-    morse_from_physical,
     morse_value,
     potential_value,
     singularity_radius,
@@ -19,13 +18,10 @@ from .deformed import (
 )
 from .effective import (
     DiracConstants,
-    EffectiveParams,
     abc_params,
     bound_window,
     effective_eigenvalue,
-    effective_params,
     effective_strengths,
-    morse_limit_params,
     shape_params,
 )
 from .errors import (
@@ -56,13 +52,7 @@ from .solvers import (
     solve_q_lt_1,
     spectrum,
 )
-from .special import (
-    confluent_limit_residual,
-    gauss_2f1,
-    jacobi_p,
-    kummer_1f1,
-    ln_gamma,
-)
+from .special import gauss_2f1, jacobi_p, kummer_1f1
 from .wavefunctions import (
     WavefunctionGrid,
     analytic_upper,
@@ -71,7 +61,6 @@ from .wavefunctions import (
     normalize,
     upper_morse,
     upper_q_ge_1,
-    upper_q_ge_1_hypergeometric,
     upper_q_lt_1,
 )
 

@@ -12,7 +12,9 @@ note), 2 configuration error, 3 solver failure, 4 requested level absent.
 import argparse
 import json
 import os
+import re
 import sys
+from itertools import chain
 
 import numpy as np
 
@@ -100,35 +102,94 @@ def load_config(path):
 
 _JSON_NONFINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
 
+# Number texts whose JSON spelling differs from the text.  A finite "%.15g"
+# text has at most 15 significant digits, so it parses to the one double
+# whose shortest repr has the same digits; the spellings differ only for
+# integral texts (repr appends ".0"), non-finite values, exponent e+15
+# (repr writes it out in full), exponent e+308 (the text may round past the
+# largest double and parse to inf) and subnormal exponents, where a double
+# holds fewer than 15 digits.
+_JSON_SPECIAL = re.compile(r"-?\d+|-?inf|nan|.*e(?:\+15|\+308|-30[89]|-3[1-9]\d)")
 
-def _json_list(items):
+
+def _json_texts(values, code, texts):
+    """The JSON spellings of one number column, from its values, %-code and
+    texts: the shortest repr of the float each text parses to, with NaN,
+    Infinity and -Infinity for the non-finite ones.
+
+    Only the texts _JSON_SPECIAL matches are parsed again.  Every int text
+    is integral; a float can have such a text only when it is not finite,
+    below 1e-307 in magnitude, or within 1e-14 relative of an integer, as
+    every float from 1e14 up is.
+    """
+    out = list(texts)
+    if code == "%d":
+        maybe = range(len(out))
+    else:
+        x = np.abs(np.asarray(values, dtype=float))
+        with np.errstate(invalid="ignore"):
+            plain = (x >= 1e-307) & (np.abs(x - np.round(x)) > 1e-14 * x)
+        maybe = np.flatnonzero(~plain)
+    for i in maybe:
+        if _JSON_SPECIAL.fullmatch(out[i]):
+            text = repr(float(out[i]))
+            out[i] = _JSON_NONFINITE.get(text, text)
+    return out
+
+
+def _column_code(values):
+    """The %-code of a table column: "%s" for strings, "%d" for ints and
+    numpy integers, "%.15g" for every other number."""
+    codes = {"%s" if issubclass(t, str)
+             else "%d" if issubclass(t, (int, np.integer)) else "%.15g"
+             for t in set(map(type, values))}
+    if len(codes) > 1:
+        raise TypeError("a table column mixes %s cells" % " and ".join(sorted(codes)))
+    return codes.pop()
+
+
+def _json_list(text):
     """A list one level deep in the indent-2 JSON layout, from its items
-    already encoded and indented."""
-    return "[\n" + ",\n".join(items) + "\n  ]" if items else "[]"
+    already encoded, indented and joined."""
+    return "[\n" + text + "\n  ]" if text else "[]"
 
 
 def _write_table(columns, rows, out_path, fmt):
     """Write rows as CSV or JSON; when out_path is given, write both mirrors.
 
-    Each number is formatted once by ``_fmt``: the CSV holds that text and
-    the JSON the float it parses to, in the layout of
-    ``json.dumps({"columns": columns, "rows": [...]}, indent=2)``.
+    Every number is formatted once, by one ``%`` over the whole table: the
+    CSV holds the text of ``_fmt`` and the JSON the float it parses to, in
+    the layout of ``json.dumps({"columns": columns, "rows": [...]}, indent=2)``.
+    Strings go to the CSV as they are.
     """
-    cells = [[v if isinstance(v, str) else _fmt(v) for v in row] for row in rows]
+    cols = list(zip(*rows))
+    codes = [_column_code(col) for col in cols]
+    n = len(rows)
+    numeric = [(col, code) for col, code in zip(cols, codes) if code != "%s"]
+    # every number of the table in one pass, one text a line, column by column
+    texts = ("\n".join("\n".join([code] * n) for _, code in numeric)
+             % tuple(chain.from_iterable(col for col, _ in numeric))).split("\n")
+    number_columns = [texts[j * n:(j + 1) * n] for j in range(len(numeric))]
+
+    def cell_columns(number_texts, encode_string):
+        numbers = iter(number_texts)
+        return [map(encode_string, col) if code == "%s" else next(numbers)
+                for col, code in zip(cols, codes)]
 
     def to_csv():
-        return "".join(",".join(line) + "\n" for line in [columns, *cells])
+        lines = map(",".join, zip(*cell_columns(number_columns, str)))
+        return "\n".join([",".join(columns), *lines]) + "\n"
 
     def to_json():
-        keys = ["      " + json.dumps(k) + ": " for k in columns]
-        recs = []
-        for row, texts in zip(rows, cells):
-            fields = [key + (json.dumps(v) if isinstance(v, str)
-                             else _JSON_NONFINITE.get(t) or repr(float(t)))
-                      for key, v, t in zip(keys, row, texts)]
-            recs.append("    {\n" + ",\n".join(fields) + "\n    }" if fields else "    {}")
-        return ('{\n  "columns": ' + _json_list(["    " + json.dumps(c) for c in columns])
-                + ',\n  "rows": ' + _json_list(recs) + "\n}\n")
+        keys = [json.dumps(k) for k in columns]
+        record = ("    {\n" + ",\n".join("      " + k.replace("%", "%%") + ": %s" for k in keys)
+                  + "\n    }")
+        json_columns = [_json_texts(col, code, t)
+                        for (col, code), t in zip(numeric, number_columns)]
+        cells = chain.from_iterable(zip(*cell_columns(json_columns, json.dumps)))
+        return ('{\n  "columns": ' + _json_list(",\n".join("    " + k for k in keys))
+                + ',\n  "rows": ' + _json_list(",\n".join([record] * n) % tuple(cells))
+                + "\n}\n")
 
     if out_path is None:
         sys.stdout.write(to_csv() if fmt == "csv" else to_json())
@@ -204,8 +265,8 @@ def cmd_wavefunction(args):
     wf = make_wavefunction(constants, params, match[0])
     pot = potential_value(wf.radii, params)
     columns = ["r", "F", "G", "potential_value"]
-    rows = [[r, f, g, v] for r, f, g, v in
-            zip(wf.radii, wf.f_values, wf.g_values, pot)]
+    rows = list(zip(wf.radii.tolist(), wf.f_values.tolist(),
+                    wf.g_values.tolist(), pot.tolist()))
     _write_table(columns, rows, args.out, args.format)
     return EXIT_OK
 

@@ -19,12 +19,10 @@ from qdeform import (
     SolverConfig,
     abc_params,
     bound_window,
-    confluent_limit_residual,
     effective_eigenvalue,
     gauss_2f1,
     jacobi_p,
     kummer_1f1,
-    ln_gamma,
     make_wavefunction,
     ode_residual,
     shape_params,
@@ -34,6 +32,7 @@ from qdeform import (
     solve_q_lt_1,
     spectrum,
 )
+from qdeform.special import confluent_limit_residual, ln_gamma
 
 M = 1.0
 

@@ -9,8 +9,11 @@ import sys
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import qdeform.cli as cli
+from qdeform import DiracConstants, PotentialParams, make_wavefunction, potential_value, spectrum
 from qdeform.cli import EXIT_CONFIG, EXIT_NO_LEVEL, EXIT_OK, EXIT_SOLVER, _fmt, main
 
 
@@ -137,6 +140,28 @@ def _reference_table(columns, rows):
     return csv_text, json.dumps({"columns": columns, "rows": recs}, indent=2) + "\n"
 
 
+def _wavefunction_rows(config, n_r):
+    """The rows of ``wavefunction --n-r n_r`` for a config's potential and
+    dirac blocks, one numpy scalar a cell."""
+    dc = DiracConstants(m=config["dirac"]["mass"], c_spin=config["dirac"]["c_spin"])
+    p = PotentialParams(**config["potential"])
+    wf = make_wavefunction(dc, p, spectrum(dc, p)[n_r])
+    return [list(row) for row in
+            zip(wf.radii, wf.f_values, wf.g_values, potential_value(wf.radii, p))]
+
+
+WELLS = {
+    "q2": {"potential": {"v1": 25.0, "v2": 10.0, "alpha": 1.0, "q": 2.0},
+           "dirac": {"mass": 1.0, "c_spin": 0.0}},
+    "q1-deep18": {"potential": {"v1": 25.0, "v2": 18.0, "alpha": 0.5, "q": 1.0},
+                  "dirac": {"mass": 1.0, "c_spin": 0.0}},
+    "q0.3": {"potential": {"v1": 25.0, "v2": 10.0, "alpha": 1.0, "q": 0.3},
+             "dirac": {"mass": 1.0, "c_spin": 0.0}},
+    "morse": {"potential": {"v1": 25.0, "v2": 10.0, "alpha": 1.0, "q": 0.0},
+              "dirac": {"mass": 1.0, "c_spin": 0.0}},
+}
+WF_COLUMNS = ["r", "F", "G", "potential_value"]
+
 TABLES = {
     "mixed": (["n_r", "E", "method", "x"], [
         [0, 0.587541449360766, "closed-form-q>=1", float("nan")],
@@ -145,6 +170,18 @@ TABLES = {
         [7, -0.0, "a,b", 1.0 / 3.0],
     ]),
     "empty": (["n_r", "E_analytic", "E_oracle", "abs_diff"], []),
+    "edges": (["n", "x", "y %s", "label"], [
+        [0, 0.0, -0.0, "a,b"],
+        [10**15, 1e15, -1e15, "quote\" inside"],
+        [-(10**16), 999999999999999.9, 1e16, "\u00e9"],
+        [np.int64(2**62), 1e-4, 1e-5, ""],
+        [123456789012345678901234567890, 5e-324, 2.2250738585072014e-308, "plain"],
+        [np.int64(-7), 1e308, float("nan"), "x"],
+        [1, 1.7976931348623157e308, -1.797693134862315e308, "100%d"],
+        [999999999999999, float("inf"), -float("inf"), "y"],
+        [10**400, 1234567890123456.5, 1e-307, "z"],
+    ]),
+    "wavefunction": (WF_COLUMNS, _wavefunction_rows(WELLS["q2"], 0)),
 }
 
 
@@ -161,6 +198,26 @@ class TestTableWriter:
             monkeypatch.setattr(sys, "stdout", out)
             cli._write_table(columns, rows, None, fmt)
             assert out.getvalue() == want
+
+    def test_column_of_mixed_kinds_is_refused(self):
+        with pytest.raises(TypeError, match="mixes"):
+            cli._write_table(["x"], [[1], [0.5]], None, "csv")
+
+
+@given(x=st.floats(allow_nan=True, allow_infinity=True, allow_subnormal=True))
+@example(x=5e-324)
+@example(x=-6.4795440000989e-310)
+@example(x=1e15)
+@example(x=-0.0)
+@example(x=1.7976931348623157e308)
+@example(x=1.0000000000000049)
+@example(x=-999999999999999.9)
+@settings(max_examples=300, deadline=None)
+def test_json_number_is_repr_of_parsed_text(x):
+    text = "%.15g" % x
+    want = repr(float(text))
+    want = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}.get(want, want)
+    assert cli._json_texts([0.5, x], "%.15g", ["0.5", text]) == ["0.5", want]
 
 
 def test_import_loads_no_scipy():
@@ -194,6 +251,19 @@ class TestWavefunction:
             total += 0.5 * (rs[i + 1] - rs[i]) * (
                 fs[i] ** 2 + gi ** 2 + fs[i + 1] ** 2 + gi1 ** 2)
         assert total == pytest.approx(1.0, abs=1e-4)
+
+    @pytest.mark.parametrize("well,n_r", [("q1-deep18", 3), ("q0.3", 0), ("morse", 0)])
+    def test_exports_match_reference(self, well, n_r, tmp_path, capsys):
+        config = tmp_path / "well.json"
+        config.write_text(json.dumps(WELLS[well]))
+        want_csv, want_json = _reference_table(WF_COLUMNS, _wavefunction_rows(WELLS[well], n_r))
+        argv = ["wavefunction", "--config", str(config), "--n-r", str(n_r)]
+        assert main(argv + ["--out", str(tmp_path / "wf.csv")]) == EXIT_OK
+        assert (tmp_path / "wf.csv").read_text() == want_csv
+        assert (tmp_path / "wf.json").read_text() == want_json
+        capsys.readouterr()
+        assert main(argv + ["--format", "json"]) == EXIT_OK
+        assert capsys.readouterr().out == want_json
 
     def test_missing_level_exits_4(self, config_path, capsys):
         assert main(["wavefunction", "--config", config_path,

@@ -11,13 +11,13 @@ from qdeform import (
     ParameterError,
     PotentialParams,
     cosh_q,
-    morse_from_physical,
     morse_value,
     potential_value,
     singularity_radius,
     sinh_q,
     tanh_q,
 )
+from qdeform.deformed import morse_from_physical
 
 
 class TestDeformedFunctions:

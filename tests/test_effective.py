@@ -16,11 +16,10 @@ from qdeform import (
     abc_params,
     bound_window,
     effective_eigenvalue,
-    effective_params,
     effective_strengths,
-    morse_limit_params,
     shape_params,
 )
+from qdeform.effective import effective_params, morse_limit_params
 
 DC = DiracConstants(m=1.0, c_spin=0.3)
 POT = PotentialParams(25.0, 10.0, 1.0, 2.0)

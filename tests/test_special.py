@@ -9,15 +9,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.special import gammaln, gammasgn
 
-from qdeform import (
-    DomainError,
-    confluent_limit_residual,
-    gauss_2f1,
-    jacobi_p,
-    kummer_1f1,
-    ln_gamma,
-)
-from qdeform import special
+from qdeform import DomainError, gauss_2f1, jacobi_p, kummer_1f1, special
+from qdeform.special import confluent_limit_residual, ln_gamma
 
 mpmath.mp.dps = 50
 

@@ -22,9 +22,9 @@ from qdeform import (
     spectrum,
     upper_morse,
     upper_q_ge_1,
-    upper_q_ge_1_hypergeometric,
     upper_q_lt_1,
 )
+from qdeform.wavefunctions import upper_q_ge_1_hypergeometric
 
 DC = DiracConstants(m=1.0, c_spin=0.0)
 DEEP = PotentialParams(25.0, 18.0, 0.5, 1.0)
