@@ -11,18 +11,22 @@ note), 2 configuration error, 3 solver failure, 4 requested level absent.
 
 import argparse
 import json
+import math
 import os
 import re
 import sys
 from itertools import chain
 
-import numpy as np
+# qdeform makes no BLAS call, so a CLI process has no use for OpenBLAS's
+# thread pool; OpenBLAS sizes it from this variable when numpy loads it.
+os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 
-from .deformed import PotentialParams, potential_value
-from .effective import DiracConstants
-from .errors import QdeformError
-from .oracle import shoot_eigenvalues
-from .solvers import (
+import numpy as np  # noqa: E402
+
+from .deformed import PotentialParams, potential_value  # noqa: E402
+from .effective import DiracConstants  # noqa: E402
+from .errors import QdeformError  # noqa: E402
+from .solvers import (  # noqa: E402
     SolverConfig,
     disputed_q_lt_1,
     morse_asymptotic_spectrum,
@@ -30,7 +34,6 @@ from .solvers import (
     solve_q_lt_1,
     spectrum,
 )
-from .wavefunctions import make_wavefunction
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -43,10 +46,17 @@ class ConfigError(Exception):
 
 
 def _fmt(x):
-    """Format a number to 15 significant digits, round-trip stable."""
+    """Format a number to 15 significant digits, round-trip stable.
+
+    A finite float whose 15-digit text would round past the largest double
+    (and so parse to inf) is written as its shortest repr instead.
+    """
     if isinstance(x, (int, np.integer)):
         return str(int(x))
-    return "%.15g" % float(x)
+    text = "%.15g" % float(x)
+    if text.endswith("e+308") and math.isinf(float(text)):
+        return repr(float(x))
+    return text
 
 
 def _require(mapping, key, where):
@@ -106,9 +116,10 @@ _JSON_NONFINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
 # text has at most 15 significant digits, so it parses to the one double
 # whose shortest repr has the same digits; the spellings differ only for
 # integral texts (repr appends ".0"), non-finite values, exponent e+15
-# (repr writes it out in full), exponent e+308 (the text may round past the
-# largest double and parse to inf) and subnormal exponents, where a double
-# holds fewer than 15 digits.
+# (repr writes it out in full), exponent e+308 (a "%.15g" text may round
+# past the largest double and parse to inf; _fmt writes such a finite value
+# as its repr) and subnormal exponents, where a double holds fewer than 15
+# digits.
 _JSON_SPECIAL = re.compile(r"-?\d+|-?inf|nan|.*e(?:\+15|\+308|-30[89]|-3[1-9]\d)")
 
 
@@ -154,6 +165,23 @@ def _json_list(text):
     return "[\n" + text + "\n  ]" if text else "[]"
 
 
+def _number_texts(numeric, n):
+    """The text of each number of a table, column after column.
+
+    ``numeric`` holds the number columns as (n values, %-code) pairs.  One
+    ``%`` formats them all; a text with exponent e+308 may have rounded
+    past the largest double, so those alone go through ``_fmt`` again.
+    """
+    def values():
+        return chain.from_iterable(col for col, _ in numeric)
+
+    text = "\n".join("\n".join([code] * n) for _, code in numeric) % tuple(values())
+    texts = text.split("\n")
+    if "e+308" in text:
+        texts = [_fmt(v) if t.endswith("e+308") else t for v, t in zip(values(), texts)]
+    return texts
+
+
 def _write_table(columns, rows, out_path, fmt):
     """Write rows as CSV or JSON; when out_path is given, write both mirrors.
 
@@ -166,9 +194,7 @@ def _write_table(columns, rows, out_path, fmt):
     codes = [_column_code(col) for col in cols]
     n = len(rows)
     numeric = [(col, code) for col, code in zip(cols, codes) if code != "%s"]
-    # every number of the table in one pass, one text a line, column by column
-    texts = ("\n".join("\n".join([code] * n) for _, code in numeric)
-             % tuple(chain.from_iterable(col for col, _ in numeric))).split("\n")
+    texts = _number_texts(numeric, n)
     number_columns = [texts[j * n:(j + 1) * n] for j in range(len(numeric))]
 
     def cell_columns(number_texts, encode_string):
@@ -211,6 +237,8 @@ def _oracle_levels(constants, params, config, levels):
     a level the scan missed shows; at the max_levels cap the analytic list
     stops on purpose.
     """
+    from .oracle import shoot_eigenvalues
+
     n_max = len(levels) + (len(levels) < config.max_levels)
     oracle = shoot_eigenvalues(constants, params, n_max=n_max,
                                tol=config.tol_e * constants.m)
@@ -255,6 +283,8 @@ def cmd_spectrum(args):
 
 
 def cmd_wavefunction(args):
+    from .wavefunctions import make_wavefunction
+
     constants, params, config = load_config(args.config)
     levels = spectrum(constants, params, config)
     match = [lv for lv in levels if lv.n_r == args.n_r]

@@ -29,12 +29,10 @@ from .errors import (
 
 __all__ = [
     "DiracConstants",
-    "EffectiveParams",
     "effective_eigenvalue",
     "effective_strengths",
     "shape_params",
     "abc_params",
-    "effective_params",
     "bound_window",
     "morse_limit_params",
 ]
@@ -50,20 +48,6 @@ class DiracConstants:
     def __post_init__(self):
         if self.m <= 0.0:
             raise ParameterError(f"mass must be positive, got {self.m}")
-
-
-@dataclass(frozen=True)
-class EffectiveParams:
-    """Energy-dependent parameters of the effective problem at one trial E."""
-
-    e_tilde: float
-    v1_tilde: float
-    v2_tilde: float
-    lambda_: float
-    eta: float
-    a: float
-    b: float
-    c: float
 
 
 def effective_eigenvalue(e, dc: DiracConstants) -> float:
@@ -125,23 +109,6 @@ def _abc(lam, eta, v1t, v2t, p: PotentialParams):
     b = eta + lam + 0.25 * (1.0 + root)
     c = 2.0 * eta + 1.0
     return a, b, c
-
-
-def effective_params(e, dc: DiracConstants, p: PotentialParams) -> EffectiveParams:
-    """Bundle every derived quantity at one trial energy."""
-    v1t, v2t = effective_strengths(e, dc, p)
-    lam, eta = shape_params(e, dc, p)
-    a, b, c = _abc(lam, eta, v1t, v2t, p)
-    return EffectiveParams(
-        e_tilde=effective_eigenvalue(e, dc),
-        v1_tilde=v1t,
-        v2_tilde=v2t,
-        lambda_=lam,
-        eta=eta,
-        a=a,
-        b=b,
-        c=c,
-    )
 
 
 def bound_window(dc: DiracConstants):

@@ -22,7 +22,6 @@ import numpy as np
 from .errors import DomainError, NonConvergenceError, ParameterError
 
 __all__ = [
-    "ln_gamma",
     "gauss_2f1",
     "kummer_1f1",
     "jacobi_p",
@@ -32,13 +31,6 @@ __all__ = [
 _MAX_TERMS = 100_000
 _DEGENERATE_TOL = 1e-6
 _KUMMER_ASYM_Z = 500.0
-
-
-def ln_gamma(x: float) -> float:
-    """log Gamma(x) for x > 0."""
-    if x <= 0.0:
-        raise DomainError(f"ln_gamma requires x > 0, got {x}")
-    return math.lgamma(x)
 
 
 def _gamma_sign_log(x):

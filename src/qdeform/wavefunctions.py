@@ -37,7 +37,6 @@ from .special import gauss_2f1, jacobi_p, kummer_1f1
 __all__ = [
     "WavefunctionGrid",
     "upper_q_ge_1",
-    "upper_q_ge_1_hypergeometric",
     "upper_q_lt_1",
     "upper_morse",
     "analytic_upper",
@@ -70,27 +69,6 @@ def upper_q_ge_1(r, n_r, e, dc: DiracConstants, p: PotentialParams):
     z = t * t
     env = (p.q ** 0.25 / np.asarray(cosh_q(x, sq))) ** (2.0 * eta) * t ** (2.0 * lam)
     return env * jacobi_p(n_r, 2.0 * lam - 0.5, 2.0 * eta, 1.0 - 2.0 * z)
-
-
-def upper_q_ge_1_hypergeometric(r, n_r, e, dc: DiracConstants, p: PotentialParams):
-    """Same F for q >= 1 via the terminating 2F1 instead of the Jacobi form.
-
-    Agrees with ``upper_q_ge_1`` up to one global constant; kept as the
-    second route for the equivalence check.
-    """
-    lam, eta = shape_params(e, dc, p)
-    r = np.asarray(r, dtype=float)
-    r0 = singularity_radius(p)
-    if np.any(r <= r0):
-        raise DomainError(f"wavefunction domain is r > r0 = {r0}")
-    sq = math.sqrt(p.q)
-    x = 0.5 * p.alpha * r
-    t = np.asarray(tanh_q(x, sq))
-    z = t * t
-    env = (p.q ** 0.25 / np.asarray(cosh_q(x, sq))) ** (2.0 * eta) * t ** (2.0 * lam)
-    return env * gauss_2f1(
-        -float(n_r), n_r + 2.0 * lam + 2.0 * eta + 0.5, 2.0 * lam + 0.5, z
-    )
 
 
 def upper_q_lt_1(r, e, dc: DiracConstants, p: PotentialParams):

@@ -32,7 +32,7 @@ from qdeform import (
     solve_q_lt_1,
     spectrum,
 )
-from qdeform.special import confluent_limit_residual, ln_gamma
+from qdeform.special import confluent_limit_residual
 
 M = 1.0
 

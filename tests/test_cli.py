@@ -3,6 +3,7 @@
 import csv
 import io
 import json
+import math
 import os
 import subprocess
 import sys
@@ -13,6 +14,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import qdeform.cli as cli
+import qdeform.oracle as oracle
 from qdeform import DiracConstants, PotentialParams, make_wavefunction, potential_value, spectrum
 from qdeform.cli import EXIT_CONFIG, EXIT_NO_LEVEL, EXIT_OK, EXIT_SOLVER, _fmt, main
 
@@ -179,6 +181,7 @@ TABLES = {
         [np.int64(-7), 1e308, float("nan"), "x"],
         [1, 1.7976931348623157e308, -1.797693134862315e308, "100%d"],
         [999999999999999, float("inf"), -float("inf"), "y"],
+        [2, 1.7976931348623151e308, -1.7976931348623151e308, "near max"],
         [10**400, 1234567890123456.5, 1e-307, "z"],
     ]),
     "wavefunction": (WF_COLUMNS, _wavefunction_rows(WELLS["q2"], 0)),
@@ -210,24 +213,63 @@ class TestTableWriter:
 @example(x=1e15)
 @example(x=-0.0)
 @example(x=1.7976931348623157e308)
+@example(x=1.7976931348623151e308)
+@example(x=-1.797693134862315e308)
 @example(x=1.0000000000000049)
 @example(x=-999999999999999.9)
 @settings(max_examples=300, deadline=None)
 def test_json_number_is_repr_of_parsed_text(x):
-    text = "%.15g" % x
+    text = _fmt(x)
+    # the CSV text re-emits itself and stays finite where x is
+    assert _fmt(float(text)) == text
+    assert math.isfinite(float(text)) == math.isfinite(x)
     want = repr(float(text))
     want = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}.get(want, want)
     assert cli._json_texts([0.5, x], "%.15g", ["0.5", text]) == ["0.5", want]
 
 
-def test_import_loads_no_scipy():
+def _fresh_python(code, *args, **env):
+    """Standard output of ``python -c code *args`` in a new process that
+    imports qdeform from this checkout; OPENBLAS_NUM_THREADS is unset
+    unless given in env."""
     src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
+    base = {k: v for k, v in os.environ.items() if k != "OPENBLAS_NUM_THREADS"}
+    return subprocess.run([sys.executable, "-c", code, *args],
+                          env=dict(base, PYTHONPATH=src, **env), check=True,
+                          capture_output=True, text=True).stdout
+
+
+def test_import_loads_no_scipy():
     code = ("import sys, qdeform.cli; "
             "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
-    env = dict(os.environ, PYTHONPATH=src)
-    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
-                         capture_output=True, text=True).stdout
-    assert out.strip() == "[]"
+    assert _fresh_python(code).strip() == "[]"
+
+
+def test_package_import_loads_no_numpy():
+    code = ("import sys, qdeform; "
+            "print(sorted(m for m in sys.modules if m.split('.')[0] in ('numpy', 'qdeform'))); "
+            "print(qdeform.solvers.spectrum is qdeform.spectrum)")
+    assert _fresh_python(code).split("\n")[:2] == ["['qdeform']", "True"]
+
+
+@pytest.mark.skipif(not os.path.isdir("/proc/self/task"), reason="needs /proc")
+def test_cli_process_has_no_blas_thread_pool():
+    code = ("import os, qdeform.cli; "
+            "print(os.environ['OPENBLAS_NUM_THREADS'], len(os.listdir('/proc/self/task')))")
+    assert _fresh_python(code).split() == ["1", "1"]
+
+
+def test_user_set_blas_threads_are_kept():
+    code = "import os, qdeform.cli; print(os.environ['OPENBLAS_NUM_THREADS'])"
+    assert _fresh_python(code, OPENBLAS_NUM_THREADS="2").strip() == "2"
+
+
+def test_spectrum_loads_neither_oracle_nor_wavefunctions(config_path):
+    code = ("import sys, qdeform.cli; "
+            "rc = qdeform.cli.main(['spectrum', '--config', sys.argv[1]]); "
+            "print(rc, [m for m in ('qdeform.oracle', 'qdeform.wavefunctions') "
+            "if m in sys.modules])")
+    assert _fresh_python(code, config_path).splitlines()[-1] == "0 []"
 
 
 class TestWavefunction:
@@ -349,12 +391,13 @@ class TestVerify:
             "solver": {"tol_e": 1e-7},
         }))
         seen = []
-        real = cli.shoot_eigenvalues
+        real = oracle.shoot_eigenvalues
 
         def spy(*args, **kwargs):
             seen.append(kwargs.get("tol"))
             return real(*args, **kwargs)
 
-        monkeypatch.setattr(cli, "shoot_eigenvalues", spy)
+        # cli imports the oracle when it first needs it
+        monkeypatch.setattr(oracle, "shoot_eigenvalues", spy)
         assert main(command + ["--config", str(path)]) == EXIT_OK
         assert seen == [pytest.approx(2e-7, rel=1e-15)]

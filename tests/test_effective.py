@@ -1,6 +1,7 @@
 """Mapping from the Dirac problem to the effective radial problem."""
 
 import math
+from dataclasses import dataclass
 
 import numpy as np
 import pytest
@@ -19,10 +20,41 @@ from qdeform import (
     effective_strengths,
     shape_params,
 )
-from qdeform.effective import effective_params, morse_limit_params
+from qdeform.effective import _abc, morse_limit_params
 
 DC = DiracConstants(m=1.0, c_spin=0.3)
 POT = PotentialParams(25.0, 10.0, 1.0, 2.0)
+
+
+@dataclass(frozen=True)
+class EffectiveParams:
+    """Energy-dependent parameters of the effective problem at one trial E."""
+
+    e_tilde: float
+    v1_tilde: float
+    v2_tilde: float
+    lambda_: float
+    eta: float
+    a: float
+    b: float
+    c: float
+
+
+def effective_params(e, dc, p):
+    """Bundle every derived quantity at one trial energy."""
+    v1t, v2t = effective_strengths(e, dc, p)
+    lam, eta = shape_params(e, dc, p)
+    a, b, c = _abc(lam, eta, v1t, v2t, p)
+    return EffectiveParams(
+        e_tilde=effective_eigenvalue(e, dc),
+        v1_tilde=v1t,
+        v2_tilde=v2t,
+        lambda_=lam,
+        eta=eta,
+        a=a,
+        b=b,
+        c=c,
+    )
 
 
 class TestEffectiveEigenvalue:

@@ -14,23 +14,44 @@ from qdeform import (
     WavefunctionGrid,
     ZeroNormError,
     analytic_upper,
+    cosh_q,
+    gauss_2f1,
     lower_component,
     make_wavefunction,
     normalize,
     ode_residual,
+    shape_params,
     singularity_radius,
     spectrum,
+    tanh_q,
     upper_morse,
     upper_q_ge_1,
     upper_q_lt_1,
 )
-from qdeform.wavefunctions import upper_q_ge_1_hypergeometric
-
 DC = DiracConstants(m=1.0, c_spin=0.0)
 DEEP = PotentialParams(25.0, 18.0, 0.5, 1.0)
 # eigenvalues resolved well past the scan tolerance keep the boundary zero
 # of F at the 1e-8 peak level, which node counting relies on
 TIGHT = SolverConfig(tol_e=1e-14)
+
+
+def upper_q_ge_1_hypergeometric(r, n_r, e, dc, p):
+    """Same F for q >= 1 as ``upper_q_ge_1``, via the terminating 2F1
+    instead of the Jacobi form: the second route of the equivalence check.
+    """
+    lam, eta = shape_params(e, dc, p)
+    r = np.asarray(r, dtype=float)
+    r0 = singularity_radius(p)
+    if np.any(r <= r0):
+        raise DomainError(f"wavefunction domain is r > r0 = {r0}")
+    sq = math.sqrt(p.q)
+    x = 0.5 * p.alpha * r
+    t = np.asarray(tanh_q(x, sq))
+    z = t * t
+    env = (p.q ** 0.25 / np.asarray(cosh_q(x, sq))) ** (2.0 * eta) * t ** (2.0 * lam)
+    return env * gauss_2f1(
+        -float(n_r), n_r + 2.0 * lam + 2.0 * eta + 0.5, 2.0 * lam + 0.5, z
+    )
 
 
 def well_for(q):
