@@ -10,6 +10,7 @@ note), 2 configuration error, 3 solver failure, 4 requested level absent.
 """
 
 import argparse
+import gc
 import json
 import math
 import os
@@ -20,6 +21,11 @@ from itertools import chain
 # qdeform makes no BLAS call, so a CLI process has no use for OpenBLAS's
 # thread pool; OpenBLAS sizes it from this variable when numpy loads it.
 os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
+
+if __name__ == "__main__":
+    # the imports below make only long-lived objects; run() freezes them
+    # and turns the collector back on
+    gc.disable()
 
 import numpy as np  # noqa: E402
 
@@ -426,5 +432,17 @@ def main(argv=None):
         return EXIT_SOLVER
 
 
+def run(argv=None):
+    """Run main() as the whole of a CLI process and return its exit code.
+
+    The objects alive so far (numpy and qdeform as imported) live until
+    the process ends, so they are frozen out of the garbage collector
+    first: no collection walks them again, at run time or at exit.
+    """
+    gc.freeze()
+    gc.enable()
+    return main(argv)
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    sys.exit(run())

@@ -30,7 +30,6 @@ __all__ = [
     "singularity_radius",
     "potential_value",
     "morse_value",
-    "morse_from_physical",
 ]
 
 
@@ -116,17 +115,6 @@ def morse_value(r, v1, v2, alpha):
     e = np.exp(-alpha * r)
     out = 4.0 * v1 * e * e - 2.0 * v2 * e
     return out if out.ndim else float(out)
-
-
-def morse_from_physical(de, re, alpha):
-    """Map well depth D_e and equilibrium distance r_e to (V1, V2).
-
-    V1 = (D_e/4) e^{2 alpha r_e}, V2 = D_e e^{alpha r_e}; with these the
-    Morse well reaches -D_e at r = r_e.
-    """
-    if de <= 0.0:
-        raise DomainError(f"well depth must be positive, got {de}")
-    return 0.25 * de * math.exp(2.0 * alpha * re), de * math.exp(alpha * re)
 
 
 def potential_value(r, p: PotentialParams):

@@ -34,7 +34,6 @@ __all__ = [
     "shape_params",
     "abc_params",
     "bound_window",
-    "morse_limit_params",
 ]
 
 
@@ -118,23 +117,3 @@ def bound_window(dc: DiracConstants):
             f"C = {dc.c_spin} >= 2M = {2 * dc.m}: no bound-state window"
         )
     return dc.c_spin - dc.m, dc.m
-
-
-def morse_limit_params(e, dc: DiracConstants, p: PotentialParams):
-    """Small-q asymptotic forms (lambda_asymptotic, a_limit, b_growth).
-
-    lambda ~ (1 - Vt2/(alpha sqrt(Vt1)) + 2 sqrt(Vt1)/(alpha sqrt(q)))/4,
-    a ~ 1/2 + eta - Vt2/(2 alpha sqrt(Vt1)), b ~ sqrt(Vt1)/(alpha sqrt(q)).
-    """
-    if p.q <= 0.0:
-        raise DomainError("morse_limit_params is a small positive q diagnostic")
-    et = effective_eigenvalue(e, dc)
-    if et >= 0.0:
-        raise DomainError(f"effective eigenvalue {et} >= 0: not a bound state")
-    v1t, v2t = effective_strengths(e, dc, p)
-    eta = math.sqrt(-et) / p.alpha
-    ratio = v2t / (p.alpha * math.sqrt(v1t))
-    lam_asym = 0.25 * (1.0 - ratio + 2.0 * math.sqrt(v1t) / (p.alpha * math.sqrt(p.q)))
-    a_limit = 0.5 + eta - 0.5 * ratio
-    b_growth = math.sqrt(v1t) / (p.alpha * math.sqrt(p.q))
-    return lam_asym, a_limit, b_growth

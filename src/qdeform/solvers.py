@@ -104,8 +104,11 @@ def _scan_window(dc: DiracConstants, cfg: SolverConfig):
     d = width * 0.5 * 2.0 ** (-np.arange(0, n_oct * 4) / 4.0)
     d = d[d > eps]
     edges = np.concatenate([lo + d, hi - d])
-    grid = np.unique(np.concatenate([bulk, edges]))
-    return grid[(grid > lo) & (grid < hi)]
+    grid = np.sort(np.concatenate([bulk, edges]))
+    # the points np.unique keeps; np.unique itself would load numpy.ma
+    keep = (grid > lo) & (grid < hi)
+    keep[1:] &= grid[1:] != grid[:-1]
+    return grid[keep]
 
 
 def _brackets(v):

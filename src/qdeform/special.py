@@ -15,7 +15,6 @@ its own terms stop mattering.  Only the large-argument 1F1 asymptotic
 from __future__ import annotations
 
 import math
-from fractions import Fraction
 
 import numpy as np
 
@@ -25,7 +24,6 @@ __all__ = [
     "gauss_2f1",
     "kummer_1f1",
     "jacobi_p",
-    "confluent_limit_residual",
 ]
 
 _MAX_TERMS = 100_000
@@ -120,6 +118,8 @@ def _terminating_2f1_exact(a, b, c, z, n):
     Floats convert to Fractions exactly, so the only rounding is the final
     cast back; used to rescue points lost to alternating-sum cancellation.
     """
+    from fractions import Fraction  # rarely needed; it loads decimal too
+
     aF, bF, cF, zF = Fraction(a), Fraction(b), Fraction(c), Fraction(z)
     total = Fraction(1)
     term = Fraction(1)
@@ -312,13 +312,3 @@ def jacobi_p(n: int, alpha: float, beta: float, x):
         c3 = 2.0 * (k + alpha - 1.0) * (k + beta - 1.0) * (2.0 * k + alpha + beta)
         p, p_prev = (c2 * p - c3 * p_prev) / c1, p
     return p if p.ndim else float(p)
-
-
-def confluent_limit_residual(alpha, gamma, z, beta) -> float:
-    """|2F1(alpha, beta, gamma; z/beta) - 1F1(alpha, gamma; z)|.
-
-    Diagnostic for the confluent limit; decreases toward 0 as beta grows.
-    """
-    if beta <= 0.0 or abs(z / beta) >= 1.0:
-        raise DomainError("need beta > 0 with |z/beta| < 1")
-    return abs(gauss_2f1(alpha, beta, gamma, z / beta) - kummer_1f1(alpha, gamma, z))

@@ -32,9 +32,14 @@ from qdeform import (
     solve_q_lt_1,
     spectrum,
 )
-from qdeform.special import confluent_limit_residual
 
 M = 1.0
+
+
+def confluent_limit_residual(alpha, gamma, z, beta):
+    """|2F1(alpha, beta, gamma; z/beta) - 1F1(alpha, gamma; z)|, which falls
+    toward 0 as beta grows (the confluent limit)."""
+    return abs(gauss_2f1(alpha, beta, gamma, z / beta) - kummer_1f1(alpha, gamma, z))
 
 
 def draw_params(rng):

@@ -264,12 +264,39 @@ def test_user_set_blas_threads_are_kept():
     assert _fresh_python(code, OPENBLAS_NUM_THREADS="2").strip() == "2"
 
 
-def test_spectrum_loads_neither_oracle_nor_wavefunctions(config_path):
-    code = ("import sys, qdeform.cli; "
+def test_spectrum_loads_neither_oracle_nor_wavefunctions(config_path, morse_config_path,
+                                                         tmp_path):
+    # nor numpy.ma (np.unique loads it) nor the fractions and decimal of
+    # the exact-rational rescue, on the q >= 1, 0 < q < 1 and Morse paths
+    q_lt_1 = tmp_path / "q0.3.json"
+    q_lt_1.write_text(json.dumps({
+        "potential": {"v1": 25.0, "v2": 10.0, "alpha": 1.0, "q": 0.3},
+        "dirac": {"mass": 1.0, "c_spin": 0.0},
+    }))
+    code = ("import sys, qdeform.cli\n"
+            "for path in sys.argv[1:]:\n"
+            "    rc = qdeform.cli.main(['spectrum', '--config', path])\n"
+            "    print('loaded', rc, [m for m in ('qdeform.oracle', 'qdeform.wavefunctions', "
+            "'numpy.ma', 'fractions', 'decimal') if m in sys.modules])")
+    out = _fresh_python(code, config_path, str(q_lt_1), morse_config_path)
+    assert [line for line in out.splitlines() if line.startswith("loaded")] == ["loaded 0 []"] * 3
+
+
+def test_library_leaves_the_garbage_collector_alone(config_path):
+    code = ("import gc, sys, qdeform.cli; "
             "rc = qdeform.cli.main(['spectrum', '--config', sys.argv[1]]); "
-            "print(rc, [m for m in ('qdeform.oracle', 'qdeform.wavefunctions') "
-            "if m in sys.modules])")
-    assert _fresh_python(code, config_path).splitlines()[-1] == "0 []"
+            "print(rc, gc.isenabled(), gc.get_freeze_count())")
+    assert _fresh_python(code, config_path).splitlines()[-1] == "0 True 0"
+
+
+def test_cli_process_freezes_its_import_time_heap(config_path):
+    code = ("import gc, runpy, sys\n"
+            "sys.argv = ['qdeform', 'spectrum', '--config', sys.argv[1]]\n"
+            "try:\n"
+            "    runpy.run_module('qdeform.cli', run_name='__main__')\n"
+            "except SystemExit as exc:\n"
+            "    print(exc.code, gc.isenabled(), gc.get_freeze_count() > 0)")
+    assert _fresh_python(code, config_path).splitlines()[-1] == "0 True True"
 
 
 class TestWavefunction:

@@ -17,7 +17,15 @@ from qdeform import (
     sinh_q,
     tanh_q,
 )
-from qdeform.deformed import morse_from_physical
+
+
+def morse_from_physical(de, re, alpha):
+    """Map well depth D_e and equilibrium distance r_e to (V1, V2).
+
+    V1 = (D_e/4) e^{2 alpha r_e}, V2 = D_e e^{alpha r_e}; with these the
+    Morse well reaches -D_e at r = r_e.
+    """
+    return 0.25 * de * math.exp(2.0 * alpha * re), de * math.exp(alpha * re)
 
 
 class TestDeformedFunctions:

@@ -20,7 +20,7 @@ from qdeform import (
     effective_strengths,
     shape_params,
 )
-from qdeform.effective import _abc, morse_limit_params
+from qdeform.effective import _abc
 
 DC = DiracConstants(m=1.0, c_spin=0.3)
 POT = PotentialParams(25.0, 10.0, 1.0, 2.0)
@@ -38,6 +38,26 @@ class EffectiveParams:
     a: float
     b: float
     c: float
+
+
+def morse_limit_params(e, dc, p):
+    """Small-q asymptotic forms (lambda_asymptotic, a_limit, b_growth).
+
+    lambda ~ (1 - Vt2/(alpha sqrt(Vt1)) + 2 sqrt(Vt1)/(alpha sqrt(q)))/4,
+    a ~ 1/2 + eta - Vt2/(2 alpha sqrt(Vt1)), b ~ sqrt(Vt1)/(alpha sqrt(q)).
+    """
+    if p.q <= 0.0:
+        raise DomainError("morse_limit_params is a small positive q diagnostic")
+    et = effective_eigenvalue(e, dc)
+    if et >= 0.0:
+        raise DomainError(f"effective eigenvalue {et} >= 0: not a bound state")
+    v1t, v2t = effective_strengths(e, dc, p)
+    eta = math.sqrt(-et) / p.alpha
+    ratio = v2t / (p.alpha * math.sqrt(v1t))
+    lam_asym = 0.25 * (1.0 - ratio + 2.0 * math.sqrt(v1t) / (p.alpha * math.sqrt(p.q)))
+    a_limit = 0.5 + eta - 0.5 * ratio
+    b_growth = math.sqrt(v1t) / (p.alpha * math.sqrt(p.q))
+    return lam_asym, a_limit, b_growth
 
 
 def effective_params(e, dc, p):

@@ -19,6 +19,7 @@ from qdeform import (
     PotentialParams,
     SolverConfig,
     abc_params,
+    bound_window,
     disputed_q_lt_1,
     effective_eigenvalue,
     effective_strengths,
@@ -171,6 +172,31 @@ class TestSpectrumDispatch:
         n_shallow = len(spectrum(DC, PotentialParams(25.0, 10.0, 1.0, 2.0)))
         n_deep = len(spectrum(DC, PotentialParams(250.0, 100.0, 1.0, 2.0)))
         assert n_deep > n_shallow
+
+
+@pytest.mark.parametrize("m", [1.0, 2.5])
+@pytest.mark.parametrize("c_spin", [0.0, 1.3])
+@pytest.mark.parametrize("scan_points", [100, 2000])
+def test_scan_window_is_np_unique_of_its_points(m, c_spin, scan_points, monkeypatch):
+    # the grid is np.unique of the points _scan_window sorts, cut to the
+    # open window, bit for bit
+    real_sort = np.sort
+    points = []
+
+    def sort(a, *args, **kwargs):
+        points.append(np.array(a))
+        return real_sort(a, *args, **kwargs)
+
+    monkeypatch.setattr(np, "sort", sort)
+    dc = DiracConstants(m=m, c_spin=c_spin)
+    grid = _scan_window(dc, SolverConfig(scan_points=scan_points))
+    monkeypatch.undo()
+
+    lo, hi = bound_window(dc)
+    want = np.unique(points[0])
+    want = want[(want > lo) & (want < hi)]
+    assert np.all(np.diff(grid) > 0.0)
+    assert grid.dtype == want.dtype and grid.tobytes() == want.tobytes()
 
 
 class TestRefinement:

@@ -10,9 +10,14 @@ from hypothesis import strategies as st
 from scipy.special import gammaln, gammasgn
 
 from qdeform import gauss_2f1, jacobi_p, kummer_1f1, special
-from qdeform.special import confluent_limit_residual
 
 mpmath.mp.dps = 50
+
+
+def confluent_limit_residual(alpha, gamma, z, beta):
+    """|2F1(alpha, beta, gamma; z/beta) - 1F1(alpha, gamma; z)|, which falls
+    toward 0 as beta grows (the confluent limit)."""
+    return abs(gauss_2f1(alpha, beta, gamma, z / beta) - kummer_1f1(alpha, gamma, z))
 
 
 def mp_2f1(a, b, c, z):
