@@ -36,7 +36,6 @@ _EXPORTS = {
         "DomainError",
         "EmptyWindowError",
         "GridError",
-        "NoRootError",
         "NonBindingError",
         "NonConvergenceError",
         "ParameterError",
@@ -58,11 +57,7 @@ _EXPORTS = {
         "METHOD_Q_LT_1",
         "EnergyLevel",
         "SolverConfig",
-        "disputed_q_lt_1",
-        "morse_asymptotic_spectrum",
-        "solve_morse_asymptotic",
-        "solve_morse_exact",
-        "solve_q_lt_1",
+        "closed_form_spectrum",
         "spectrum",
     ),
     "special": ("gauss_2f1", "jacobi_p", "kummer_1f1"),

@@ -14,7 +14,6 @@ import gc
 import json
 import math
 import os
-import re
 import sys
 from itertools import chain
 
@@ -32,14 +31,7 @@ import numpy as np  # noqa: E402
 from .deformed import PotentialParams, potential_value  # noqa: E402
 from .effective import DiracConstants  # noqa: E402
 from .errors import QdeformError  # noqa: E402
-from .solvers import (  # noqa: E402
-    SolverConfig,
-    disputed_q_lt_1,
-    morse_asymptotic_spectrum,
-    solve_morse_exact,
-    solve_q_lt_1,
-    spectrum,
-)
+from .solvers import SolverConfig, closed_form_spectrum, spectrum  # noqa: E402
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -118,24 +110,16 @@ def load_config(path):
 
 _JSON_NONFINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
 
-# Number texts whose JSON spelling differs from the text.  A finite "%.15g"
-# text has at most 15 significant digits, so it parses to the one double
-# whose shortest repr has the same digits; the spellings differ only for
-# integral texts (repr appends ".0"), non-finite values, exponent e+15
-# (repr writes it out in full), exponent e+308 (a "%.15g" text may round
-# past the largest double and parse to inf; _fmt writes such a finite value
-# as its repr) and subnormal exponents, where a double holds fewer than 15
-# digits.
-_JSON_SPECIAL = re.compile(r"-?\d+|-?inf|nan|.*e(?:\+15|\+308|-30[89]|-3[1-9]\d)")
-
 
 def _json_texts(values, code, texts):
     """The JSON spellings of one number column, from its values, %-code and
     texts: the shortest repr of the float each text parses to, with NaN,
     Infinity and -Infinity for the non-finite ones.
 
-    Only the texts _JSON_SPECIAL matches are parsed again.  Every int text
-    is integral; a float can have such a text only when it is not finite,
+    A finite "%.15g" text parses to the one double whose shortest repr has
+    the same digits, save for integral texts, non-finite values, exponents
+    e+15 and e+308, and subnormals.  Only the cells that can have such a
+    text are parsed again: every int, and the floats that are not finite,
     below 1e-307 in magnitude, or within 1e-14 relative of an integer, as
     every float from 1e14 up is.
     """
@@ -148,9 +132,8 @@ def _json_texts(values, code, texts):
             plain = (x >= 1e-307) & (np.abs(x - np.round(x)) > 1e-14 * x)
         maybe = np.flatnonzero(~plain)
     for i in maybe:
-        if _JSON_SPECIAL.fullmatch(out[i]):
-            text = repr(float(out[i]))
-            out[i] = _JSON_NONFINITE.get(text, text)
+        text = repr(float(out[i]))
+        out[i] = _JSON_NONFINITE.get(text, text)
     return out
 
 
@@ -235,12 +218,14 @@ def _write_table(columns, rows, out_path, fmt):
         fh.write(to_json())
 
 
-def _oracle_levels(constants, params, config, levels):
-    """The oracle's energies by n_r for a non-empty analytic spectrum, and
-    the FAIL message when the two count different levels (else None).
+def _check_against_oracle(constants, params, config, levels):
+    """Check a non-empty analytic spectrum against the shooting oracle.
 
-    The oracle is asked for one level more than the analytic count, so that
-    a level the scan missed shows; at the max_levels cap the analytic list
+    Returns the oracle's energy of each level (NaN where it has none), the
+    largest |dE| and the FAIL message, None on a pass.  The check fails
+    when the two count different levels or when |dE| exceeds 1e-6 M.  The
+    oracle is asked for one level more than the analytic count, so that a
+    level the scan missed shows; at the max_levels cap the analytic list
     stops on purpose.
     """
     from .oracle import shoot_eigenvalues
@@ -248,12 +233,20 @@ def _oracle_levels(constants, params, config, levels):
     n_max = len(levels) + (len(levels) < config.max_levels)
     oracle = shoot_eigenvalues(constants, params, n_max=n_max,
                                tol=config.tol_e * constants.m)
-    mismatch = None
+    by_n = {lv.n_r: lv.energy for lv in oracle}
+    e_oracle = [by_n.get(lv.n_r, float("nan")) for lv in levels]
+    worst = 0.0
+    for lv, e in zip(levels, e_oracle):
+        worst = max(worst, abs(lv.energy - e))
+    tol = 1e-6 * constants.m
+    failure = None
     if len(oracle) != len(levels):
         more = " or more" if len(oracle) == n_max > len(levels) else ""
-        mismatch = ("verify: FAIL (the oracle counts %d%s levels, the analytic spectrum %d)"
-                    % (len(oracle), more, len(levels)))
-    return {lv.n_r: lv.energy for lv in oracle}, mismatch
+        failure = ("verify: FAIL (the oracle counts %d%s levels, the analytic spectrum %d)"
+                   % (len(oracle), more, len(levels)))
+    elif not (worst <= tol):
+        failure = "verify: FAIL (max |dE| = %s exceeds %s)" % (_fmt(worst), _fmt(tol))
+    return e_oracle, worst, failure
 
 
 def cmd_spectrum(args):
@@ -263,17 +256,15 @@ def cmd_spectrum(args):
     columns = ["n_r", "E", "E_tilde", "method"]
     rows = [[lv.n_r, lv.energy, lv.e_tilde, lv.method] for lv in levels]
 
-    mismatch = None
+    failure = None
     if args.verify and levels:
-        by_n, mismatch = _oracle_levels(constants, params, config, levels)
+        e_oracle, _, failure = _check_against_oracle(constants, params, config, levels)
         columns.append("residual_vs_oracle")
-        for row, lv in zip(rows, levels):
-            row.append(abs(lv.energy - by_n[lv.n_r])
-                       if lv.n_r in by_n else float("nan"))
+        for row, lv, e in zip(rows, levels, e_oracle):
+            row.append(abs(lv.energy - e))
 
-    if args.show_disputed and params.q < 1.0 and params.q > 0.0:
-        disputed = disputed_q_lt_1(constants, params, config)
-        for lv in disputed:
+    if args.show_disputed and 0.0 < params.q < 1.0:
+        for lv in closed_form_spectrum(constants, params, config):
             row = [lv.n_r, lv.energy, lv.e_tilde, lv.method]
             if args.verify:
                 row.append(float("nan"))
@@ -282,8 +273,8 @@ def cmd_spectrum(args):
     if not levels:
         print("note: no bound states for these parameters", file=sys.stderr)
     _write_table(columns, rows, args.out, args.format)
-    if mismatch:
-        print(mismatch, file=sys.stderr)
+    if failure:
+        print(failure, file=sys.stderr)
         return EXIT_SOLVER
     return EXIT_OK
 
@@ -321,11 +312,10 @@ def cmd_morse_limit(args):
         raise ConfigError("--q-list must be strictly decreasing")
 
     morse = PotentialParams(params.v1, params.v2, params.alpha, 0.0)
-    exact = solve_morse_exact(constants, morse, config)
-    asym = morse_asymptotic_spectrum(constants, morse, config)[: len(exact)]
-    sweeps = [solve_q_lt_1(constants,
-                           PotentialParams(params.v1, params.v2, params.alpha, q),
-                           config)
+    exact = spectrum(constants, morse, config)
+    asym = closed_form_spectrum(constants, morse, config)[: len(exact)]
+    sweeps = [spectrum(constants, PotentialParams(params.v1, params.v2, params.alpha, q),
+                       config)
               for q in q_list]
 
     exact_by_n = {lv.n_r: lv.energy for lv in exact}
@@ -355,23 +345,11 @@ def cmd_verify(args):
         _write_table(["n_r", "E_analytic", "E_oracle", "abs_diff"], [],
                      args.out, args.format)
         return EXIT_OK
-    by_n, mismatch = _oracle_levels(constants, params, config, levels)
-    columns = ["n_r", "E_analytic", "E_oracle", "abs_diff"]
-    rows = []
-    worst = 0.0
-    for lv in levels:
-        e_ref = by_n.get(lv.n_r, float("nan"))
-        diff = abs(lv.energy - e_ref)
-        worst = max(worst, diff)
-        rows.append([lv.n_r, lv.energy, e_ref, diff])
-    _write_table(columns, rows, args.out, args.format)
-    if mismatch:
-        print(mismatch, file=sys.stderr)
-        return EXIT_SOLVER
-    tol = 1e-6 * constants.m
-    if not (worst <= tol):
-        print("verify: FAIL (max |dE| = %s exceeds %s)" % (_fmt(worst), _fmt(tol)),
-              file=sys.stderr)
+    e_oracle, worst, failure = _check_against_oracle(constants, params, config, levels)
+    rows = [[lv.n_r, lv.energy, e, abs(lv.energy - e)] for lv, e in zip(levels, e_oracle)]
+    _write_table(["n_r", "E_analytic", "E_oracle", "abs_diff"], rows, args.out, args.format)
+    if failure:
+        print(failure, file=sys.stderr)
         return EXIT_SOLVER
     print("verify: OK (max |dE| = %s)" % _fmt(worst), file=sys.stderr)
     return EXIT_OK

@@ -39,7 +39,7 @@ class PotentialParams:
 
     Requires V1 > V2 > 0, alpha > 0 and q >= 0.  ``regime`` classifies the
     deformation: "morse" (q = 0), "regular" (0 < q < 1) or "singular"
-    (q >= 1, hard wall at ``r0``).
+    (q >= 1, hard wall at r0 = ln(q)/(2 alpha)).
     """
 
     v1: float
@@ -64,11 +64,6 @@ class PotentialParams:
         if self.q < 1.0:
             return "regular"
         return "singular"
-
-    @property
-    def r0(self) -> float | None:
-        """Singularity radius, or None when the well is regular."""
-        return singularity_radius(self)
 
 
 def sinh_q(x, q):
@@ -126,7 +121,7 @@ def potential_value(r, p: PotentialParams):
     if p.q == 0.0:
         return morse_value(r, p.v1, p.v2, p.alpha)
     r_arr = np.asarray(r, dtype=float)
-    left = p.r0 if p.q >= 1.0 else 0.0
+    left = singularity_radius(p) if p.q >= 1.0 else 0.0
     if np.any(r_arr <= left):
         raise DomainError(f"radius must exceed {left} for q={p.q}")
     # exact rewrite with e^-x factored out so large radii never overflow:

@@ -30,10 +30,6 @@ class EmptyWindowError(QdeformError, ValueError):
     """No energy window for bound states (requires C < 2M)."""
 
 
-class NoRootError(QdeformError, RuntimeError):
-    """A quantization equation has no root for the requested level."""
-
-
 class GridError(QdeformError, ValueError):
     """Radial grid unsuitable for the requested computation."""
 

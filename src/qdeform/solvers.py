@@ -1,25 +1,29 @@
 """Regime-dependent quantization of the bound-state energies.
 
-Three procedures, dispatched on the deformation q:
+Two entry points.  ``spectrum`` gives the exact levels, dispatched on the
+deformation q:
 
 * q >= 1: the closed-form condition a(E) = -n_r, where a is the first
   hypergeometric parameter (still implicit in E because the effective
   strengths depend on E);
 * 0 < q < 1: zeros in E of 2F1(a(E), b(E), c(E); z0) with the fixed
   argument z0 = 4 sqrt(q)/(1 + sqrt(q))^2;
-* q = 0 (Morse): zeros of 1F1 at argument 4 sqrt(Vt1)/alpha, plus the
-  deep-well asymptotic level formula.
+* q = 0 (Morse): zeros of 1F1 at argument 4 sqrt(Vt1)/alpha.
 
-Each is a sign change of one function of E on the bound window, found by
-one scan-bracket-refine routine: the function is evaluated over the whole
-scan grid in a single array call, and all sign-change brackets are refined
-in lockstep by Brent's method (``_brentq``), one array call of the
-function per step.  Brent's method keeps its bracket and converges; the
-hypergeometric functions oscillate violently in E near the window edge,
-so guaranteed bracketing beats fast iteration.  The crossings g(E) = -n
-of the closed-form conditions are found for every n at once, one row of
-the scan per n.  A refinement that fails, or meets a NaN or infinite
-value, raises.
+``closed_form_spectrum`` solves a(E) = -n_r at every q >= 0.  It is exact
+only for q >= 1; below, it gives the disputed closed-form levels, and at
+q = 0, where a(E) has the limit eta + 1/2 - s of the Kummer parameter, the
+deep-well asymptotic Morse levels.
+
+Each condition is a sign change of one function of E on the bound window,
+found by one scan-bracket-refine routine: the function is evaluated over
+the whole scan grid in a single array call, and all sign-change brackets
+are refined in lockstep by Brent's method (``_brentq``), one array call of
+the function per step.  Brent's method keeps its bracket and converges;
+the hypergeometric functions oscillate violently in E near the window
+edge, so guaranteed bracketing beats fast iteration.  The crossings
+a(E) = -n are found for every n at once, one row of the scan per n.  A
+refinement that fails, or meets a NaN or infinite value, raises.
 """
 
 from __future__ import annotations
@@ -38,7 +42,7 @@ from .effective import (
     effective_eigenvalue,
     effective_strengths,
 )
-from .errors import DiscriminantError, NoRootError, NonConvergenceError, ParameterError
+from .errors import DiscriminantError, NonConvergenceError, ParameterError
 from .special import gauss_2f1, kummer_1f1
 
 __all__ = [
@@ -49,12 +53,8 @@ __all__ = [
     "METHOD_MORSE_EXACT",
     "METHOD_MORSE_ASYMPTOTIC",
     "METHOD_ORACLE",
-    "solve_q_lt_1",
-    "solve_morse_exact",
-    "solve_morse_asymptotic",
-    "morse_asymptotic_spectrum",
     "spectrum",
-    "disputed_q_lt_1",
+    "closed_form_spectrum",
 ]
 
 METHOD_Q_GE_1 = "closed-form-q>=1"
@@ -278,49 +278,6 @@ def _level(n_r, e, dc, method):
     )
 
 
-def _zero_levels(f, dc, cfg, method):
-    """Levels at the zeros of F(E), labelled in order of energy."""
-    grid = _scan_window(dc, cfg)
-    roots = _roots(f, grid, f(grid)[np.newaxis], cfg.tol_e * dc.m)[0]
-    return [_level(n, e, dc, method) for n, e in enumerate(roots[: cfg.max_levels])]
-
-
-def _crossing_levels(g, dc, cfg, method, ns=None):
-    """Level n at the lowest root of g(E) = -n, for each n in ns (default
-    0 .. max_levels - 1) up to the first n without one.
-
-    g is evaluated on the scan grid once, and the roots of g(E) + n for
-    every n are refined in one lockstep call.
-    """
-    grid = _scan_window(dc, cfg)
-    g_grid = g(grid)
-    ns = np.arange(cfg.max_levels) if ns is None else np.asarray(ns)
-    # g + n > 0 on the whole grid once n > -min g: no root there
-    ns = ns[ns <= -np.min(g_grid[~np.isnan(g_grid)], initial=np.inf)]
-    vals = g_grid + ns[:, np.newaxis]
-    levels = []
-    for n, roots in zip(ns.tolist(), _roots(lambda e, n: g(e) + n, grid, vals,
-                                            cfg.tol_e * dc.m, ns)):
-        if not roots:
-            break
-        levels.append(_level(n, roots[0], dc, method))
-    return levels
-
-
-def _closed_form_a(dc: DiracConstants, p: PotentialParams):
-    """a(E) of the closed-form condition a(E) = -n_r.
-
-    An attractive wall (q >= 1, V1 < V2 sqrt(q)) is outside the solution
-    class: the discriminant of lambda turns negative for deep enough states.
-    """
-    if p.v1 < p.v2 * math.sqrt(p.q):
-        raise DiscriminantError(
-            f"attractive wall: V1 = {p.v1} < V2 sqrt(q) = {p.v2 * math.sqrt(p.q)}; "
-            "the discriminant of lambda is negative in the bound window"
-        )
-    return lambda e: abc_params(e, dc, p)[0]
-
-
 def _morse_shape(e, dc: DiracConstants, p: PotentialParams):
     """(eta, s, y0) of the Morse problem: 1F1(1/2 + eta - s, 2 eta + 1; y0)
     with s = Vt2/(2 alpha sqrt(Vt1)) and y0 = 4 sqrt(Vt1)/alpha."""
@@ -329,84 +286,74 @@ def _morse_shape(e, dc: DiracConstants, p: PotentialParams):
     return eta, v2t / (2.0 * p.alpha * np.sqrt(v1t)), 4.0 * np.sqrt(v1t) / p.alpha
 
 
-def solve_q_lt_1(dc: DiracConstants, p: PotentialParams,
-                 cfg: SolverConfig = SolverConfig()) -> list[EnergyLevel]:
-    """All levels of the regular well (0 < q < 1): zeros of 2F1 at z0."""
-    if not (0.0 < p.q < 1.0):
-        raise ParameterError(f"solve_q_lt_1 requires 0 < q < 1, got {p.q}")
-    sq = math.sqrt(p.q)
-    z0 = 4.0 * sq / (1.0 + sq) ** 2
-    return _zero_levels(lambda e: gauss_2f1(*abc_params(e, dc, p), z0),
-                        dc, cfg, METHOD_Q_LT_1)
-
-
-def solve_morse_exact(dc: DiracConstants, p: PotentialParams,
-                      cfg: SolverConfig = SolverConfig()) -> list[EnergyLevel]:
-    """All levels of the Morse well (q = 0): zeros of 1F1 at 4 sqrt(Vt1)/alpha."""
-    if p.q != 0.0:
-        raise ParameterError(f"solve_morse_exact requires q = 0, got q={p.q}")
-
-    def f(e):
-        eta, s, y0 = _morse_shape(e, dc, p)
-        return kummer_1f1(0.5 + eta - s, 2.0 * eta + 1.0, y0)
-
-    return _zero_levels(f, dc, cfg, METHOD_MORSE_EXACT)
-
-
-def _morse_asymptotic_g(dc: DiracConstants, p: PotentialParams):
-    """g(E) = eta + 1/2 - s of the deep-well condition g(E) = -n_r."""
-    def g(e):
-        eta, s, _ = _morse_shape(e, dc, p)
-        return eta + 0.5 - s
-    return g
-
-
-def solve_morse_asymptotic(n_r, dc: DiracConstants, p: PotentialParams,
-                           cfg: SolverConfig = SolverConfig()) -> EnergyLevel:
-    """Deep-well asymptotic Morse level: eta(E) = s(E) - n_r - 1/2.
-
-    Here s = Vt2/(2 alpha sqrt(Vt1)); the level exists only while
-    s > n_r + 1/2 at the solution (eta > 0).
-    """
-    if p.q != 0.0:
-        raise ParameterError(f"solve_morse_asymptotic requires q = 0, got q={p.q}")
-    if n_r < 0:
-        raise ParameterError(f"n_r must be non-negative, got {n_r}")
-    levels = _crossing_levels(_morse_asymptotic_g(dc, p), dc, cfg,
-                              METHOD_MORSE_ASYMPTOTIC, [n_r])
-    if not levels:
-        raise NoRootError(
-            f"no asymptotic Morse level n_r={n_r}: the well supports fewer states"
-        )
-    return levels[0]
-
-
-def morse_asymptotic_spectrum(dc: DiracConstants, p: PotentialParams,
-                              cfg: SolverConfig = SolverConfig()) -> list[EnergyLevel]:
-    """All deep-well asymptotic Morse levels n_r = 0, 1, ... (q = 0)."""
-    if p.q != 0.0:
-        raise ParameterError(f"morse_asymptotic_spectrum requires q = 0, got q={p.q}")
-    return _crossing_levels(_morse_asymptotic_g(dc, p), dc, cfg, METHOD_MORSE_ASYMPTOTIC)
-
-
 def spectrum(dc: DiracConstants, p: PotentialParams,
              cfg: SolverConfig = SolverConfig()) -> list[EnergyLevel]:
-    """Full bound spectrum, dispatched on the deformation regime."""
-    if p.q >= 1.0:
-        return _crossing_levels(_closed_form_a(dc, p), dc, cfg, METHOD_Q_GE_1)
-    if p.q > 0.0:
-        return solve_q_lt_1(dc, p, cfg)
-    return solve_morse_exact(dc, p, cfg)
+    """All bound levels, exact in every regime of q.
 
-
-def disputed_q_lt_1(dc: DiracConstants, p: PotentialParams,
-                    cfg: SolverConfig = SolverConfig()) -> list[EnergyLevel]:
-    """The disputed closed-form levels for 0 < q < 1.
-
-    This applies the q >= 1 polynomial quantization below its domain of
-    validity, for comparison only; it ignores the r = 0 boundary and its
-    energies are generally wrong in this regime.
+    For q >= 1 these are the levels of ``closed_form_spectrum``.  For
+    0 < q < 1 they are the zeros of 2F1 at z0, and for q = 0 the zeros of
+    1F1 at 4 sqrt(Vt1)/alpha, labelled in order of energy.
     """
-    if not (0.0 < p.q < 1.0):
-        raise ParameterError(f"disputed_q_lt_1 requires 0 < q < 1, got {p.q}")
-    return _crossing_levels(_closed_form_a(dc, p), dc, cfg, "disputed-closed-form")
+    if p.q >= 1.0:
+        return closed_form_spectrum(dc, p, cfg)
+    if p.q > 0.0:
+        sq = math.sqrt(p.q)
+        z0 = 4.0 * sq / (1.0 + sq) ** 2
+
+        def f(e):
+            return gauss_2f1(*abc_params(e, dc, p), z0)
+        method = METHOD_Q_LT_1
+    else:
+        def f(e):
+            eta, s, y0 = _morse_shape(e, dc, p)
+            return kummer_1f1(0.5 + eta - s, 2.0 * eta + 1.0, y0)
+        method = METHOD_MORSE_EXACT
+    grid = _scan_window(dc, cfg)
+    roots = _roots(f, grid, f(grid)[np.newaxis], cfg.tol_e * dc.m)[0]
+    return [_level(n, e, dc, method) for n, e in enumerate(roots[: cfg.max_levels])]
+
+
+def closed_form_spectrum(dc: DiracConstants, p: PotentialParams,
+                         cfg: SolverConfig = SolverConfig()) -> list[EnergyLevel]:
+    """The levels of the closed-form condition a(E) = -n_r, n_r = 0, 1, ...
+
+    a is the first hypergeometric parameter for q > 0 and the Kummer
+    parameter eta + 1/2 - s, with s = Vt2/(2 alpha sqrt(Vt1)), at q = 0;
+    the first tends to the second as q -> 0+.  The levels are exact for
+    q >= 1.  For 0 < q < 1 the condition ignores the r = 0 boundary: these
+    are the disputed levels, generally wrong and for comparison only.  At
+    q = 0 they are the deep-well asymptotic Morse levels.
+
+    An attractive wall (q >= 1, V1 < V2 sqrt(q)) is outside the solution
+    class, since the discriminant of lambda turns negative for deep enough
+    states: it raises DiscriminantError.
+    """
+    if p.q == 0.0:
+        def a(e):
+            eta, s, _ = _morse_shape(e, dc, p)
+            return eta + 0.5 - s
+        method = METHOD_MORSE_ASYMPTOTIC
+    elif p.v1 < p.v2 * math.sqrt(p.q):
+        raise DiscriminantError(
+            f"attractive wall: V1 = {p.v1} < V2 sqrt(q) = {p.v2 * math.sqrt(p.q)}; "
+            "the discriminant of lambda is negative in the bound window"
+        )
+    else:
+        def a(e):
+            return abc_params(e, dc, p)[0]
+        method = METHOD_Q_GE_1 if p.q >= 1.0 else "disputed-closed-form"
+
+    # level n is the lowest root of a(E) + n, for n up to the first without
+    # one; a + n > 0 on the whole grid once n > -min a: no root there
+    grid = _scan_window(dc, cfg)
+    a_grid = a(grid)
+    ns = np.arange(cfg.max_levels)
+    ns = ns[ns <= -np.min(a_grid[~np.isnan(a_grid)], initial=np.inf)]
+    levels = []
+    for n, roots in zip(ns.tolist(), _roots(lambda e, n: a(e) + n, grid,
+                                            a_grid + ns[:, np.newaxis], cfg.tol_e * dc.m,
+                                            ns)):
+        if not roots:
+            break
+        levels.append(_level(n, roots[0], dc, method))
+    return levels

@@ -19,6 +19,7 @@ from qdeform import (
     SolverConfig,
     abc_params,
     bound_window,
+    closed_form_spectrum,
     effective_eigenvalue,
     gauss_2f1,
     jacobi_p,
@@ -27,9 +28,6 @@ from qdeform import (
     ode_residual,
     shape_params,
     shoot_eigenvalues,
-    solve_morse_asymptotic,
-    solve_morse_exact,
-    solve_q_lt_1,
     spectrum,
 )
 
@@ -97,7 +95,7 @@ class TestAcceptance:
         n_levels = 0
         for q in q_values:
             p = PotentialParams(25.0, 18.0, 0.5, float(q))
-            analytic = solve_q_lt_1(dc, p)
+            analytic = spectrum(dc, p)
             oracle = shoot_eigenvalues(dc, p)
             assert len(analytic) == len(oracle), (
                 f"count mismatch at q={q}: {len(analytic)} vs {len(oracle)}")
@@ -122,12 +120,12 @@ class TestAcceptance:
     def test_4_morse_consistency_chain(self):
         dc = DiracConstants(m=M, c_spin=0.0)
         morse = PotentialParams(25.0, 18.0, 0.5, 0.0)
-        exact = {lv.n_r: lv.energy for lv in solve_morse_exact(dc, morse)}
+        exact = {lv.n_r: lv.energy for lv in spectrum(dc, morse)}
         prev = math.inf
         last = math.inf
         for q in (1e-1, 1e-2, 1e-3, 1e-4):
             p = PotentialParams(25.0, 18.0, 0.5, q)
-            levels = solve_q_lt_1(dc, p)
+            levels = spectrum(dc, p)
             dev = max(abs(lv.energy - exact[lv.n_r]) for lv in levels
                       if lv.n_r in exact)
             assert dev < prev, f"deviation not monotone at q={q}"
@@ -141,12 +139,9 @@ class TestAcceptance:
         gaps = []
         for scale in (1.0, 100.0):
             p = PotentialParams(0.25 * scale, 0.2 * scale, 1.0, 0.0)
-            exact2 = {lv.n_r: lv.energy for lv in solve_morse_exact(dc2, p)}
-            worst = 0.0
-            for n in exact2:
-                asym = solve_morse_asymptotic(n, dc2, p)
-                worst = max(worst, abs(asym.energy - exact2[n]))
-            gaps.append(worst)
+            exact2 = {lv.n_r: lv.energy for lv in spectrum(dc2, p)}
+            asym = {lv.n_r: lv.energy for lv in closed_form_spectrum(dc2, p)}
+            gaps.append(max(abs(asym[n] - exact2[n]) for n in exact2))
         shrink_ok = gaps[1] <= gaps[0] / 10.0
         report("criterion 4 (Morse chain)", chain_ok and shrink_ok,
                f"chain deviation at q=1e-4: {last:.2e}; asymptotic gap "

@@ -1,10 +1,12 @@
 """Command-line interface: output formats, round-trips, exit codes."""
 
 import csv
+import dataclasses
 import io
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 
@@ -408,6 +410,16 @@ class TestVerify:
         err = capsys.readouterr().err
         assert "verify: FAIL" in err
         assert "oracle counts 6 or more levels, the analytic spectrum 5" in err
+
+    @pytest.mark.parametrize("command", [["verify"], ["spectrum", "--verify"]])
+    def test_residual_above_tolerance_fails(self, command, config_path, capsys, monkeypatch):
+        # every analytic level 1e-5 off: both commands give one verdict
+        real = cli.spectrum
+        monkeypatch.setattr(cli, "spectrum", lambda *args: [
+            dataclasses.replace(lv, energy=lv.energy + 1e-5) for lv in real(*args)])
+        assert main(command + ["--config", config_path]) == EXIT_SOLVER
+        err = capsys.readouterr().err
+        assert re.fullmatch(r"verify: FAIL \(max \|dE\| = 1\.0000\d*e-05 exceeds 1e-06\)\n", err)
 
     @pytest.mark.parametrize("command", [["verify"], ["spectrum", "--verify"]])
     def test_oracle_tolerance_from_config(self, command, tmp_path, monkeypatch):

@@ -13,14 +13,13 @@ PUBLIC = {
     "effective": ["DiracConstants", "abc_params", "bound_window", "effective_eigenvalue",
                   "effective_strengths", "shape_params"],
     "errors": ["DiscriminantError", "DomainError", "EmptyWindowError", "GridError",
-               "NoRootError", "NonBindingError", "NonConvergenceError", "ParameterError",
-               "QdeformError", "ZeroNormError"],
+               "NonBindingError", "NonConvergenceError", "ParameterError", "QdeformError",
+               "ZeroNormError"],
     "oracle": ["RadialGrid", "build_grid", "integrate_radial", "ode_residual",
                "shoot_eigenvalues"],
     "solvers": ["METHOD_MORSE_ASYMPTOTIC", "METHOD_MORSE_EXACT", "METHOD_ORACLE",
                 "METHOD_Q_GE_1", "METHOD_Q_LT_1", "EnergyLevel", "SolverConfig",
-                "disputed_q_lt_1", "morse_asymptotic_spectrum", "solve_morse_asymptotic",
-                "solve_morse_exact", "solve_q_lt_1", "spectrum"],
+                "closed_form_spectrum", "spectrum"],
     "special": ["gauss_2f1", "jacobi_p", "kummer_1f1"],
     "wavefunctions": ["WavefunctionGrid", "analytic_upper", "lower_component",
                       "make_wavefunction", "normalize", "upper_morse", "upper_q_ge_1",
@@ -32,7 +31,7 @@ NAMES = {name for names in PUBLIC.values() for name in names}
 def test_star_import_gives_the_public_names():
     namespace = {}
     exec("from qdeform import *", namespace)
-    assert len(NAMES) == 52
+    assert len(NAMES) == 47
     assert set(namespace) - {"__builtins__"} == NAMES
     assert set(qdeform.__all__) == NAMES
 

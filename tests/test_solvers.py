@@ -20,14 +20,11 @@ from qdeform import (
     SolverConfig,
     abc_params,
     bound_window,
-    disputed_q_lt_1,
+    closed_form_spectrum,
     effective_eigenvalue,
     effective_strengths,
     gauss_2f1,
     kummer_1f1,
-    solve_morse_asymptotic,
-    solve_morse_exact,
-    solve_q_lt_1,
     spectrum,
 )
 import qdeform.solvers as solvers
@@ -74,14 +71,14 @@ class TestSolveQGe1:
 class TestSolveQLt1:
     def test_known_single_level(self):
         p = PotentialParams(25.0, 10.0, 1.0, 0.3)
-        levels = solve_q_lt_1(DC, p)
+        levels = spectrum(DC, p)
         assert len(levels) == 1
         assert levels[0].energy == pytest.approx(0.624387194, abs=1e-8)
         assert levels[0].method == METHOD_Q_LT_1
 
     def test_roots_are_2f1_zeros(self):
         p = PotentialParams(25.0, 18.0, 0.5, 0.3)
-        levels = solve_q_lt_1(DC, p)
+        levels = spectrum(DC, p)
         assert len(levels) >= 3
         sq = math.sqrt(p.q)
         z0 = 4.0 * sq / (1.0 + sq) ** 2
@@ -93,28 +90,22 @@ class TestSolveQLt1:
 
     def test_levels_indexed_consecutively(self):
         p = PotentialParams(25.0, 18.0, 0.5, 0.3)
-        levels = solve_q_lt_1(DC, p)
+        levels = spectrum(DC, p)
         assert [lv.n_r for lv in levels] == list(range(len(levels)))
-
-    def test_rejects_out_of_range_q(self):
-        with pytest.raises(ParameterError):
-            solve_q_lt_1(DC, PotentialParams(25.0, 10.0, 1.0, 1.5))
-        with pytest.raises(ParameterError):
-            solve_q_lt_1(DC, PotentialParams(25.0, 10.0, 1.0, 0.0))
 
 
 class TestSolveMorse:
     P = PotentialParams(25.0, 10.0, 1.0, 0.0)
 
     def test_known_single_level(self):
-        levels = solve_morse_exact(DC, self.P)
+        levels = spectrum(DC, self.P)
         assert len(levels) == 1
         assert levels[0].energy == pytest.approx(0.629900745, abs=1e-8)
         assert levels[0].method == METHOD_MORSE_EXACT
 
     def test_roots_are_1f1_zeros(self):
         p = PotentialParams(25.0, 18.0, 0.5, 0.0)
-        levels = solve_morse_exact(DC, p)
+        levels = spectrum(DC, p)
         assert len(levels) >= 3
         for lv in levels:
             v1t, v2t = effective_strengths(lv.energy, DC, p)
@@ -126,15 +117,11 @@ class TestSolveMorse:
                 kummer_1f1(a + 0.05, 2.0 * eta + 1.0, z))
 
     def test_asymptotic_close_to_exact(self):
-        lv_exact = solve_morse_exact(DC, self.P)[0]
-        lv_asym = solve_morse_asymptotic(0, DC, self.P)
+        lv_exact = spectrum(DC, self.P)[0]
+        lv_asym = closed_form_spectrum(DC, self.P)[0]
         assert lv_asym.method == METHOD_MORSE_ASYMPTOTIC
         assert lv_asym.energy == pytest.approx(lv_exact.energy, abs=1e-6)
         assert lv_asym.energy != lv_exact.energy
-
-    def test_asymptotic_rejects_positive_q(self):
-        with pytest.raises(ParameterError):
-            solve_morse_asymptotic(0, DC, PotentialParams(25.0, 10.0, 1.0, 0.1))
 
 
 class TestSpectrumDispatch:
@@ -395,8 +382,8 @@ class TestDisputed:
         # the closed-form condition applied below q = 1 ignores the r = 0
         # boundary; its levels must not be trusted, only compared
         p = PotentialParams(25.0, 18.0, 0.5, 0.3)
-        good = {lv.n_r: lv.energy for lv in solve_q_lt_1(DC, p)}
-        disp = {lv.n_r: lv.energy for lv in disputed_q_lt_1(DC, p)}
+        good = {lv.n_r: lv.energy for lv in spectrum(DC, p)}
+        disp = {lv.n_r: lv.energy for lv in closed_form_spectrum(DC, p)}
         common = sorted(set(good) & set(disp))
         assert common
         gaps = [abs(good[n] - disp[n]) for n in common]
@@ -404,9 +391,29 @@ class TestDisputed:
 
     def test_tag(self):
         p = PotentialParams(25.0, 10.0, 1.0, 0.3)
-        for lv in disputed_q_lt_1(DC, p):
-            assert lv.method == "disputed-closed-form"
+        levels = closed_form_spectrum(DC, p)
+        assert levels
+        assert all(lv.method == "disputed-closed-form" for lv in levels)
 
-    def test_rejects_q_at_least_one(self):
-        with pytest.raises(ParameterError):
-            disputed_q_lt_1(DC, PotentialParams(25.0, 10.0, 1.0, 1.0))
+
+class TestClosedForm:
+    def test_is_the_spectrum_from_q_equal_one(self):
+        for q in (1.0, 2.0):
+            p = PotentialParams(25.0, 10.0, 1.0, q)
+            levels = closed_form_spectrum(DC, p)
+            assert levels and levels == spectrum(DC, p)
+            assert all(lv.method == METHOD_Q_GE_1 for lv in levels)
+
+    @pytest.mark.parametrize("well, c_spin", [((25.0, 10.0, 1.0), 0.0),
+                                              ((400.0, 300.0, 0.3), 0.3)])
+    def test_tends_to_the_morse_asymptotic_levels(self, well, c_spin):
+        # a(E) -> eta + 1/2 - s as q -> 0+, so the disputed levels at a
+        # tiny q are the deep-well asymptotic Morse levels, to O(q)
+        dc = DiracConstants(m=1.0, c_spin=c_spin)
+        morse = closed_form_spectrum(dc, PotentialParams(*well, 0.0))
+        tiny = closed_form_spectrum(dc, PotentialParams(*well, 1e-8))
+        assert all(lv.method == METHOD_MORSE_ASYMPTOTIC for lv in morse)
+        assert len(tiny) == len(morse) >= 1
+        for a, b in zip(tiny, morse):
+            assert a.n_r == b.n_r
+            assert abs(a.energy - b.energy) <= 1e-8 * dc.m
