@@ -61,16 +61,7 @@ _EXPORTS = {
         "spectrum",
     ),
     "special": ("gauss_2f1", "jacobi_p", "kummer_1f1"),
-    "wavefunctions": (
-        "WavefunctionGrid",
-        "analytic_upper",
-        "lower_component",
-        "make_wavefunction",
-        "normalize",
-        "upper_morse",
-        "upper_q_ge_1",
-        "upper_q_lt_1",
-    ),
+    "wavefunctions": ("WavefunctionGrid", "analytic_upper", "make_wavefunction"),
 }
 _MODULE_OF = {name: module for module, names in _EXPORTS.items() for name in names}
 

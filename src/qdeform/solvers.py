@@ -10,6 +10,8 @@ deformation q:
   argument z0 = 4 sqrt(q)/(1 + sqrt(q))^2;
 * q = 0 (Morse): zeros of 1F1 at argument 4 sqrt(Vt1)/alpha.
 
+Both are zeros at r = 0 of the factor of F that the wavefunctions use.
+
 ``closed_form_spectrum`` solves a(E) = -n_r at every q >= 0.  It is exact
 only for q >= 1; below, it gives the disputed closed-form levels, and at
 q = 0, where a(E) has the limit eta + 1/2 - s of the Kummer parameter, the
@@ -34,7 +36,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .deformed import PotentialParams
+from .deformed import PotentialParams, cosh_q
 from .effective import (
     DiracConstants,
     abc_params,
@@ -286,6 +288,21 @@ def _morse_shape(e, dc: DiracConstants, p: PotentialParams):
     return eta, v2t / (2.0 * p.alpha * np.sqrt(v1t)), 4.0 * np.sqrt(v1t) / p.alpha
 
 
+def _hypergeometric_factor(e, dc: DiracConstants, p: PotentialParams, r):
+    """The factor H(E, r) of F whose zero at r = 0 is a level when q < 1.
+
+    For 0 < q < 1, H = 2F1(a, b; c; z) with z = sqrt(q)/cosh_q(alpha r/2)^2,
+    written so that r = 0 gives z0 = 4 sqrt(q)/(1 + sqrt(q))^2 to the bit.
+    At q = 0, H = 1F1(1/2 + eta - s; 2 eta + 1; y0 e^{-alpha r}).
+    """
+    if p.q > 0.0:
+        sq = math.sqrt(p.q)
+        return gauss_2f1(*abc_params(e, dc, p),
+                         4.0 * sq / (2.0 * cosh_q(0.5 * p.alpha * r, sq)) ** 2)
+    eta, s, y0 = _morse_shape(e, dc, p)
+    return kummer_1f1(0.5 + eta - s, 2.0 * eta + 1.0, y0 * np.exp(-p.alpha * r))
+
+
 def spectrum(dc: DiracConstants, p: PotentialParams,
              cfg: SolverConfig = SolverConfig()) -> list[EnergyLevel]:
     """All bound levels, exact in every regime of q.
@@ -296,18 +313,10 @@ def spectrum(dc: DiracConstants, p: PotentialParams,
     """
     if p.q >= 1.0:
         return closed_form_spectrum(dc, p, cfg)
-    if p.q > 0.0:
-        sq = math.sqrt(p.q)
-        z0 = 4.0 * sq / (1.0 + sq) ** 2
 
-        def f(e):
-            return gauss_2f1(*abc_params(e, dc, p), z0)
-        method = METHOD_Q_LT_1
-    else:
-        def f(e):
-            eta, s, y0 = _morse_shape(e, dc, p)
-            return kummer_1f1(0.5 + eta - s, 2.0 * eta + 1.0, y0)
-        method = METHOD_MORSE_EXACT
+    def f(e):
+        return _hypergeometric_factor(e, dc, p, 0.0)
+    method = METHOD_Q_LT_1 if p.q > 0.0 else METHOD_MORSE_EXACT
     grid = _scan_window(dc, cfg)
     roots = _roots(f, grid, f(grid)[np.newaxis], cfg.tol_e * dc.m)[0]
     return [_level(n, e, dc, method) for n, e in enumerate(roots[: cfg.max_levels])]

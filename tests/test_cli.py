@@ -341,6 +341,19 @@ class TestWavefunction:
                      "--n-r", "99"]) == EXIT_NO_LEVEL
         assert "n_r=99" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("potential,n_r", [
+        ({"v1": 400.0, "v2": 300.0, "alpha": 0.3, "q": 0.0}, 10),
+        ({"v1": 25.0, "v2": 10.0, "alpha": 1.0, "q": 0.999}, 0),
+    ], ids=["deep-morse-n10", "q0.999-n0"])
+    def test_f_that_misses_the_boundary_exits_3(self, potential, n_r, tmp_path, capsys):
+        config = tmp_path / "well.json"
+        config.write_text(json.dumps({"potential": potential, "dirac": {"mass": 1.0}}))
+        out = tmp_path / "wf.csv"
+        assert main(["wavefunction", "--config", str(config), "--n-r", str(n_r),
+                     "--out", str(out)]) == EXIT_SOLVER
+        assert "solver error:" in capsys.readouterr().err
+        assert not out.exists()
+
 
 class TestMorseLimit:
     def test_deviation_decreases(self, morse_config_path, capsys):

@@ -21,9 +21,7 @@ PUBLIC = {
                 "METHOD_Q_GE_1", "METHOD_Q_LT_1", "EnergyLevel", "SolverConfig",
                 "closed_form_spectrum", "spectrum"],
     "special": ["gauss_2f1", "jacobi_p", "kummer_1f1"],
-    "wavefunctions": ["WavefunctionGrid", "analytic_upper", "lower_component",
-                      "make_wavefunction", "normalize", "upper_morse", "upper_q_ge_1",
-                      "upper_q_lt_1"],
+    "wavefunctions": ["WavefunctionGrid", "analytic_upper", "make_wavefunction"],
 }
 NAMES = {name for names in PUBLIC.values() for name in names}
 
@@ -31,7 +29,7 @@ NAMES = {name for names in PUBLIC.values() for name in names}
 def test_star_import_gives_the_public_names():
     namespace = {}
     exec("from qdeform import *", namespace)
-    assert len(NAMES) == 47
+    assert len(NAMES) == 42
     assert set(namespace) - {"__builtins__"} == NAMES
     assert set(qdeform.__all__) == NAMES
 

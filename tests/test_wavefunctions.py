@@ -6,28 +6,31 @@ import numpy as np
 import pytest
 from scipy.integrate import simpson
 
+import qdeform.wavefunctions as wavefunctions
 from qdeform import (
+    METHOD_MORSE_EXACT,
+    METHOD_Q_GE_1,
+    METHOD_Q_LT_1,
     DiracConstants,
     DomainError,
+    EnergyLevel,
+    NonConvergenceError,
     PotentialParams,
     SolverConfig,
-    WavefunctionGrid,
     ZeroNormError,
     analytic_upper,
     cosh_q,
+    effective_eigenvalue,
     gauss_2f1,
-    lower_component,
     make_wavefunction,
-    normalize,
     ode_residual,
     shape_params,
     singularity_radius,
     spectrum,
     tanh_q,
-    upper_morse,
-    upper_q_ge_1,
-    upper_q_lt_1,
 )
+from qdeform.wavefunctions import _simpson
+
 DC = DiracConstants(m=1.0, c_spin=0.0)
 DEEP = PotentialParams(25.0, 18.0, 0.5, 1.0)
 # eigenvalues resolved well past the scan tolerance keep the boundary zero
@@ -36,7 +39,7 @@ TIGHT = SolverConfig(tol_e=1e-14)
 
 
 def upper_q_ge_1_hypergeometric(r, n_r, e, dc, p):
-    """Same F for q >= 1 as ``upper_q_ge_1``, via the terminating 2F1
+    """Same F for q >= 1 as ``analytic_upper``, via the terminating 2F1
     instead of the Jacobi form: the second route of the equivalence check.
     """
     lam, eta = shape_params(e, dc, p)
@@ -57,6 +60,11 @@ def upper_q_ge_1_hypergeometric(r, n_r, e, dc, p):
 def well_for(q):
     # V2 sqrt(q) must stay below V1 (repulsive wall) for q > 1
     return PotentialParams(25.0, 10.0 if q > 1.0 else 18.0, 0.5, q)
+
+
+def level_at(e, method, n_r=0):
+    """A level built by hand at energy e, with M = 1 and C = 0."""
+    return EnergyLevel(n_r=n_r, energy=e, e_tilde=effective_eigenvalue(e, DC), method=method)
 
 
 def count_nodes(f):
@@ -96,11 +104,11 @@ class TestNormalization:
         assert abs(wf.f_values[0]) < 1e-6 * peak
         assert abs(wf.f_values[-1]) < 1e-8 * peak
 
-    def test_zero_norm_rejected(self):
-        r = np.linspace(1.0, 2.0, 100)
-        wf = WavefunctionGrid(r, np.zeros_like(r), np.zeros_like(r))
+    def test_zero_norm_rejected(self, monkeypatch):
+        monkeypatch.setattr(wavefunctions, "analytic_upper",
+                            lambda r, level, dc, p: np.zeros_like(r))
         with pytest.raises(ZeroNormError):
-            normalize(wf)
+            make_wavefunction(DC, DEEP, spectrum(DC, DEEP)[0])
 
     @pytest.mark.parametrize("n", [3, 4, 101, 1000, 10001])
     def test_simpson_matches_scipy(self, n):
@@ -108,14 +116,8 @@ class TestNormalization:
         r = np.linspace(0.3, 7.0, n)
         f = np.sin(3.0 * r) * np.exp(-0.5 * r) + 0.1 * rng.standard_normal(n)
         g = 0.2 * np.cos(r) + 0.1 * rng.standard_normal(n)
-        wf = normalize(WavefunctionGrid(r, f, g))
         total = simpson(f ** 2 + g ** 2, x=r)
-        assert wf.norm_constant == pytest.approx(1.0 / math.sqrt(total), rel=1e-13)
-
-    def test_normalize_needs_uniform_grid(self):
-        r = np.array([1.0, 2.0, 4.0, 5.0, 6.0])
-        with pytest.raises(DomainError):
-            normalize(WavefunctionGrid(r, np.ones_like(r), np.ones_like(r)))
+        assert _simpson(f ** 2 + g ** 2, r[1] - r[0]) == pytest.approx(total, rel=1e-13)
 
     def test_orthogonality(self):
         wfs = [make_wavefunction(DC, DEEP, lv) for lv in spectrum(DC, DEEP)[:3]]
@@ -137,7 +139,7 @@ class TestDualRoutes:
         levels = spectrum(DC, p)
         assert len(levels) >= 4
         for lv in levels[:4]:
-            f1 = upper_q_ge_1(r, lv.n_r, lv.energy, DC, p)
+            f1 = analytic_upper(r, lv, DC, p)
             f2 = upper_q_ge_1_hypergeometric(r, lv.n_r, lv.energy, DC, p)
             i = int(np.argmax(np.abs(f1)))
             ratio = f1[i] / f2[i]
@@ -149,22 +151,35 @@ class TestDomainChecks:
     def test_q_ge_1_rejects_inside_wall(self):
         p = PotentialParams(25.0, 10.0, 1.0, 4.0)
         with pytest.raises(DomainError):
-            upper_q_ge_1(np.array([0.1]), 0, 0.5, DC, p)
+            analytic_upper(np.array([0.1]), level_at(0.5, METHOD_Q_GE_1), DC, p)
 
     def test_q_lt_1_rejects_negative_radius(self):
         p = PotentialParams(25.0, 10.0, 1.0, 0.3)
         with pytest.raises(DomainError):
-            upper_q_lt_1(np.array([-0.5]), 0.62, DC, p)
+            analytic_upper(np.array([-0.5]), level_at(0.62, METHOD_Q_LT_1), DC, p)
 
     def test_morse_rejects_unbound_energy(self):
         p = PotentialParams(25.0, 10.0, 1.0, 0.0)
         with pytest.raises(DomainError):
-            upper_morse(np.array([1.0]), 1.5, DC, p)
+            analytic_upper(np.array([1.0]), level_at(1.5, METHOD_MORSE_EXACT), DC, p)
 
-    def test_lower_component_needs_uniform_grid(self):
-        r = np.array([1.0, 2.0, 4.0, 5.0, 6.0])
-        with pytest.raises(DomainError):
-            lower_component(r, np.ones_like(r), 0.5, DC)
+    @pytest.mark.parametrize("q,method", [(0.3, METHOD_MORSE_EXACT), (2.0, METHOD_MORSE_EXACT),
+                                          (0.3, METHOD_Q_GE_1), (0.0, METHOD_Q_LT_1)])
+    def test_rejects_a_level_of_another_regime(self, q, method):
+        p = PotentialParams(25.0, 10.0, 1.0, q)
+        with pytest.raises(DomainError, match="not a level of"):
+            analytic_upper(np.array([1.0]), level_at(0.62, method), DC, p)
+
+
+class TestLeftEdge:
+    # levels at the default tol_e whose sampled F is of the order of its
+    # peak at the left edge instead of about 0
+    @pytest.mark.parametrize("p,n_r", [(PotentialParams(400.0, 300.0, 0.3, 0.0), 10),
+                                       (PotentialParams(25.0, 10.0, 1.0, 0.999), 0)],
+                             ids=["deep-morse-n10", "q0.999-n0"])
+    def test_rejects_f_that_misses_the_boundary(self, p, n_r):
+        with pytest.raises(NonConvergenceError, match="left edge"):
+            make_wavefunction(DC, p, spectrum(DC, p)[n_r])
 
 
 class TestLowerComponent:
