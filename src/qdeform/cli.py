@@ -57,10 +57,28 @@ def _fmt(x):
     return text
 
 
-def _require(mapping, key, where):
-    if key not in mapping:
-        raise ConfigError("missing field '%s' in %s" % (key, where))
-    return mapping[key]
+# The fields of each config block and the type each is cast to.  An
+# optional field left out keeps the default of DiracConstants or SolverConfig.
+_SCHEMA = {
+    "potential": {"v1": float, "v2": float, "alpha": float, "q": float},
+    "dirac": {"mass": float, "c_spin": float},
+    "solver": {"scan_points": int, "tol_e": float, "max_levels": int},
+}
+_REQUIRED = ("potential", "dirac", "v1", "v2", "alpha", "q", "mass")
+
+
+def _checked(mapping, known, where):
+    """mapping, once it is a JSON object with every required field of
+    ``known`` and no field outside it."""
+    if not isinstance(mapping, dict):
+        raise ConfigError("%s must be a JSON object" % where)
+    for key in mapping:
+        if key not in known:
+            raise ConfigError("unknown field '%s' in %s" % (key, where))
+    for key in known:
+        if key in _REQUIRED and key not in mapping:
+            raise ConfigError("missing field '%s' in %s" % (key, where))
+    return mapping
 
 
 def load_config(path):
@@ -74,7 +92,8 @@ def load_config(path):
           "solver":    {"scan_points": 2000, "tol_e": 1e-10, "max_levels": 64}
         }
 
-    The "solver" block and "c_spin" are optional.
+    The "solver" block and "c_spin" are optional; an unknown field is an
+    error.
     """
     try:
         with open(path) as fh:
@@ -84,25 +103,15 @@ def load_config(path):
     except json.JSONDecodeError as exc:
         raise ConfigError("config is not valid JSON: %s" % exc)
 
-    pot = _require(raw, "potential", "config")
-    dirac = _require(raw, "dirac", "config")
+    blocks = {name: _checked(block, _SCHEMA[name], name)
+              for name, block in _checked(raw, _SCHEMA, "config").items()}
     try:
-        params = PotentialParams(
-            v1=float(_require(pot, "v1", "potential")),
-            v2=float(_require(pot, "v2", "potential")),
-            alpha=float(_require(pot, "alpha", "potential")),
-            q=float(_require(pot, "q", "potential")),
-        )
-        constants = DiracConstants(
-            m=float(_require(dirac, "mass", "dirac")),
-            c_spin=float(dirac.get("c_spin", 0.0)),
-        )
-        sol = raw.get("solver", {})
-        config = SolverConfig(
-            scan_points=int(sol.get("scan_points", 2000)),
-            tol_e=float(sol.get("tol_e", 1e-10)),
-            max_levels=int(sol.get("max_levels", 64)),
-        )
+        pot, dirac, sol = ({key: _SCHEMA[name][key](value)
+                            for key, value in blocks.get(name, {}).items()}
+                           for name in _SCHEMA)
+        params = PotentialParams(**pot)
+        constants = DiracConstants(dirac.pop("mass"), **dirac)
+        config = SolverConfig(**sol)
     except (TypeError, ValueError) as exc:
         raise ConfigError(str(exc))
     return constants, params, config

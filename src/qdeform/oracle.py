@@ -71,6 +71,7 @@ __all__ = [
 
 _RENORM = 1e150
 _MAX_POINTS = 3_000_000
+_POINTS_PER_WAVELENGTH = 240.0
 _PROBE_POINTS = 1000
 
 # 4-point Gauss-Legendre rule on [0, 1]
@@ -183,9 +184,7 @@ class _Envelope:
         return total * width
 
 
-def build_grid(dc: DiracConstants, p: PotentialParams,
-               r_end: float | None = None,
-               points_per_wavelength: float = 240.0) -> RadialGrid:
+def build_grid(dc: DiracConstants, p: PotentialParams) -> RadialGrid:
     """The local-wavelength grid r = g(s), uniform in s with g' = Q_env^(-1/2).
 
     Q_env = (2M - C) Vbar(r) + (M - C/2)^2 bounds |W| = |(M + E - C) V - Et|
@@ -194,25 +193,21 @@ def build_grid(dc: DiracConstants, p: PotentialParams,
     fallen below 1e-10 of the deepest effective eigenvalue, plus a generous
     tail for weakly bound states.  The grid starts 1e-9/alpha from a q >= 1
     wall and 1e-8/alpha from the origin otherwise.  The step resolves the
-    largest |Q| of the transformed equation with ``points_per_wavelength``
-    points; a grid that would need more than 3,000,000 points raises
+    largest |Q| of the transformed equation with 240 points per local
+    wavelength; a grid that would need more than 3,000,000 points raises
     GridError.
     """
     r0 = singularity_radius(p)
     envelope = _Envelope(dc, p)
 
-    if r_end is None:
-        base = r0 if r0 is not None else 0.0
-        probe = base + np.geomspace(0.1 / p.alpha, 2000.0 / p.alpha, 400)
-        tail = envelope.pref * np.abs(potential_value(probe, p))
-        ok = np.nonzero(tail < 1e-10 * envelope.floor)[0]
-        if len(ok) == 0:
-            raise GridError("could not place the right cutoff: potential decays too slowly")
-        r_end = probe[ok[0]] + 60.0 / p.alpha
-    r_end = float(r_end)
+    base = r0 if r0 is not None else 0.0
+    probe = base + np.geomspace(0.1 / p.alpha, 2000.0 / p.alpha, 400)
+    tail = envelope.pref * np.abs(potential_value(probe, p))
+    ok = np.nonzero(tail < 1e-10 * envelope.floor)[0]
+    if len(ok) == 0:
+        raise GridError("could not place the right cutoff: potential decays too slowly")
+    r_end = float(probe[ok[0]] + 60.0 / p.alpha)
     r_start = r0 + 1e-9 / p.alpha if r0 is not None else 1e-8 / p.alpha
-    if not r_end > r_start:
-        raise GridError(f"need r_start < r_end, got {r_start}, {r_end}")
 
     # s(r) on a probe geometric in the distance to the envelope's pole
     # ln(q)/(2 alpha) (the wall for q >= 1), or to r_start - 1/alpha if that
@@ -228,7 +223,7 @@ def build_grid(dc: DiracConstants, p: PotentialParams,
 
     q_max = 1.0 + float(np.max(np.abs(liouville)))  # |g'^2 W| <= 1 by the envelope
     s_span = float(ps[-1])
-    n = max(int(math.ceil(s_span * points_per_wavelength * math.sqrt(q_max)
+    n = max(int(math.ceil(s_span * _POINTS_PER_WAVELENGTH * math.sqrt(q_max)
                           / (2.0 * math.pi))) + 1, 1000)
     if n > _MAX_POINTS:
         raise GridError(f"the well needs {n} grid points, more than {_MAX_POINTS}")
@@ -321,8 +316,7 @@ def integrate_radial(e, dc: DiracConstants, p: PotentialParams,
     return theta, int(theta // math.pi)
 
 
-def shoot_eigenvalues(dc: DiracConstants, p: PotentialParams,
-                      grid: RadialGrid | None = None, n_max: int = 64,
+def shoot_eigenvalues(dc: DiracConstants, p: PotentialParams, n_max: int = 64,
                       tol: float = 1e-9) -> list[EnergyLevel]:
     """All bound levels up to n_max: roots of Theta(E) = (n_r + 1) pi.
 
@@ -331,8 +325,7 @@ def shoot_eigenvalues(dc: DiracConstants, p: PotentialParams,
     inside the tightest bracket of the energies already swept; every sweep
     is remembered.  Raises NonConvergenceError if Brent's method fails.
     """
-    if grid is None:
-        grid = build_grid(dc, p)
+    grid = build_grid(dc, p)
     terms = sweep_terms(p, grid)
     lo, hi = bound_window(dc)
     eps = 1e-8 * dc.m

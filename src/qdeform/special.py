@@ -2,14 +2,15 @@
 
 All evaluators are real-argument, double precision and array-first: the
 parameters and the argument broadcast together, and scalar inputs return a
-float.  Every element picks its own branch by mask: a terminating
-polynomial (redone in exact rational arithmetic where it cancels), the
-direct series, the Pfaff transform for z < -1/2, the 1-z connection formula
-for z > 1/2 with an Euler-transform fallback when it degenerates (c-a-b
-near an integer), and Kummer reflection for negative 1F1 arguments.  The
-series are summed with compensated (Kahan) accumulation, each element until
-its own terms stop mattering.  Only the large-argument 1F1 asymptotic
-(|z| > 500) runs one element at a time.
+float.  Each kernel has one dispatch, one row per evaluation method, and
+every element picks its row by mask.  2F1 has three: the direct series
+(terminating polynomials, redone in exact rational arithmetic where they
+cancel; |z| <= 1/2; and z > 1/2 where c-a-b is an exact integer), the
+Pfaff transform for z < -1/2, and the 1-z connection formula for the rest
+of z > 1/2.  1F1 first maps z < 0 to -z by Kummer reflection, carrying e^z
+as a log shift, then has two: the series (terminating, or z <= 500) and
+the large-z asymptotic branch.  The series are summed with compensated
+(Kahan) accumulation, each element until its own terms stop mattering.
 """
 
 from __future__ import annotations
@@ -27,8 +28,13 @@ __all__ = [
 ]
 
 _MAX_TERMS = 100_000
-_DEGENERATE_TOL = 1e-6
 _KUMMER_ASYM_Z = 500.0
+
+
+def _libm(fn, x):
+    """fn (a math function) of each element of the array x, as the C library
+    computes it: numpy has no lgamma, and its log can differ in the last bit."""
+    return np.fromiter(map(fn, x.ravel().tolist()), float, x.size).reshape(x.shape)
 
 
 def _gamma_sign_log(x):
@@ -39,9 +45,7 @@ def _gamma_sign_log(x):
     pole = (x <= 0.0) & (x == floor)
     with np.errstate(invalid="ignore"):  # floor(inf) % 2
         sign = np.where(x > 0.0, 1.0, np.where(pole, 0.0, 1.0 - 2.0 * (floor % 2.0)))
-    log = np.fromiter(map(math.lgamma, np.where(pole, 1.0, x).ravel().tolist()),
-                      float, x.size).reshape(x.shape)
-    return sign, np.where(pole, np.inf, log)
+    return sign, np.where(pole, np.inf, _libm(math.lgamma, np.where(pole, 1.0, x)))
 
 
 def _nonpos_int_degree(x):
@@ -55,7 +59,7 @@ def _safe_exp(L):
         return np.exp(L)
 
 
-def _kahan_series(num, c, z, nterms=None):
+def _kahan_series(num, c, z, nterms=np.inf):
     """Sum a hypergeometric-type series with term recurrence.
 
     The ratio of consecutive terms is z prod_i (num_i + k) / ((c + k)(k + 1)).
@@ -66,7 +70,7 @@ def _kahan_series(num, c, z, nterms=None):
     element is summed as if alone, so an array call gives the scalar calls'
     values.  Returns the sum and the sum of |terms| (a cancellation gauge).
     """
-    cols = np.broadcast_arrays(z, np.inf if nterms is None else nterms, c, *num)
+    cols = np.broadcast_arrays(z, nterms, c, *num)
     shape = cols[0].shape
     z, limit, c, *num = [np.array(col, dtype=float).reshape(-1) for col in cols]
     out = np.ones(z.size)
@@ -104,14 +108,6 @@ def _kahan_series(num, c, z, nterms=None):
     return out.reshape(shape), out_mag.reshape(shape)
 
 
-def _series_2f1(a, b, c, z):
-    return _kahan_series((a, b), c, z)[0]
-
-
-def _series_1f1(a, c, z, nterms=None):
-    return _kahan_series((a,), c, z, nterms)[0]
-
-
 def _terminating_2f1_exact(a, b, c, z, n):
     """Degree-n terminating 2F1 in exact rational arithmetic.
 
@@ -130,10 +126,11 @@ def _terminating_2f1_exact(a, b, c, z, n):
     return float(total)
 
 
-def _terminating_2f1(a, b, c, z, n):
-    """Degree-n terminating 2F1; where the alternating polynomial cancels
-    more than ~3 digits the element is redone in exact rational arithmetic."""
-    s, mag = _kahan_series((a, b), c, z, n)
+def _series_2f1(a, b, c, z, n=np.nan):
+    """The direct series of 2F1, to degree n where it terminates (n NaN
+    where it does not); where the alternating polynomial cancels more than
+    ~3 digits the element is redone in exact rational arithmetic."""
+    s, mag = _kahan_series((a, b), c, z, np.where(np.isnan(n), np.inf, n))
     for i in np.nonzero((n >= 2) & (np.abs(s) < 1e-3 * mag))[0]:
         s[i] = _terminating_2f1_exact(a[i], b[i], c[i], z[i], int(n[i]))
     return s
@@ -200,22 +197,19 @@ def gauss_2f1(a, b, c, z):
     n = np.fmin(_nonpos_int_degree(a), _nonpos_int_degree(b))
     _reject_poles(n, c, "2F1")
     poly = ~np.isnan(n)
-    if np.any(np.abs(z[~poly]) >= 1.0):
+    if not np.all(np.abs(z[~poly]) < 1.0):  # NaN too: it would fit no row
         raise DomainError("non-terminating 2F1 requires |z| < 1")
     m = c - a - b
-    upper = ~poly & (z > 0.5)
-    euler = upper & (np.abs(m - np.round(m)) < _DEGENERATE_TOL)
+    # at an exact integer m the connection formula is undefined, and the
+    # direct series still converges for |z| < 1
+    direct = poly | (np.abs(z) <= 0.5) | ((z > 0.5) & (m == np.round(m)))
     out = np.empty(z.shape)
     for mask, fn in (
-        (poly, lambda a, b, c, z: _terminating_2f1(a, b, c, z, n[poly])),
-        (~poly & (np.abs(z) <= 0.5), _series_2f1),
+        (direct, lambda a, b, c, z: _series_2f1(a, b, c, z, n[direct])),
         # Pfaff transform maps z in (-1, -1/2) to w in (1/3, 1/2)
-        (~poly & (z < -0.5), lambda a, b, c, z:
+        (~direct & (z < -0.5), lambda a, b, c, z:
          (1.0 - z) ** (-a) * _series_2f1(a, c - b, c, z / (z - 1.0))),
-        # Euler fallback: still a |z|<1 series, just slower near z=1
-        (euler, lambda a, b, c, z:
-         (1.0 - z) ** (c - a - b) * _series_2f1(c - a, c - b, c, z)),
-        (upper & ~euler, _connection_2f1),
+        (~direct & (z > 0.5), _connection_2f1),
     ):
         if mask.any():
             out[mask] = fn(a[mask], b[mask], c[mask], z[mask])
@@ -227,31 +221,24 @@ def _kummer_asym(a, c, z):
 
     The value is smooth_factor * exp(log_magnitude); the smooth factor
     1/Gamma(a) carries the sign and the zero crossings at a = -n, which is
-    what root bracketing needs.  Accurate for z >> |a|, |c|.
+    what root bracketing needs.  Each element sums at most 40 terms of the
+    asymptotic series and stops before its first growing term.  Accurate
+    for z >> |a|, |c|.
     """
-    s = 1.0
-    total = 1.0
-    kmax = max(4, min(40, int(z) - 1))
-    prev = abs(s)
-    for k in range(kmax):
-        s *= (c - a + k) * (1.0 - a + k) / ((k + 1.0) * z)
-        if abs(s) > prev:  # asymptotic series: stop at the smallest term
+    s, total, prev = np.ones(z.shape), np.ones(z.shape), np.ones(z.shape)
+    live = np.ones(z.shape, dtype=bool)
+    for k in range(40):
+        s = s * ((c - a + k) * (1.0 - a + k) / ((k + 1.0) * z))
+        live &= ~(np.abs(s) > prev)  # asymptotic series: stop at the smallest term
+        if not live.any():
             break
-        prev = abs(s)
-        total += s
+        s = np.where(live, s, 0.0)
+        prev = np.where(live, np.abs(s), prev)
+        total = total + s
     sign_c, log_c = _gamma_sign_log(c)
     sign_a, log_a = _gamma_sign_log(a)
-    L = z + (a - c) * math.log(z) + float(log_c)
-    return float(sign_c * sign_a * _safe_exp(-log_a)) * total, L
-
-
-def _kummer_asym_each(a, c, z, shift):
-    """smooth * exp(L + shift) from ``_kummer_asym``, one element at a time."""
-    out = np.empty(z.shape)
-    for i in range(z.size):
-        smooth, L = _kummer_asym(float(a[i]), float(c[i]), float(z[i]))
-        out[i] = smooth * _safe_exp(L + shift[i])
-    return out
+    L = z + (a - c) * _libm(math.log, z) + log_c
+    return sign_c * sign_a * _safe_exp(-log_a) * total, L
 
 
 def kummer_1f1(a, c, z):
@@ -267,24 +254,22 @@ def kummer_1f1(a, c, z):
     n = _nonpos_int_degree(a)
     _reject_poles(n, c, "1F1")
     poly = ~np.isnan(n)
-    small = np.abs(z) <= _KUMMER_ASYM_Z
-    out = np.empty(z.shape)
+    # Kummer reflection 1F1(a,c;z) = e^z 1F1(c-a,c;-z): the direct
+    # alternating series cancels catastrophically already at z ~ -20,
+    # while the reflected series has (eventually) single-signed terms.
+    flip = ~poly & (z < 0.0)
+    shift = np.where(flip, z, 0.0)
+    a, z = np.where(flip, c - a, a), np.where(flip, -z, z)
+    nterms = np.where(poly, n, np.inf)
+    series = poly | (z <= _KUMMER_ASYM_Z)
+    value, log = np.empty(z.shape), np.zeros(z.shape)
     for mask, fn in (
-        (poly, lambda a, c, z: _series_1f1(a, c, z, n[poly])),
-        (~poly & small & (z >= 0.0), _series_1f1),
-        # Kummer reflection 1F1(a,c;z) = e^z 1F1(c-a,c;-z): the direct
-        # alternating series cancels catastrophically already at z ~ -20,
-        # while the reflected series has (eventually) single-signed terms.
-        (~poly & small & (z < 0.0), lambda a, c, z:
-         np.exp(z) * _series_1f1(c - a, c, -z)),
-        (~poly & ~small & (z > 0.0), lambda a, c, z:
-         _kummer_asym_each(a, c, z, np.zeros_like(z))),
-        (~poly & ~small & (z < 0.0), lambda a, c, z:
-         _kummer_asym_each(c - a, c, -z, z)),
+        (series, lambda a, c, z: (_kahan_series((a,), c, z, nterms[series])[0], 0.0)),
+        (~series, _kummer_asym),
     ):
         if mask.any():
-            out[mask] = fn(a[mask], c[mask], z[mask])
-    return _result(out, shape)
+            value[mask], log[mask] = fn(a[mask], c[mask], z[mask])
+    return _result(value * _safe_exp(log + shift), shape)
 
 
 def jacobi_p(n: int, alpha: float, beta: float, x):

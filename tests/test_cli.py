@@ -17,7 +17,14 @@ from hypothesis import strategies as st
 
 import qdeform.cli as cli
 import qdeform.oracle as oracle
-from qdeform import DiracConstants, PotentialParams, make_wavefunction, potential_value, spectrum
+from qdeform import (
+    DiracConstants,
+    PotentialParams,
+    SolverConfig,
+    make_wavefunction,
+    potential_value,
+    spectrum,
+)
 from qdeform.cli import EXIT_CONFIG, EXIT_NO_LEVEL, EXIT_OK, EXIT_SOLVER, _fmt, main
 
 
@@ -99,6 +106,31 @@ class TestSpectrum:
             "dirac": {"mass": 1.0},
         }))
         assert main(["spectrum", "--config", str(path)]) == EXIT_CONFIG
+
+    @pytest.mark.parametrize("block, key", [("dirac", "c-spin"), ("solver", "scan_point"),
+                                            ("potential", "V1"), (None, "solvers")])
+    def test_unknown_field_exits_2(self, tmp_path, capsys, block, key):
+        config = {"potential": {"v1": 25.0, "v2": 10.0, "alpha": 1.0, "q": 2.0},
+                  "dirac": {"mass": 1.0}}
+        if block is None:
+            config[key] = {}
+        else:
+            config.setdefault(block, {})[key] = 0.4
+        path = tmp_path / "typo.json"
+        path.write_text(json.dumps(config))
+        assert main(["spectrum", "--config", str(path)]) == EXIT_CONFIG
+        assert "unknown field '%s'" % key in capsys.readouterr().err
+
+    def test_left_out_fields_take_the_dataclass_defaults(self, tmp_path):
+        path = tmp_path / "minimal.json"
+        path.write_text(json.dumps({
+            "potential": {"v1": 25.0, "v2": 10.0, "alpha": 1.0, "q": 2.0},
+            "dirac": {"mass": 1.5},
+        }))
+        constants, params, config = cli.load_config(str(path))
+        assert constants == DiracConstants(1.5)
+        assert params == PotentialParams(25.0, 10.0, 1.0, 2.0)
+        assert config == SolverConfig()
 
     def test_unreadable_config_exits_2(self, capsys):
         assert main(["spectrum", "--config", "/nonexistent.json"]) == EXIT_CONFIG

@@ -20,10 +20,12 @@ from qdeform import (
     SolverConfig,
     abc_params,
     bound_window,
+    build_grid,
     closed_form_spectrum,
     effective_eigenvalue,
     effective_strengths,
     gauss_2f1,
+    integrate_radial,
     kummer_1f1,
     spectrum,
 )
@@ -92,6 +94,22 @@ class TestSolveQLt1:
         p = PotentialParams(25.0, 18.0, 0.5, 0.3)
         levels = spectrum(DC, p)
         assert [lv.n_r for lv in levels] == list(range(len(levels)))
+
+    def test_scan_density_keeps_the_levels_near_integer_c_minus_a_minus_b(self):
+        # z0 = 0.9997, and c - a - b passes within 3e-8 of -32 in the window
+        p = PotentialParams(519.3001686780265, 330.1893523433154,
+                            0.2576858226816229, 0.933114315474702)
+        coarse = spectrum(DC, p, SolverConfig(scan_points=2000))
+        fine = spectrum(DC, p, SolverConfig(scan_points=20000))
+        assert [lv.n_r for lv in fine] == [lv.n_r for lv in coarse] == list(range(42))
+        assert [lv.energy for lv in fine] == pytest.approx([lv.energy for lv in coarse],
+                                                          abs=1e-9)
+        # the oracle's level n_r is where its phase Theta reaches (n_r + 1) pi
+        grid = build_grid(DC, p)
+        turns = lambda e: integrate_radial(e, DC, p, grid)[0] / math.pi  # noqa: E731
+        assert int(turns(bound_window(DC)[1] - 1e-8)) == 42
+        for lv in coarse:
+            assert turns(lv.energy - 1e-6) < lv.n_r + 1 <= turns(lv.energy + 1e-6)
 
 
 class TestSolveMorse:

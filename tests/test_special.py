@@ -9,7 +9,17 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.special import gammaln, gammasgn
 
-from qdeform import gauss_2f1, jacobi_p, kummer_1f1, special
+from qdeform import (
+    DiracConstants,
+    DomainError,
+    PotentialParams,
+    abc_params,
+    bound_window,
+    gauss_2f1,
+    jacobi_p,
+    kummer_1f1,
+    special,
+)
 
 mpmath.mp.dps = 50
 
@@ -57,6 +67,11 @@ class TestGauss2F1:
         # a=1, b=c collapses to the geometric series
         assert gauss_2f1(1.0, 2.0, 2.0, 0.4) == pytest.approx(5.0 / 3.0,
                                                               rel=1e-14)
+
+    @pytest.mark.parametrize("z", [1.0, -1.5, math.nan])
+    def test_non_terminating_needs_z_inside_the_unit_disc(self, z):
+        with pytest.raises(DomainError):
+            gauss_2f1(0.3, 0.4, 1.2, np.array([0.2, z]))
 
     def test_terminating_high_z(self):
         # degree-3 polynomial, z = 0.9 outside the direct-series zone
@@ -143,6 +158,37 @@ class TestGauss2F1:
             ref = mp_2f1(a, b, c, z)
             assert gauss_2f1(a, b, c, z) == pytest.approx(ref, rel=1e-7)
 
+    def test_sign_at_near_integer_c_minus_a_minus_b(self):
+        # physical points of random 0 < q < 1 wells: (a, b, c) = abc_params(E)
+        # at z0 = 4 sqrt(q)/(1 + sqrt(q))^2, with E placed where
+        # m = c - a - b = -sqrt(1 + k (M + E - C))/2 lies 1e-12..1e-6 from an
+        # integer; the zeros of 2F1 there are levels, so its sign must hold
+        rng = np.random.default_rng(41)
+        points = []
+        while len(points) < 40:
+            q = rng.uniform(0.05, 0.95)
+            sq = math.sqrt(q)
+            v1 = rng.uniform(20.0, 400.0)
+            p = PotentialParams(v1, rng.uniform(0.05, 0.95) * v1, rng.uniform(0.1, 1.0), q)
+            dc = DiracConstants(1.0, rng.uniform(0.0, 1.0))
+            lo, hi = bound_window(dc)
+            k = 4.0 * (p.v1 / q - p.v2 / sq) / p.alpha ** 2
+            m_top, m_bottom = (-0.5 * math.sqrt(1.0 + k * (dc.m + e - dc.c_spin))
+                               for e in (hi, lo))
+            ns = np.arange(math.ceil(m_top), math.floor(m_bottom) + 1)
+            if not ns.size:
+                continue
+            target = rng.choice(ns) + rng.choice([-1.0, 1.0]) * 10.0 ** rng.uniform(-11.5, -6.5)
+            e = (4.0 * target ** 2 - 1.0) / k - dc.m + dc.c_spin
+            if not lo < e < hi:
+                continue
+            a, b, c = (float(x) for x in abc_params(e, dc, p))
+            if 1e-12 < abs(c - a - b - round(c - a - b)) < 1e-6:
+                points.append((a, b, c, 4.0 * sq / (1.0 + sq) ** 2))
+        for a, b, c, z0 in points:
+            got = gauss_2f1(a, b, c, z0)
+            assert np.sign(got) == mpmath.sign(mpmath.hyp2f1(a, b, c, z0)), (a, b, c, z0, got)
+
 
 class TestKummer1F1:
     def test_trivial(self):
@@ -184,21 +230,22 @@ class TestKummer1F1:
             assert math.copysign(1.0, kummer_1f1(a, c, z)) == mpmath.sign(ref)
 
 
-# One row per branch, each with a z in that branch's region.
+# One row per branch, each with a z in that branch's region; Kummer
+# reflection maps z < 0 onto a 1F1 branch before dispatch.
 GAUSS_BRANCHES = [
     ((0.3, 1.1, 2.2), 0.4),     # direct series
     ((0.7, 1.3, 2.5), -0.8),    # Pfaff transform
     ((0.6, 0.9, 2.9), 0.85),    # 1-z connection formula
-    ((0.3, 0.7, 2.0), 0.8),     # Euler fallback: c - a - b = 1
-    ((-3.0, 2.7, 1.4), 0.9),    # terminating
+    ((0.3, 0.7, 2.0), 0.8),     # direct series, z > 1/2: c - a - b = 1
+    ((-3.0, 2.7, 1.4), 0.9),    # direct series, terminating
     ((-8.0, 9.0, 1.5), 0.8),    # terminating, cancels: rational rescue
 ]
 KUMMER_BRANCHES = [
     ((0.7, 1.9), 12.0),         # direct series
-    ((-1.3, 2.4), -35.0),       # Kummer reflection
+    ((-1.3, 2.4), -35.0),       # direct series after Kummer reflection
     ((-3.7, 2.1), 900.0),       # asymptotic, z > 500
-    ((2.2, 3.1), -700.0),       # reflected asymptotic
-    ((-2.0, 1.5), 3.0),         # terminating
+    ((2.2, 3.1), -700.0),       # asymptotic after Kummer reflection
+    ((-2.0, 1.5), 3.0),         # direct series, terminating
 ]
 
 
