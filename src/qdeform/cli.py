@@ -112,7 +112,7 @@ def load_config(path):
         params = PotentialParams(**pot)
         constants = DiracConstants(dirac.pop("mass"), **dirac)
         config = SolverConfig(**sol)
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, OverflowError) as exc:
         raise ConfigError(str(exc))
     return constants, params, config
 

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError, ParameterError
+from .errors import DomainError, ParameterError, _require_finite
 
 __all__ = [
     "PotentialParams",
@@ -48,6 +48,7 @@ class PotentialParams:
     q: float
 
     def __post_init__(self):
+        _require_finite(self)
         if not (self.v1 > self.v2 > 0.0):
             raise ParameterError(
                 f"require v1 > v2 > 0, got v1={self.v1}, v2={self.v2}"

@@ -25,6 +25,7 @@ from .errors import (
     EmptyWindowError,
     NonBindingError,
     ParameterError,
+    _require_finite,
 )
 
 __all__ = [
@@ -45,6 +46,7 @@ class DiracConstants:
     c_spin: float = 0.0
 
     def __post_init__(self):
+        _require_finite(self)
         if self.m <= 0.0:
             raise ParameterError(f"mass must be positive, got {self.m}")
 

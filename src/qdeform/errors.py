@@ -1,5 +1,7 @@
 """Exception hierarchy shared across the package."""
 
+import math
+
 
 class QdeformError(Exception):
     """Base class for all package-specific errors."""
@@ -36,3 +38,11 @@ class GridError(QdeformError, ValueError):
 
 class ZeroNormError(QdeformError, ValueError):
     """Cannot normalize an identically-zero wavefunction."""
+
+
+def _require_finite(params):
+    """Raise ParameterError unless every field of the dataclass is finite."""
+    for name, value in vars(params).items():
+        if not math.isfinite(value):
+            raise ParameterError(
+                f"{type(params).__name__}.{name} must be finite, got {value}")

@@ -17,14 +17,13 @@ only for q >= 1; below, it gives the disputed closed-form levels, and at
 q = 0, where a(E) has the limit eta + 1/2 - s of the Kummer parameter, the
 deep-well asymptotic Morse levels.
 
-Each condition is a sign change of one function of E on the bound window,
-found by one scan-bracket-refine routine: the function is evaluated over
-the whole scan grid in a single array call, and all sign-change brackets
-are refined in lockstep by Brent's method (``_brentq``), one array call of
-the function per step.  Brent's method keeps its bracket and converges;
-the hypergeometric functions oscillate violently in E near the window
-edge, so guaranteed bracketing beats fast iteration.  The crossings
-a(E) = -n are found for every n at once, one row of the scan per n.  A
+Each condition is one function of E on the bound window, evaluated over
+the whole scan grid in one array call.  Its brackets are refined in
+lockstep by Brent's method (``_brentq``), one array call per step, which
+keeps its bracket where the hypergeometric functions oscillate violently
+near the window edge.  ``spectrum`` refines every sign-change cell of the
+scan (``_roots``); ``closed_form_spectrum`` refines, for every n at once,
+the cell where the running minimum of a(E) first reaches -n.  A
 refinement that fails, or meets a NaN or infinite value, raises.
 """
 
@@ -44,7 +43,7 @@ from .effective import (
     effective_eigenvalue,
     effective_strengths,
 )
-from .errors import DiscriminantError, NonConvergenceError, ParameterError
+from .errors import DiscriminantError, NonConvergenceError, ParameterError, _require_finite
 from .special import gauss_2f1, kummer_1f1
 
 __all__ = [
@@ -85,6 +84,7 @@ class SolverConfig:
     max_levels: int = 64
 
     def __post_init__(self):
+        _require_finite(self)
         if self.scan_points < 100:
             raise ParameterError(f"scan_points must be >= 100, got {self.scan_points}")
         if self.tol_e <= 0.0:
@@ -114,15 +114,17 @@ def _scan_window(dc: DiracConstants, cfg: SolverConfig):
 
 
 def _brackets(v):
-    """Sign-change cells and exact zeros of samples v along the last axis.
+    """Sign-change cells and exact zeros of the 1-D samples v.
 
-    Returns two index tuples (rows..., i): the cells between points i and
-    i + 1, and the exact zeros.  Cells touching a NaN are skipped.
+    Returns two index arrays: the cells i, between points i and i + 1,
+    where v changes sign, and the points i where v is exactly 0.  Cells
+    touching a NaN are skipped, and so are zeros at the last point or
+    next to a NaN.
     """
-    ok = ~(np.isnan(v[..., :-1]) | np.isnan(v[..., 1:]))
-    zero = ok & (v[..., :-1] == 0.0)
-    cells = ok & ~zero & ((v[..., :-1] < 0.0) != (v[..., 1:] < 0.0))
-    return np.nonzero(cells), np.nonzero(zero)
+    ok = ~(np.isnan(v[:-1]) | np.isnan(v[1:]))
+    zero = ok & (v[:-1] == 0.0)
+    cells = ok & ~zero & ((v[:-1] < 0.0) != (v[1:] < 0.0))
+    return np.flatnonzero(cells), np.flatnonzero(zero)
 
 
 _BRENT_RTOL = 4.0 * sys.float_info.epsilon
@@ -224,54 +226,34 @@ def _brentq(f, xa, xb, xtol, *per_bracket, fa=None, fb=None):
     return float(roots[0]) if shape == () else roots.reshape(shape)
 
 
-def _roots(f, grid, vals, tol, *per_row):
-    """The sign-change roots of f on a scan grid, one sorted list per row of
-    ``vals``, refined by Brent's method in lockstep.
+def _roots(f, grid, vals, tol):
+    """The sign-change roots of f on a scan grid, sorted, refined by
+    Brent's method in lockstep.
 
-    ``vals`` holds f(grid, *per_row), one row per element of the
-    ``per_row`` arrays.  When two adjacent cells of a row both bracket a
-    root, both are rescanned 10x finer in one more array call (double-root
-    guard).  Roots closer than 10 tol are merged.
+    ``vals`` holds f(grid).  When two adjacent cells both bracket a root,
+    9 evenly spaced points go into each, in one more array call of f, and
+    the scan is read again (double-root guard).  Exact zeros on the scan
+    count as roots.  Roots closer than 10 tol are merged.
     """
-    (row, i), (zero_row, zero_i) = _brackets(vals)
-    adjacent = (np.diff(i) == 1) & (np.diff(row) == 0)
-    paired = np.zeros(len(i), dtype=bool)
+    cells, _ = _brackets(vals)
+    adjacent = np.diff(cells) == 1
+    paired = np.zeros(len(cells), dtype=bool)
     paired[:-1] |= adjacent
     paired[1:] |= adjacent
-    r, c = row[~paired], i[~paired]
-    rows, lo, hi, flo, fhi = [r], [grid[c]], [grid[c + 1]], [vals[r, c]], [vals[r, c + 1]]
-    zero_rows, zeros = [zero_row], [grid[zero_i]]
     if paired.any():
-        r = row[paired]
-        sub = np.linspace(grid[i[paired]], grid[i[paired] + 1], 11, axis=1)
-        subvals = f(sub.reshape(-1), *(np.repeat(a[r], 11) for a in per_row))
-        subvals = np.asarray(subvals, dtype=float).reshape(sub.shape)
-        (k, j), (zk, zj) = _brackets(subvals)
-        rows.append(r[k])
-        lo.append(sub[k, j])
-        hi.append(sub[k, j + 1])
-        flo.append(subvals[k, j])
-        fhi.append(subvals[k, j + 1])
-        zero_rows.append(r[zk])
-        zeros.append(sub[zk, zj])
-    rows = np.concatenate(rows)
-    refined = _brentq(f, np.concatenate(lo), np.concatenate(hi), tol,
-                      *(a[rows] for a in per_row),
-                      fa=np.concatenate(flo), fb=np.concatenate(fhi))
-
-    found = [[] for _ in range(len(vals))]
-    for n, e in zip(np.concatenate([*zero_rows, rows]).tolist(),
-                    np.concatenate([*zeros, refined]).tolist()):
-        found[n].append(e)
-    deduped = []
-    for roots in found:
-        roots.sort()
-        kept = []
-        for e in roots:
-            if not kept or e - kept[-1] > 10.0 * tol:
-                kept.append(e)
-        deduped.append(kept)
-    return deduped
+        i = cells[paired]
+        sub = np.linspace(grid[i], grid[i + 1], 11, axis=1)[:, 1:-1].ravel()
+        at = np.repeat(i + 1, 9)
+        grid = np.insert(grid, at, sub)
+        vals = np.insert(vals, at, np.asarray(f(sub), dtype=float))
+    cells, zeros = _brackets(vals)
+    refined = _brentq(f, grid[cells], grid[cells + 1], tol,
+                      fa=vals[cells], fb=vals[cells + 1])
+    kept = []
+    for e in sorted(np.concatenate([grid[zeros], refined]).tolist()):
+        if not kept or e - kept[-1] > 10.0 * tol:
+            kept.append(e)
+    return kept
 
 
 def _level(n_r, e, dc, method):
@@ -318,7 +300,7 @@ def spectrum(dc: DiracConstants, p: PotentialParams,
         return _hypergeometric_factor(e, dc, p, 0.0)
     method = METHOD_Q_LT_1 if p.q > 0.0 else METHOD_MORSE_EXACT
     grid = _scan_window(dc, cfg)
-    roots = _roots(f, grid, f(grid)[np.newaxis], cfg.tol_e * dc.m)[0]
+    roots = _roots(f, grid, f(grid), cfg.tol_e * dc.m)
     return [_level(n, e, dc, method) for n, e in enumerate(roots[: cfg.max_levels])]
 
 
@@ -352,17 +334,14 @@ def closed_form_spectrum(dc: DiracConstants, p: PotentialParams,
             return abc_params(e, dc, p)[0]
         method = METHOD_Q_GE_1 if p.q >= 1.0 else "disputed-closed-form"
 
-    # level n is the lowest root of a(E) + n, for n up to the first without
-    # one; a + n > 0 on the whole grid once n > -min a: no root there
+    # a > 0 at the first scan point, so the lowest root of a(E) + n is in
+    # the cell where the running minimum of a first reaches -n; n has a
+    # level up to the first -n that the minimum never reaches
     grid = _scan_window(dc, cfg)
     a_grid = a(grid)
-    ns = np.arange(cfg.max_levels)
-    ns = ns[ns <= -np.min(a_grid[~np.isnan(a_grid)], initial=np.inf)]
-    levels = []
-    for n, roots in zip(ns.tolist(), _roots(lambda e, n: a(e) + n, grid,
-                                            a_grid + ns[:, np.newaxis], cfg.tol_e * dc.m,
-                                            ns)):
-        if not roots:
-            break
-        levels.append(_level(n, roots[0], dc, method))
-    return levels
+    k = np.searchsorted(-np.fmin.accumulate(a_grid), np.arange(cfg.max_levels))
+    k = k[k < len(grid)]
+    ns = np.arange(len(k))
+    roots = _brentq(lambda e, n: a(e) + n, grid[k - 1], grid[k], cfg.tol_e * dc.m, ns,
+                    fa=a_grid[k - 1] + ns, fb=a_grid[k] + ns)
+    return [_level(n, e, dc, method) for n, e in enumerate(roots.tolist())]

@@ -121,6 +121,23 @@ class TestSpectrum:
         assert main(["spectrum", "--config", str(path)]) == EXIT_CONFIG
         assert "unknown field '%s'" % key in capsys.readouterr().err
 
+    @pytest.mark.parametrize("block, key, text", [
+        ("potential", "q", "NaN"), ("potential", "q", "Infinity"),
+        ("potential", "v1", "Infinity"), ("potential", "alpha", "NaN"),
+        ("dirac", "mass", "NaN"), ("dirac", "c_spin", "NaN"),
+        ("solver", "scan_points", "1e400"), ("solver", "max_levels", "-Infinity"),
+        ("solver", "tol_e", "NaN")])
+    def test_non_finite_value_exits_2(self, tmp_path, capsys, block, key, text):
+        # json reads NaN, Infinity and 1e400 (as inf); no solver may see them
+        config = {"potential": {"v1": 25.0, "v2": 10.0, "alpha": 1.0, "q": 2.0},
+                  "dirac": {"mass": 1.0}}
+        config.setdefault(block, {})[key] = "@"
+        path = tmp_path / "non_finite.json"
+        path.write_text(json.dumps(config).replace('"@"', text))
+        assert main(["spectrum", "--config", str(path)]) == EXIT_CONFIG
+        out, err = capsys.readouterr()
+        assert out == "" and err.startswith("config error:")
+
     def test_left_out_fields_take_the_dataclass_defaults(self, tmp_path):
         path = tmp_path / "minimal.json"
         path.write_text(json.dumps({

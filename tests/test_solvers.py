@@ -173,6 +173,23 @@ class TestSpectrumDispatch:
         with pytest.raises(ParameterError):
             SolverConfig(max_levels=0)
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("make, field", [
+        (lambda x: PotentialParams(x, 10.0, 1.0, 2.0), "PotentialParams.v1"),
+        (lambda x: PotentialParams(25.0, x, 1.0, 2.0), "PotentialParams.v2"),
+        (lambda x: PotentialParams(25.0, 10.0, x, 2.0), "PotentialParams.alpha"),
+        (lambda x: PotentialParams(25.0, 10.0, 1.0, x), "PotentialParams.q"),
+        (lambda x: DiracConstants(m=x), "DiracConstants.m"),
+        (lambda x: DiracConstants(m=1.0, c_spin=x), "DiracConstants.c_spin"),
+        (lambda x: SolverConfig(scan_points=x), "SolverConfig.scan_points"),
+        (lambda x: SolverConfig(tol_e=x), "SolverConfig.tol_e"),
+        (lambda x: SolverConfig(max_levels=x), "SolverConfig.max_levels"),
+    ])
+    def test_non_finite_field_raises(self, make, field, bad):
+        # NaN fails every ordered comparison, so range checks let it through
+        with pytest.raises(ParameterError, match=rf"{field} must be finite"):
+            make(bad)
+
     def test_deeper_well_binds_more(self):
         n_shallow = len(spectrum(DC, PotentialParams(25.0, 10.0, 1.0, 2.0)))
         n_deep = len(spectrum(DC, PotentialParams(250.0, 100.0, 1.0, 2.0)))
@@ -215,7 +232,7 @@ class TestRefinement:
 
         grid = np.linspace(0.0, 1.0, 11)
         with pytest.raises(NonConvergenceError):
-            _roots(f, grid, f(grid)[np.newaxis], 1e-12)
+            _roots(f, grid, f(grid), 1e-12)
 
     @pytest.mark.parametrize("f, expected", [
         (lambda e: np.cos(10.0 * e), [0.05 * math.pi, 0.15 * math.pi, 0.25 * math.pi]),
@@ -227,22 +244,8 @@ class TestRefinement:
     ])
     def test_roots_of_array_function(self, f, expected):
         grid = np.linspace(0.0, 1.0, 11)
-        roots, = _roots(f, grid, f(grid)[np.newaxis], 1e-13)
+        roots = _roots(f, grid, f(grid), 1e-13)
         assert roots == pytest.approx(expected, abs=1e-12)
-
-    def test_rows_equal_one_row_calls(self):
-        # one row per shift s: four roots behind the double-root guard, the
-        # same moved out of the grid in part, and none at all
-        def f(e, s):
-            e = e - s
-            return (e - 0.45) * (e - 0.552) * (e - 0.565) * (e - 0.578)
-
-        grid = np.linspace(0.0, 1.0, 11)
-        shifts = np.array([0.0, 0.43, 0.2, 2.0])
-        rows = _roots(f, grid, f(grid, shifts[:, np.newaxis]), 1e-13, shifts)
-        assert [len(r) for r in rows] == [4, 1, 4, 0]
-        for s, roots in zip(shifts, rows):
-            assert _roots(lambda e: f(e, s), grid, f(grid, s)[np.newaxis], 1e-13) == [roots]
 
 
 def _brent_cases():
@@ -314,7 +317,7 @@ class TestBrent:
         p = PotentialParams(400.0, 300.0, 0.3, q)
         f = _quantization(p)
         grid = _scan_window(DC, SolverConfig())
-        (cells,), _ = _brackets(f(grid))
+        cells, _ = _brackets(f(grid))
         lo, hi = grid[cells], grid[cells + 1]
         assert len(cells) >= 35
         lockstep = _brentq(f, lo, hi, 1e-10)
@@ -435,3 +438,45 @@ class TestClosedForm:
         for a, b in zip(tiny, morse):
             assert a.n_r == b.n_r
             assert abs(a.energy - b.energy) <= 1e-8 * dc.m
+
+
+def _closed_form_a(e, dc, p):
+    """a(E) of closed_form_spectrum: the Kummer parameter at q = 0."""
+    if p.q == 0.0:
+        eta, s, _ = _morse_shape(e, dc, p)
+        return eta + 0.5 - s
+    return abc_params(e, dc, p)[0]
+
+
+class TestClosedFormBrackets:
+    @pytest.mark.parametrize("q", [0.0, 0.3, 1.0, 2.5])
+    @pytest.mark.parametrize("max_levels", [3, 64])
+    def test_each_level_is_the_first_crossing_of_minus_n(self, q, max_levels):
+        dc = DiracConstants(m=1.0, c_spin=0.4)
+        p = PotentialParams(60.0, 25.0, 0.5, q)
+        cfg = SolverConfig(scan_points=100, max_levels=max_levels)
+        levels = closed_form_spectrum(dc, p, cfg)
+        grid = _scan_window(dc, cfg)
+        a_grid = _closed_form_a(grid, dc, p)
+        n_cross = sum(1 for n in range(1000) if a_grid.min() <= -n)
+        assert len(levels) == min(max_levels, n_cross) >= 3
+        assert [lv.n_r for lv in levels] == list(range(len(levels)))
+        for n, lv in enumerate(levels):
+            # Brent's bracket ends closer than tol_e M + 4 eps |E| to the root
+            d = cfg.tol_e * dc.m + 4.0 * np.finfo(float).eps * abs(lv.energy)
+            lo, hi = _closed_form_a(np.array([lv.energy - d, lv.energy + d]), dc, p) + n
+            assert lo > 0.0 >= hi
+            assert np.all(a_grid[grid < lv.energy] > -n)
+
+    def test_a_is_positive_at_the_first_scan_point(self):
+        # the rule above needs a + n > 0 at the bottom of the scan for every n
+        rng = np.random.default_rng(15)
+        cfg = SolverConfig(scan_points=100)
+        for _ in range(400):
+            v1 = rng.uniform(2.0, 5000.0)
+            q = rng.choice([0.0, 10.0 ** rng.uniform(-9.0, -5.0), rng.uniform(0.0, 1.0),
+                            1.0, rng.uniform(1.0, 6.0)])
+            p = PotentialParams(v1, v1 * rng.uniform(0.05, 0.95) / max(1.0, math.sqrt(q)),
+                                rng.uniform(0.05, 3.0), q)
+            dc = DiracConstants(m=1.0, c_spin=rng.uniform(-3.0, 1.9))
+            assert _closed_form_a(_scan_window(dc, cfg)[:1], dc, p)[0] > 0.0
