@@ -20,7 +20,6 @@ _EXPORTS = {
         "morse_value",
         "potential_value",
         "singularity_radius",
-        "sinh_q",
         "tanh_q",
     ),
     "effective": (

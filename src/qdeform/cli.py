@@ -6,7 +6,8 @@ formatted to 15 significant digits so that re-emitting a parsed JSON file
 reproduces the CSV byte for byte.
 
 Exit codes: 0 success (an empty spectrum is still a success and prints a
-note), 2 configuration error, 3 solver failure, 4 requested level absent.
+note; with ``verify`` the oracle must agree that it is empty), 2
+configuration error, 3 solver failure, 4 requested level absent.
 """
 
 import argparse
@@ -228,7 +229,7 @@ def _write_table(columns, rows, out_path, fmt):
 
 
 def _check_against_oracle(constants, params, config, levels):
-    """Check a non-empty analytic spectrum against the shooting oracle.
+    """Check an analytic spectrum, empty or not, against the shooting oracle.
 
     Returns the oracle's energy of each level (NaN where it has none), the
     largest |dE| and the FAIL message, None on a pass.  The check fails
@@ -266,7 +267,7 @@ def cmd_spectrum(args):
     rows = [[lv.n_r, lv.energy, lv.e_tilde, lv.method] for lv in levels]
 
     failure = None
-    if args.verify and levels:
+    if args.verify:
         e_oracle, _, failure = _check_against_oracle(constants, params, config, levels)
         columns.append("residual_vs_oracle")
         for row, lv, e in zip(rows, levels, e_oracle):
@@ -279,7 +280,7 @@ def cmd_spectrum(args):
                 row.append(float("nan"))
             rows.append(row)
 
-    if not levels:
+    if not levels and not failure:
         print("note: no bound states for these parameters", file=sys.stderr)
     _write_table(columns, rows, args.out, args.format)
     if failure:
@@ -349,12 +350,9 @@ def cmd_verify(args):
     """Solve the spectrum twice (analytic and shooting) and report agreement."""
     constants, params, config = load_config(args.config)
     levels = spectrum(constants, params, config)
-    if not levels:
-        print("note: no bound states for these parameters", file=sys.stderr)
-        _write_table(["n_r", "E_analytic", "E_oracle", "abs_diff"], [],
-                     args.out, args.format)
-        return EXIT_OK
     e_oracle, worst, failure = _check_against_oracle(constants, params, config, levels)
+    if not levels and not failure:
+        print("note: no bound states for these parameters", file=sys.stderr)
     rows = [[lv.n_r, lv.energy, e, abs(lv.energy - e)] for lv, e in zip(levels, e_oracle)]
     _write_table(["n_r", "E_analytic", "E_oracle", "abs_diff"], rows, args.out, args.format)
     if failure:

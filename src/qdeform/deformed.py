@@ -24,7 +24,6 @@ from .errors import DomainError, ParameterError, _require_finite
 
 __all__ = [
     "PotentialParams",
-    "sinh_q",
     "cosh_q",
     "tanh_q",
     "singularity_radius",
@@ -65,13 +64,6 @@ class PotentialParams:
         if self.q < 1.0:
             return "regular"
         return "singular"
-
-
-def sinh_q(x, q):
-    """Deformed hyperbolic sine (e^x - q e^-x) / 2."""
-    x = np.asarray(x, dtype=float)
-    out = 0.5 * (np.exp(x) - q * np.exp(-x))
-    return out if out.ndim else float(out)
 
 
 def cosh_q(x, q):

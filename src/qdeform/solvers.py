@@ -21,10 +21,11 @@ Each condition is one function of E on the bound window, evaluated over
 the whole scan grid in one array call.  Its brackets are refined in
 lockstep by Brent's method (``_brentq``), one array call per step, which
 keeps its bracket where the hypergeometric functions oscillate violently
-near the window edge.  ``spectrum`` refines every sign-change cell of the
-scan (``_roots``); ``closed_form_spectrum`` refines, for every n at once,
-the cell where the running minimum of a(E) first reaches -n.  A
-refinement that fails, or meets a NaN or infinite value, raises.
+near the window edge.  ``spectrum`` refines each cell of the scan that
+changes sign or ends on an exact zero, one root per cell (``_roots``);
+``closed_form_spectrum`` refines, for every n at once, the cell where the
+running minimum of a(E) first reaches -n.  A refinement that fails, or
+meets a NaN or infinite value, raises.
 """
 
 from __future__ import annotations
@@ -114,17 +115,14 @@ def _scan_window(dc: DiracConstants, cfg: SolverConfig):
 
 
 def _brackets(v):
-    """Sign-change cells and exact zeros of the 1-D samples v.
-
-    Returns two index arrays: the cells i, between points i and i + 1,
-    where v changes sign, and the points i where v is exactly 0.  Cells
-    touching a NaN are skipped, and so are zeros at the last point or
-    next to a NaN.
+    """The cells of the 1-D samples v that hold a root: cell i, between
+    points i and i + 1, when v[i] is neither 0 nor NaN and v[i + 1] is 0 or
+    of the other sign.  So an exact zero at point j >= 1 is the upper end
+    of cell j - 1 and of no other cell; a zero at the first point is in none.
     """
-    ok = ~(np.isnan(v[:-1]) | np.isnan(v[1:]))
-    zero = ok & (v[:-1] == 0.0)
-    cells = ok & ~zero & ((v[:-1] < 0.0) != (v[1:] < 0.0))
-    return np.flatnonzero(cells), np.flatnonzero(zero)
+    lo, hi = np.sign(v[:-1]), np.sign(v[1:])
+    # a NaN at either end makes lo * hi NaN, and NaN <= 0 is False
+    return np.flatnonzero((lo != 0.0) & (lo * hi <= 0.0))
 
 
 _BRENT_RTOL = 4.0 * sys.float_info.epsilon
@@ -227,15 +225,14 @@ def _brentq(f, xa, xb, xtol, *per_bracket, fa=None, fb=None):
 
 
 def _roots(f, grid, vals, tol):
-    """The sign-change roots of f on a scan grid, sorted, refined by
-    Brent's method in lockstep.
+    """The roots of f on a scan grid, ascending: one in each cell of
+    ``_brackets``, refined by Brent's method in lockstep.
 
-    ``vals`` holds f(grid).  When two adjacent cells both bracket a root,
+    ``vals`` holds f(grid).  When two adjacent cells both hold a root,
     9 evenly spaced points go into each, in one more array call of f, and
-    the scan is read again (double-root guard).  Exact zeros on the scan
-    count as roots.  Roots closer than 10 tol are merged.
+    the scan is read again (double-root guard).
     """
-    cells, _ = _brackets(vals)
+    cells = _brackets(vals)
     adjacent = np.diff(cells) == 1
     paired = np.zeros(len(cells), dtype=bool)
     paired[:-1] |= adjacent
@@ -246,14 +243,9 @@ def _roots(f, grid, vals, tol):
         at = np.repeat(i + 1, 9)
         grid = np.insert(grid, at, sub)
         vals = np.insert(vals, at, np.asarray(f(sub), dtype=float))
-    cells, zeros = _brackets(vals)
-    refined = _brentq(f, grid[cells], grid[cells + 1], tol,
-                      fa=vals[cells], fb=vals[cells + 1])
-    kept = []
-    for e in sorted(np.concatenate([grid[zeros], refined]).tolist()):
-        if not kept or e - kept[-1] > 10.0 * tol:
-            kept.append(e)
-    return kept
+    cells = _brackets(vals)
+    return _brentq(f, grid[cells], grid[cells + 1], tol,
+                   fa=vals[cells], fb=vals[cells + 1]).tolist()
 
 
 def _level(n_r, e, dc, method):

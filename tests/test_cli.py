@@ -474,6 +474,37 @@ class TestVerify:
         assert "oracle counts 6 or more levels, the analytic spectrum 5" in err
 
     @pytest.mark.parametrize("command", [["verify"], ["spectrum", "--verify"]])
+    def test_spectrum_that_lost_every_level_fails(self, command, config_path, capsys,
+                                                  monkeypatch):
+        # an empty analytic spectrum is checked too: no levels found is not
+        # "no bound states" until the oracle finds none either
+        monkeypatch.setattr(cli, "spectrum", lambda *args: [])
+        assert main(command + ["--config", config_path]) == EXIT_SOLVER
+        err = capsys.readouterr().err
+        assert "verify: FAIL" in err
+        assert "the oracle counts 1 or more levels, the analytic spectrum 0" in err
+        assert "no bound states" not in err
+
+    @pytest.mark.parametrize("command, header", [
+        (["verify"], "n_r,E_analytic,E_oracle,abs_diff"),
+        (["spectrum", "--verify"], "n_r,E,E_tilde,method,residual_vs_oracle"),
+    ])
+    def test_empty_spectrum_the_oracle_confirms_passes(self, command, header, tmp_path,
+                                                       capsys):
+        path = tmp_path / "shallow.json"
+        path.write_text(json.dumps({
+            "potential": {"v1": 4.0, "v2": 1.0, "alpha": 1.0, "q": 2.0},
+            "dirac": {"mass": 1.0},
+        }))
+        assert main(command + ["--config", str(path)]) == EXIT_OK
+        captured = capsys.readouterr()
+        assert captured.out.splitlines() == [header]
+        assert "no bound states" in captured.err
+        assert "FAIL" not in captured.err
+        if command == ["verify"]:
+            assert "verify: OK" in captured.err
+
+    @pytest.mark.parametrize("command", [["verify"], ["spectrum", "--verify"]])
     def test_residual_above_tolerance_fails(self, command, config_path, capsys, monkeypatch):
         # every analytic level 1e-5 off: both commands give one verdict
         real = cli.spectrum

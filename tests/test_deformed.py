@@ -14,7 +14,6 @@ from qdeform import (
     morse_value,
     potential_value,
     singularity_radius,
-    sinh_q,
     tanh_q,
 )
 
@@ -31,34 +30,33 @@ def morse_from_physical(de, re, alpha):
 class TestDeformedFunctions:
     def test_q_one_reduces_to_hyperbolic(self):
         x = np.linspace(-3.0, 5.0, 41)
-        assert np.allclose(sinh_q(x, 1.0), np.sinh(x), rtol=1e-14)
         assert np.allclose(cosh_q(x, 1.0), np.cosh(x), rtol=1e-14)
         assert np.allclose(tanh_q(x, 1.0), np.tanh(x), rtol=1e-14)
 
     def test_q_zero_reduces_to_half_exponential(self):
         x = np.linspace(-2.0, 10.0, 25)
-        assert np.allclose(sinh_q(x, 0.0), 0.5 * np.exp(x), rtol=1e-14)
         assert np.allclose(cosh_q(x, 0.0), 0.5 * np.exp(x), rtol=1e-14)
 
     def test_explicit_values(self):
-        # sinh_2(1) = (e - 2/e)/2, cosh_2(1) = (e + 2/e)/2
+        # cosh_2(1) = (e + 2/e)/2, tanh_2(1) = (e - 2/e)/(e + 2/e)
         e = math.e
-        assert sinh_q(1.0, 2.0) == pytest.approx((e - 2.0 / e) / 2.0, rel=1e-15)
+        assert tanh_q(1.0, 2.0) == pytest.approx((e - 2.0 / e) / (e + 2.0 / e), rel=1e-15)
         assert cosh_q(1.0, 2.0) == pytest.approx((e + 2.0 / e) / 2.0, rel=1e-15)
 
     @given(x=st.floats(-20.0, 20.0), q=st.floats(0.0, 50.0))
     @settings(max_examples=200, deadline=None)
     def test_fundamental_identity(self, x, q):
-        # cosh_q^2 - sinh_q^2 = q for every x
-        lhs = cosh_q(x, q) ** 2 - sinh_q(x, q) ** 2
+        # cosh_q^2 - sinh_q^2 = q for every x, with sinh_q = tanh_q cosh_q
+        lhs = cosh_q(x, q) ** 2 * (1.0 - tanh_q(x, q) ** 2)
         assert lhs == pytest.approx(q, abs=1e-9 * max(1.0, math.cosh(x) ** 2))
 
     @given(x=st.floats(-10.0, 10.0), q=st.floats(1e-6, 100.0))
     @settings(max_examples=200, deadline=None)
     def test_scaling_identity(self, x, q):
-        # sinh_q(x) = sqrt(q) sinh(x - ln(q)/2)
-        expected = math.sqrt(q) * math.sinh(x - 0.5 * math.log(q))
-        assert sinh_q(x, q) == pytest.approx(expected, rel=1e-11, abs=1e-11)
+        # cosh_q(x) = sqrt(q) cosh(x - ln(q)/2), tanh_q(x) = tanh(x - ln(q)/2)
+        shift = x - 0.5 * math.log(q)
+        assert cosh_q(x, q) == pytest.approx(math.sqrt(q) * math.cosh(shift), rel=1e-11)
+        assert tanh_q(x, q) == pytest.approx(math.tanh(shift), rel=1e-11, abs=1e-11)
 
     def test_tanh_q_large_argument_saturates(self):
         assert tanh_q(500.0, 3.0) == pytest.approx(1.0, abs=1e-15)
@@ -111,7 +109,8 @@ class TestPotentialValue:
         p = PotentialParams(4.0, 1.0, 0.7, 2.0)
         r = np.linspace(singularity_radius(p) + 0.05, 12.0, 200)
         x = p.alpha * r
-        direct = (p.v1 - p.v2 * cosh_q(x, p.q)) / sinh_q(x, p.q) ** 2
+        sinh = (np.exp(x) - p.q * np.exp(-x)) / 2.0
+        direct = (p.v1 - p.v2 * cosh_q(x, p.q)) / sinh ** 2
         assert np.allclose(potential_value(r, p), direct, rtol=1e-12)
 
     def test_morse_limit_is_exact(self):

@@ -241,11 +241,21 @@ class TestRefinement:
         (lambda e: (e - 0.45) * (e - 0.552) * (e - 0.565) * (e - 0.578),
          [0.45, 0.552, 0.565, 0.578]),
         (lambda e: e + 5.0, []),
+        # exact zeros on the scan: each is the top of the cell below it,
+        # so a crossing or a tangent zero counts once
+        (lambda e: e - 0.5, [0.5]),
+        (lambda e: -(e - 0.5) ** 2, [0.5]),
+        (lambda e: (e - 0.5) ** 2, [0.5]),
+        (lambda e: e - 1.0, [1.0]),
+        (lambda e: 1.0 - e, [1.0]),
+        # no cell lies below the first scan point
+        (lambda e: e, []),
     ])
     def test_roots_of_array_function(self, f, expected):
         grid = np.linspace(0.0, 1.0, 11)
         roots = _roots(f, grid, f(grid), 1e-13)
         assert roots == pytest.approx(expected, abs=1e-12)
+        assert np.all(np.diff(roots) > 0.0)
 
 
 def _brent_cases():
@@ -317,7 +327,7 @@ class TestBrent:
         p = PotentialParams(400.0, 300.0, 0.3, q)
         f = _quantization(p)
         grid = _scan_window(DC, SolverConfig())
-        cells, _ = _brackets(f(grid))
+        cells = _brackets(f(grid))
         lo, hi = grid[cells], grid[cells + 1]
         assert len(cells) >= 35
         lockstep = _brentq(f, lo, hi, 1e-10)
