@@ -68,6 +68,16 @@ _SCHEMA = {
 _REQUIRED = ("potential", "dirac", "v1", "v2", "alpha", "q", "mass")
 
 
+def _cast(kind, key, value):
+    """A config value as ``kind`` (float or int), once it is a JSON number:
+    a bool or a string is an error, and so is a fractional int field."""
+    if (isinstance(value, bool) or not isinstance(value, (int, float))
+            or (kind is int and isinstance(value, float) and not value.is_integer())):
+        raise ConfigError("field '%s' must be %s, got %s" % (
+            key, "an integer" if kind is int else "a number", json.dumps(value)))
+    return kind(value)
+
+
 def _checked(mapping, known, where):
     """mapping, once it is a JSON object with every required field of
     ``known`` and no field outside it."""
@@ -107,7 +117,7 @@ def load_config(path):
     blocks = {name: _checked(block, _SCHEMA[name], name)
               for name, block in _checked(raw, _SCHEMA, "config").items()}
     try:
-        pot, dirac, sol = ({key: _SCHEMA[name][key](value)
+        pot, dirac, sol = ({key: _cast(_SCHEMA[name][key], key, value)
                             for key, value in blocks.get(name, {}).items()}
                            for name in _SCHEMA)
         params = PotentialParams(**pot)

@@ -72,6 +72,11 @@ def shape_params(e, dc: DiracConstants, p: PotentialParams):
     lambda = (1 + sqrt(1 + (4/alpha^2)(Vt1/q - Vt2/sqrt(q)))) / 4 and
     eta = sqrt(-Et)/alpha; both must be positive.
     """
+    return _shape_and_strengths(e, dc, p)[:2]
+
+
+def _shape_and_strengths(e, dc: DiracConstants, p: PotentialParams):
+    """(lambda, eta) of shape_params and the (Vt1, Vt2) they were made from."""
     if p.q <= 0.0:
         raise DomainError("shape_params needs q > 0; use the Morse forms at q = 0")
     et = effective_eigenvalue(e, dc)
@@ -86,7 +91,7 @@ def shape_params(e, dc: DiracConstants, p: PotentialParams):
         )
     lam = 0.25 * (1.0 + np.sqrt(disc))
     eta = np.sqrt(-et) / p.alpha
-    return lam, eta
+    return lam, eta, v1t, v2t
 
 
 def abc_params(e, dc: DiracConstants, p: PotentialParams):
@@ -96,13 +101,8 @@ def abc_params(e, dc: DiracConstants, p: PotentialParams):
     and c = 2 eta + 1.  The same expressions drive the q >= 1 quantization,
     where the condition is a(E) = -n_r.
     """
-    lam, eta = shape_params(e, dc, p)
-    return _abc(lam, eta, *effective_strengths(e, dc, p), p)
-
-
-def _abc(lam, eta, v1t, v2t, p: PotentialParams):
-    sq = math.sqrt(p.q)
-    disc = 1.0 + (4.0 / (p.alpha * p.alpha * p.q)) * (v1t + v2t * sq)
+    lam, eta, v1t, v2t = _shape_and_strengths(e, dc, p)
+    disc = 1.0 + (4.0 / (p.alpha * p.alpha * p.q)) * (v1t + v2t * math.sqrt(p.q))
     if np.any(disc < 0.0):
         raise DiscriminantError(f"negative discriminant {np.min(disc)} in (a, b)")
     root = np.sqrt(disc)

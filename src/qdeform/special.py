@@ -3,14 +3,15 @@
 All evaluators are real-argument, double precision and array-first: the
 parameters and the argument broadcast together, and scalar inputs return a
 float.  Each kernel has one dispatch, one row per evaluation method, and
-every element picks its row by mask.  2F1 has three: the direct series
-(terminating polynomials, redone in exact rational arithmetic where they
-cancel; |z| <= 1/2; and z > 1/2 where c-a-b is an exact integer), the
-Pfaff transform for z < -1/2, and the 1-z connection formula for the rest
-of z > 1/2.  1F1 first maps z < 0 to -z by Kummer reflection, carrying e^z
-as a log shift, then has two: the series (terminating, or z <= 500) and
-the large-z asymptotic branch.  The series are summed with compensated
-(Kahan) accumulation, each element until its own terms stop mattering.
+every element picks its row by mask.  In both, an element whose series
+terminates (a, or b for 2F1, a non-positive integer) is a polynomial, summed
+exactly and rounded once.  The rest of 2F1 has three rows: the direct series
+(|z| <= 1/2, and z > 1/2 where c-a-b is an exact integer), the Pfaff
+transform for z < -1/2, and the 1-z connection formula for the rest of
+z > 1/2.  The rest of 1F1 is mapped from z < 0 to -z by Kummer reflection,
+carrying e^z as a log shift, and has two rows: the series (z <= 500) and the
+large-z asymptotic branch.  The series are summed with compensated (Kahan)
+accumulation, each element until its own terms stop mattering.
 """
 
 from __future__ import annotations
@@ -59,33 +60,28 @@ def _safe_exp(L):
         return np.exp(L)
 
 
-def _kahan_series(num, c, z, nterms=np.inf):
-    """Sum a hypergeometric-type series with term recurrence.
+def _kahan_series(num, c, z):
+    """Sum a non-terminating hypergeometric-type series by term recurrence.
 
     The ratio of consecutive terms is z prod_i (num_i + k) / ((c + k)(k + 1)).
-    The parameters, z and ``nterms`` broadcast together.  Where ``nterms``
-    is finite the sum is the exact truncation after that many post-leading
-    terms (terminating series); elsewhere an element stops once its term
-    has been below 1e-16 of its running sum for 3 consecutive terms.  Each
-    element is summed as if alone, so an array call gives the scalar calls'
-    values.  Returns the sum and the sum of |terms| (a cancellation gauge).
+    The parameters and z are 1-d arrays of one length.  An element stops
+    once its term has been below 1e-16 of its running sum for 3 consecutive
+    terms (a transformed series that happens to terminate stops on its zero
+    terms).  Each element is summed as if alone, so an array call gives the
+    scalar calls' values.
     """
-    cols = np.broadcast_arrays(z, nterms, c, *num)
-    shape = cols[0].shape
-    z, limit, c, *num = [np.array(col, dtype=float).reshape(-1) for col in cols]
+    cols = [z, c, *num]
     out = np.ones(z.size)
-    out_mag = np.ones(z.size)
-    live = np.nonzero(limit > 0)[0]
-    cols = [z[live], limit[live], c[live], *(p[live] for p in num)]
-    term, s, mag = np.ones(live.size), np.ones(live.size), np.ones(live.size)
-    comp, small = np.zeros(live.size), np.zeros(live.size, dtype=np.int64)
+    live = np.arange(z.size)
+    term, s = np.ones(z.size), np.ones(z.size)
+    comp, small = np.zeros(z.size), np.zeros(z.size, dtype=np.int64)
     k = 0
     while live.size:
         if k == _MAX_TERMS:
             raise NonConvergenceError(
                 f"hypergeometric series did not converge in {_MAX_TERMS} terms"
             )
-        z, limit, c, *num = cols
+        z, c, *num = cols
         ratio = num[0] + k
         for p in num[1:]:
             ratio = ratio * (p + k)
@@ -94,46 +90,46 @@ def _kahan_series(num, c, z, nterms=np.inf):
         t = s + y
         comp = (t - s) - y
         s = t
-        mag = mag + np.abs(term)
         k += 1
         small = np.where(np.abs(term) <= 1e-16 * np.abs(s), small + 1, 0)
-        done = np.where(np.isfinite(limit), k >= limit, small >= 3)
+        done = small >= 3
         if done.any():
             out[live[done]] = s[done]
-            out_mag[live[done]] = mag[done]
             keep = ~done
-            live, term, s, mag, comp, small = (
-                x[keep] for x in (live, term, s, mag, comp, small))
+            live, term, s, comp, small = (x[keep] for x in (live, term, s, comp, small))
             cols = [x[keep] for x in cols]
-    return out.reshape(shape), out_mag.reshape(shape)
+    return out
 
 
-def _terminating_2f1_exact(a, b, c, z, n):
-    """Degree-n terminating 2F1 in exact rational arithmetic.
+def _terminating_exact(num, c, z, n):
+    """The degree-n polynomial series with numerator parameters ``num``
+    ((a,) for 1F1, (a, b) for 2F1), each element summed exactly and rounded
+    once, correctly.
 
-    Floats convert to Fractions exactly, so the only rounding is the final
-    cast back; used to rescue points lost to alternating-sum cancellation.
+    Every float is an exact ratio of integers, so Horner's rule
+    s <- 1 + s z prod_i (num_i + k) / ((c + k)(k + 1)), from k = n - 1 down
+    to 0, runs on an integer numerator and denominator.  A sum past the
+    float range is +-inf; a non-finite input has no exact value and raises.
     """
-    from fractions import Fraction  # rarely needed; it loads decimal too
-
-    aF, bF, cF, zF = Fraction(a), Fraction(b), Fraction(c), Fraction(z)
-    total = Fraction(1)
-    term = Fraction(1)
-    for k in range(n):
-        term *= (aF + k) * (bF + k) * zF
-        term /= (cF + k) * (k + 1)
-        total += term
-    return float(total)
-
-
-def _series_2f1(a, b, c, z, n=np.nan):
-    """The direct series of 2F1, to degree n where it terminates (n NaN
-    where it does not); where the alternating polynomial cancels more than
-    ~3 digits the element is redone in exact rational arithmetic."""
-    s, mag = _kahan_series((a, b), c, z, np.where(np.isnan(n), np.inf, n))
-    for i in np.nonzero((n >= 2) & (np.abs(s) < 1e-3 * mag))[0]:
-        s[i] = _terminating_2f1_exact(a[i], b[i], c[i], z[i], int(n[i]))
-    return s
+    if not all(np.isfinite(x).all() for x in (c, z, *num)):
+        raise DomainError("a terminating series needs finite parameters and z")
+    if np.any(n > _MAX_TERMS):
+        raise NonConvergenceError(
+            f"a terminating series of degree {int(np.max(n))} exceeds {_MAX_TERMS} terms")
+    out = np.empty(z.size)
+    cols = [map(float.as_integer_ratio, x.tolist()) for x in (c, z, *num)]
+    for i, ((pc, qc), (pz, qz), *ps) in enumerate(zip(*cols)):
+        top = bottom = 1
+        for k in range(int(n[i]) - 1, -1, -1):
+            up, down = pz * qc, qz * (pc + k * qc) * (k + 1)
+            for p, q in ps:
+                up, down = up * (p + k * q), down * q
+            top, bottom = bottom * down + top * up, bottom * down
+        try:
+            out[i] = top / bottom if top else 0.0  # int / int rounds correctly
+        except OverflowError:
+            out[i] = math.inf if (top > 0) == (bottom > 0) else -math.inf
+    return out
 
 
 def _reject_poles(n, c, name):
@@ -168,8 +164,8 @@ def _connection_2f1(a, b, c, z):
     m = c - a - b
     s1, L1 = _gamma_ratio_sign_log((c, m), (c - a, c - b))
     s2, L2 = _gamma_ratio_sign_log((c, -m), (a, b))
-    f1 = _series_2f1(a, b, 1.0 - m, w)
-    f2 = _series_2f1(c - a, c - b, 1.0 + m, w)
+    f1 = _kahan_series((a, b), 1.0 - m, w)
+    f2 = _kahan_series((c - a, c - b), 1.0 + m, w)
     ew = _safe_exp(L2 + m * np.log(w))
     with np.errstate(invalid="ignore"):
         t2 = np.where(np.isinf(ew), np.sign(s2 * f2) * np.inf, s2 * ew * f2)
@@ -202,14 +198,16 @@ def gauss_2f1(a, b, c, z):
     m = c - a - b
     # at an exact integer m the connection formula is undefined, and the
     # direct series still converges for |z| < 1
-    direct = poly | (np.abs(z) <= 0.5) | ((z > 0.5) & (m == np.round(m)))
+    series = ~poly & ((np.abs(z) <= 0.5) | ((z > 0.5) & (m == np.round(m))))
+    far = ~poly & ~series
     out = np.empty(z.shape)
     for mask, fn in (
-        (direct, lambda a, b, c, z: _series_2f1(a, b, c, z, n[direct])),
+        (poly, lambda a, b, c, z: _terminating_exact((a, b), c, z, n[poly])),
+        (series, lambda a, b, c, z: _kahan_series((a, b), c, z)),
         # Pfaff transform maps z in (-1, -1/2) to w in (1/3, 1/2)
-        (~direct & (z < -0.5), lambda a, b, c, z:
-         (1.0 - z) ** (-a) * _series_2f1(a, c - b, c, z / (z - 1.0))),
-        (~direct & (z > 0.5), _connection_2f1),
+        (far & (z < -0.5), lambda a, b, c, z:
+         (1.0 - z) ** (-a) * _kahan_series((a, c - b), c, z / (z - 1.0))),
+        (far & (z > 0.5), _connection_2f1),
     ):
         if mask.any():
             out[mask] = fn(a[mask], b[mask], c[mask], z[mask])
@@ -244,8 +242,9 @@ def _kummer_asym(a, c, z):
 def kummer_1f1(a, c, z):
     """Confluent hypergeometric 1F1(a; c; z) for real arguments.
 
-    a, c and z broadcast together; scalar inputs return a float.  Direct
-    compensated series for moderate z, Kummer reflection for z < 0.  For
+    a, c and z broadcast together; scalar inputs return a float.  A
+    polynomial (a = -n) is summed exactly; otherwise the direct compensated
+    series for moderate z, with Kummer reflection for z < 0.  For
     |z| > 500 the dominant asymptotic branch is used; there the magnitude
     saturates at the float range but signs and zero locations (a near -n)
     remain faithful, which is all the quantization root-finders require.
@@ -260,12 +259,12 @@ def kummer_1f1(a, c, z):
     flip = ~poly & (z < 0.0)
     shift = np.where(flip, z, 0.0)
     a, z = np.where(flip, c - a, a), np.where(flip, -z, z)
-    nterms = np.where(poly, n, np.inf)
-    series = poly | (z <= _KUMMER_ASYM_Z)
+    series = ~poly & (z <= _KUMMER_ASYM_Z)
     value, log = np.empty(z.shape), np.zeros(z.shape)
     for mask, fn in (
-        (series, lambda a, c, z: (_kahan_series((a,), c, z, nterms[series])[0], 0.0)),
-        (~series, _kummer_asym),
+        (poly, lambda a, c, z: (_terminating_exact((a,), c, z, n[poly]), 0.0)),
+        (series, lambda a, c, z: (_kahan_series((a,), c, z), 0.0)),
+        (~poly & ~series, _kummer_asym),
     ):
         if mask.any():
             value[mask], log[mask] = fn(a[mask], c[mask], z[mask])

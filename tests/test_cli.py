@@ -138,6 +138,31 @@ class TestSpectrum:
         out, err = capsys.readouterr()
         assert out == "" and err.startswith("config error:")
 
+    @pytest.mark.parametrize("block, key, value", [
+        ("solver", "scan_points", 150.9), ("solver", "max_levels", 3.5),
+        ("solver", "scan_points", True), ("potential", "alpha", True),
+        ("potential", "v1", "25"), ("dirac", "mass", "1.0"), ("solver", "tol_e", False)])
+    def test_mistyped_value_exits_2(self, tmp_path, capsys, block, key, value):
+        # a bool, a string or a fractional count is not cast to a number
+        config = {"potential": {"v1": 25.0, "v2": 10.0, "alpha": 1.0, "q": 2.0},
+                  "dirac": {"mass": 1.0}}
+        config.setdefault(block, {})[key] = value
+        path = tmp_path / "mistyped.json"
+        path.write_text(json.dumps(config))
+        assert main(["spectrum", "--config", str(path)]) == EXIT_CONFIG
+        out, err = capsys.readouterr()
+        assert out == "" and err.startswith("config error: field '%s'" % key)
+
+    def test_integral_float_count_is_accepted(self, tmp_path):
+        path = tmp_path / "counts.json"
+        path.write_text(json.dumps({
+            "potential": {"v1": 25, "v2": 10, "alpha": 1, "q": 2},
+            "dirac": {"mass": 1}, "solver": {"scan_points": 150.0, "max_levels": 8}}))
+        constants, params, config = cli.load_config(str(path))
+        assert params == PotentialParams(25.0, 10.0, 1.0, 2.0)
+        assert (config.scan_points, config.max_levels) == (150, 8)
+        assert type(config.scan_points) is int and type(params.v1) is float
+
     def test_left_out_fields_take_the_dataclass_defaults(self, tmp_path):
         path = tmp_path / "minimal.json"
         path.write_text(json.dumps({
@@ -315,22 +340,44 @@ def test_user_set_blas_threads_are_kept():
     assert _fresh_python(code, OPENBLAS_NUM_THREADS="2").strip() == "2"
 
 
-def test_spectrum_loads_neither_oracle_nor_wavefunctions(config_path, morse_config_path,
-                                                         tmp_path):
-    # nor numpy.ma (np.unique loads it) nor the fractions and decimal of
-    # the exact-rational rescue, on the q >= 1, 0 < q < 1 and Morse paths
+@pytest.fixture
+def regime_config_paths(config_path, morse_config_path, tmp_path):
+    """Configs on the q >= 1, 0 < q < 1 and Morse paths."""
     q_lt_1 = tmp_path / "q0.3.json"
     q_lt_1.write_text(json.dumps({
         "potential": {"v1": 25.0, "v2": 10.0, "alpha": 1.0, "q": 0.3},
         "dirac": {"mass": 1.0, "c_spin": 0.0},
     }))
+    return [config_path, str(q_lt_1), morse_config_path]
+
+
+def test_spectrum_loads_neither_oracle_nor_wavefunctions(regime_config_paths):
+    # nor numpy.ma (np.unique loads it) nor fractions and decimal
     code = ("import sys, qdeform.cli\n"
             "for path in sys.argv[1:]:\n"
             "    rc = qdeform.cli.main(['spectrum', '--config', path])\n"
             "    print('loaded', rc, [m for m in ('qdeform.oracle', 'qdeform.wavefunctions', "
             "'numpy.ma', 'fractions', 'decimal') if m in sys.modules])")
-    out = _fresh_python(code, config_path, str(q_lt_1), morse_config_path)
+    out = _fresh_python(code, *regime_config_paths)
     assert [line for line in out.splitlines() if line.startswith("loaded")] == ["loaded 0 []"] * 3
+
+
+@pytest.mark.parametrize("command", ["verify", "wavefunction --n-r 0",
+                                     "morse-limit --q-list 0.1,0.01"])
+def test_commands_never_sum_a_polynomial_exactly(regime_config_paths, command):
+    # every level is a zero of a non-terminating 2F1 or 1F1, or a(E) = -n_r
+    # solved without one, so the exact polynomial sum is never reached, and
+    # fractions and decimal stay unloaded
+    code = ("import sys, qdeform.cli, qdeform.special as special\n"
+            "calls, exact = [], special._terminating_exact\n"
+            "special._terminating_exact = lambda *args: calls.append(1) or exact(*args)\n"
+            "name, *opts = sys.argv[1].split()\n"
+            "for path in sys.argv[2:]:\n"
+            "    rc = qdeform.cli.main([name, '--config', path, *opts])\n"
+            "    print('loaded', rc, len(calls), "
+            "[m for m in ('fractions', 'decimal') if m in sys.modules])")
+    out = _fresh_python(code, command, *regime_config_paths)
+    assert [line for line in out.splitlines() if line.startswith("loaded")] == ["loaded 0 0 []"] * 3
 
 
 def test_library_leaves_the_garbage_collector_alone(config_path):

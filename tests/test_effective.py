@@ -20,7 +20,6 @@ from qdeform import (
     effective_strengths,
     shape_params,
 )
-from qdeform.effective import _abc
 
 DC = DiracConstants(m=1.0, c_spin=0.3)
 POT = PotentialParams(25.0, 10.0, 1.0, 2.0)
@@ -64,7 +63,7 @@ def effective_params(e, dc, p):
     """Bundle every derived quantity at one trial energy."""
     v1t, v2t = effective_strengths(e, dc, p)
     lam, eta = shape_params(e, dc, p)
-    a, b, c = _abc(lam, eta, v1t, v2t, p)
+    a, b, c = abc_params(e, dc, p)
     return EffectiveParams(
         e_tilde=effective_eigenvalue(e, dc),
         v1_tilde=v1t,

@@ -1,6 +1,7 @@
 """Hypergeometric kernels against extended-precision references."""
 
 import math
+from fractions import Fraction
 
 import mpmath
 import numpy as np
@@ -237,15 +238,15 @@ GAUSS_BRANCHES = [
     ((0.7, 1.3, 2.5), -0.8),    # Pfaff transform
     ((0.6, 0.9, 2.9), 0.85),    # 1-z connection formula
     ((0.3, 0.7, 2.0), 0.8),     # direct series, z > 1/2: c - a - b = 1
-    ((-3.0, 2.7, 1.4), 0.9),    # direct series, terminating
-    ((-8.0, 9.0, 1.5), 0.8),    # terminating, cancels: rational rescue
+    ((-3.0, 2.7, 1.4), 0.9),    # terminating: exact polynomial
+    ((-8.0, 9.0, 1.5), 0.8),    # terminating, cancels in floats
 ]
 KUMMER_BRANCHES = [
     ((0.7, 1.9), 12.0),         # direct series
     ((-1.3, 2.4), -35.0),       # direct series after Kummer reflection
     ((-3.7, 2.1), 900.0),       # asymptotic, z > 500
     ((2.2, 3.1), -700.0),       # asymptotic after Kummer reflection
-    ((-2.0, 1.5), 3.0),         # direct series, terminating
+    ((-2.0, 1.5), 3.0),         # terminating: exact polynomial
 ]
 
 
@@ -263,14 +264,59 @@ def _broadcast_cases(rows):
     }
 
 
+def exact_polynomial(num, c, z, n):
+    """The degree-n series with numerator parameters num, summed term by term
+    in Fractions and rounded once."""
+    total = term = Fraction(1)
+    for k in range(n):
+        for p in num:
+            term *= Fraction(p) + k
+        term *= Fraction(z) / ((Fraction(c) + k) * (k + 1))
+        total += term
+    return float(total)
+
+
+class TestTerminatingPolynomials:
+    def test_deep_kummer_polynomial_is_correctly_rounded(self):
+        # float(mpmath.hyp1f1(-50, 1, 1e4)) at 50 digits
+        assert kummer_1f1(-50.0, 1.0, 1e4) == 2.5574644497223042e+135
+
+    def test_every_polynomial_is_correctly_rounded(self):
+        rng = np.random.default_rng(43)
+        for _ in range(200):
+            n = int(rng.integers(0, 40))
+            b, c = rng.uniform(-30.0, 30.0), rng.uniform(0.1, 30.0)
+            z = rng.uniform(-2.0, 2.0) * 10.0 ** rng.uniform(-1.0, 3.0)
+            assert gauss_2f1(-n, b, c, z) == exact_polynomial((-n, b), c, z, n)
+            assert gauss_2f1(b, -n, c, z) == exact_polynomial((-n, b), c, z, n)
+            assert kummer_1f1(-n, c, z) == exact_polynomial((-n,), c, z, n)
+
+    @pytest.mark.parametrize("fn, args, expected", [
+        (gauss_2f1, (-300.0, 2.5, 1.5, 1e300), math.inf),
+        (gauss_2f1, (-3.0, 2.5, 1.5, 1e300), -math.inf),
+        (kummer_1f1, (-3.0, 1.5, 1e200), -math.inf),
+        (kummer_1f1, (-300.0, 1.5, -1e300), math.inf),
+    ])
+    def test_past_the_float_range_is_infinite(self, fn, args, expected):
+        # without a warning: the test configuration makes one an error
+        assert fn(*args) == expected
+
+    @pytest.mark.parametrize("z", [math.nan, math.inf])
+    def test_non_finite_z_raises(self, z):
+        with pytest.raises(DomainError):
+            gauss_2f1(-2.0, 1.5, 2.5, np.array([0.3, z]))
+        with pytest.raises(DomainError):
+            kummer_1f1(-2.0, 1.5, np.array([0.3, z]))
+
+
 class TestBroadcastKernels:
     @pytest.mark.parametrize("kind", ["array-z", "scalar-z", "outer"])
     @pytest.mark.parametrize("fn, rows", [(gauss_2f1, GAUSS_BRANCHES),
                                           (kummer_1f1, KUMMER_BRANCHES)],
                              ids=["gauss_2f1", "kummer_1f1"])
     def test_array_call_equals_scalar_calls(self, fn, rows, kind, monkeypatch):
-        calls = {"rescue": 0, "asymptotic": 0}
-        for key, name in (("rescue", "_terminating_2f1_exact"),
+        calls = {"exact": 0, "asymptotic": 0}
+        for key, name in (("exact", "_terminating_exact"),
                           ("asymptotic", "_kummer_asym")):
             orig = getattr(special, name)
 
@@ -286,9 +332,9 @@ class TestBroadcastKernels:
                          for el in zip(*(x.reshape(-1) for x in params))])
         assert got.shape == params[0].shape
         np.testing.assert_allclose(got.reshape(-1), want, rtol=1e-14, atol=0.0)
-        if kind != "scalar-z":
-            key = "rescue" if fn is gauss_2f1 else "asymptotic"
-            assert calls[key] > 0
+        assert calls["exact"] > 0
+        if kind != "scalar-z" and fn is kummer_1f1:
+            assert calls["asymptotic"] > 0
         assert isinstance(fn(*(float(x) for x in rows[0][0]), rows[0][1]), float)
 
 
