@@ -33,13 +33,15 @@ resolves the largest |Q| with a fixed number of points per wavelength.
 
 Search.  Each trial energy makes one sweep: outward from the left edge
 (v = 0) and inward from r_end (decaying start), both halves stopping at the
-outermost classically allowed grid point m.  Each half has a Pruefer phase
-theta = pi * nodes + (atan2(v_m, dv/dr) mod pi), the derivative taken as the
-difference over the step (m - 1, m) shared by both halves, divided by g'.  The matched
-phase Theta(E) = theta_out + theta_in is continuous and, apart from a dip
-between the window bottom and the first level, rises with E; level n_r is
-the root of Theta = (n_r + 1) pi, and at a root the two halves match for
-any choice of m.  Brent's method solves each level inside the tightest
+outermost classically allowed grid point m.  Each half runs Numerov on the
+ratio v_i / v_(i-1) (Johnson, J. Chem. Phys. 67, 4086 (1977)), which never
+overflows, and counts a node at each negative ratio.  Its Pruefer phase
+theta = pi * nodes + (atan2(v_m, dv/dr) mod pi) follows from the last ratio,
+dv/dr being the difference over the step (m - 1, m) the halves share.  The
+matched phase Theta(E) = theta_out + theta_in is continuous and, apart from
+a dip between the window bottom and the first level, rises with E; level
+n_r is the root of Theta = (n_r + 1) pi, and at a root the two halves match
+for any choice of m.  Brent's method solves each level inside the tightest
 bracket the energies already swept give, starting from the previous level
 and the top of the window.  The sweeps are sequential, so each level is a
 one-bracket call of the lockstep ``solvers._brentq``.
@@ -69,7 +71,6 @@ __all__ = [
     "ode_residual",
 ]
 
-_RENORM = 1e150
 _MAX_POINTS = 3_000_000
 _POINTS_PER_WAVELENGTH = 240.0
 _PROBE_POINTS = 1000
@@ -248,36 +249,30 @@ def build_grid(dc: DiracConstants, p: PotentialParams) -> RadialGrid:
     return RadialGrid(r, 1.0 / env, liouville, h)
 
 
-def _numerov(a_coef, b_coef, u2, u1):
-    """Run u_i = A_i u_{i-1} - B_i u_{i-2} from (u2, u1) = (u_0, u_1).
+def _numerov(a_coef, b_coef, r):
+    """Run R_i = A_i - B_i / R_(i-1), the ratio u_i / u_(i-1) of
+    u_i = A_i u_(i-1) - B_i u_(i-2), from R = u_1 / u_0.
 
-    Returns the last two values and the number of sign changes.  u is
-    renormalized whenever it exceeds 1e150, which changes no sign and no
-    ratio.
+    Returns the last ratio and the number of negative ratios, one per sign
+    change of u.  An exact zero u_(i-1) gives R_i = -inf, since
+    u_i = -B_i u_(i-2) has changed sign across it.
     """
     nodes = 0
     for a, b in zip(a_coef, b_coef):
-        u = a * u1 - b * u2
-        if u * u1 < 0.0:
+        try:
+            r = a - b / r
+        except ZeroDivisionError:
+            r = -math.inf
+        if r < 0.0:
             nodes += 1
-        if u > _RENORM or u < -_RENORM:
-            s = 1.0 / abs(u)
-            u *= s
-            u1 *= s
-        u2 = u1
-        u1 = u
-    return u2, u1, nodes
+    return r, nodes
 
 
-def _sweep(f, u0, u1):
-    """Numerov along f = 1 - h^2 Q/12 from (u_0, u_1); see ``_numerov``."""
+def _sweep(f, r):
+    """Numerov along f = 1 - h^2 Q/12 from the ratio r = u_1 / u_0; see ``_numerov``."""
     a_coef = (12.0 - 10.0 * f[1:-1]) / f[2:]
     b_coef = f[:-2] / f[2:]
-    return _numerov(memoryview(a_coef), memoryview(b_coef), u0, u1)
-
-
-def _phase(u, slope, nodes):
-    return math.pi * nodes + math.atan2(u, slope) % math.pi
+    return _numerov(memoryview(a_coef), memoryview(b_coef), r)
 
 
 def integrate_radial(e, dc: DiracConstants, p: PotentialParams,
@@ -287,8 +282,9 @@ def integrate_radial(e, dc: DiracConstants, p: PotentialParams,
     Theta = theta_out + theta_in is the matched Pruefer phase (level n_r
     sits at Theta = (n_r + 1) pi) and nodes = floor(Theta / pi), the zero
     count of the solution regular at the left edge, equal to the number of
-    levels below E.  Raises GridError where the step cannot resolve the
-    local scale (h^2 |Q|/12 >= 1), since sign changes there are spurious.
+    levels below E.  Each half is one ratio run of ``_numerov``; its phase
+    needs only the last ratio.  Raises GridError where the step cannot
+    resolve the local scale (h^2 |Q|/12 >= 1): sign changes there are spurious.
     """
     pot, jac2, liouville = sweep_terms(p, grid) if terms is None else terms
     q = (dc.m + e - dc.c_spin) * pot - effective_eigenvalue(e, dc) * jac2 + liouville
@@ -301,18 +297,19 @@ def integrate_radial(e, dc: DiracConstants, p: PotentialParams,
     m = int(allowed[-1]) if len(allowed) else int(np.argmin(q))
     m = min(max(m, 2), len(f) - 3)
 
-    # outward to m from u_0 = 0, u_1 = h; inward to m - 1 from a decaying start
-    u_prev, u_m, nodes_out = _sweep(f[:m + 1], 0.0, h)
-    w_m, w_prev, nodes_in = _sweep(f[m - 1:][::-1], 1.0,
-                                   math.exp(h * math.sqrt(max(q[-1], 0.0))))
-    if w_m * w_prev < 0.0:  # the step (m - 1, m) belongs to the outward half
+    # outward to m from u_0 = 0 (R = inf); inward to m - 1 from a decaying start
+    r_out, nodes_out = _sweep(f[:m + 1], math.inf)
+    r_in, nodes_in = _sweep(f[m - 1:][::-1], math.exp(h * math.sqrt(max(q[-1], 0.0))))
+    if r_in < 0.0:  # the step (m - 1, m) belongs to the outward half
         nodes_in -= 1
 
     # both phases take dv/dr = (dv/ds)/g': Theta(E) is then nearer linear,
-    # and Brent's method needs fewer sweeps, than with dv/ds
+    # and Brent's method needs fewer sweeps, than with dv/ds.  Up to a factor,
+    # inward (v_m, v_(m-1)) = (1, r_in), outward (v_(m-1), v_m) = (cos t, sin t)
     dr = h * math.sqrt(jac2[m])
-    theta = (_phase(u_m, (u_m - u_prev) / dr, nodes_out)
-             + _phase(w_m, (w_prev - w_m) / dr, nodes_in))
+    t = math.atan(r_out)  # finite at r_out = +-inf
+    theta = (math.pi * (nodes_out + nodes_in) + math.atan2(1.0, (r_in - 1.0) / dr) % math.pi
+             + math.atan2(math.sin(t), (math.sin(t) - math.cos(t)) / dr) % math.pi)
     return theta, int(theta // math.pi)
 
 

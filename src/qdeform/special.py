@@ -11,7 +11,9 @@ transform for z < -1/2, and the 1-z connection formula for the rest of
 z > 1/2.  The rest of 1F1 is mapped from z < 0 to -z by Kummer reflection,
 carrying e^z as a log shift, and has two rows: the series (z <= 500) and the
 large-z asymptotic branch.  The series are summed with compensated (Kahan)
-accumulation, each element until its own terms stop mattering.
+accumulation, each element until its own terms stop mattering; a sum that
+leaves the float range raises.  A value past the float range is +-inf,
+without a warning.
 """
 
 from __future__ import annotations
@@ -60,6 +62,7 @@ def _safe_exp(L):
         return np.exp(L)
 
 
+@np.errstate(over="ignore", invalid="ignore")  # a sum that overflows raises
 def _kahan_series(num, c, z):
     """Sum a non-terminating hypergeometric-type series by term recurrence.
 
@@ -68,7 +71,9 @@ def _kahan_series(num, c, z):
     once its term has been below 1e-16 of its running sum for 3 consecutive
     terms (a transformed series that happens to terminate stops on its zero
     terms).  Each element is summed as if alone, so an array call gives the
-    scalar calls' values.
+    scalar calls' values.  A running sum that leaves the float range (or
+    starts from a NaN parameter) raises NonConvergenceError within 32 terms,
+    and before its element stops.
     """
     cols = [z, c, *num]
     out = np.ones(z.size)
@@ -93,7 +98,11 @@ def _kahan_series(num, c, z):
         k += 1
         small = np.where(np.abs(term) <= 1e-16 * np.abs(s), small + 1, 0)
         done = small >= 3
-        if done.any():
+        stop = done.any()
+        if (stop or k % 32 == 0) and not np.isfinite(s).all():
+            raise NonConvergenceError(
+                f"hypergeometric series sum is not finite after {k} terms")
+        if stop:
             out[live[done]] = s[done]
             keep = ~done
             live, term, s, comp, small = (x[keep] for x in (live, term, s, comp, small))
@@ -167,7 +176,7 @@ def _connection_2f1(a, b, c, z):
     f1 = _kahan_series((a, b), 1.0 - m, w)
     f2 = _kahan_series((c - a, c - b), 1.0 + m, w)
     ew = _safe_exp(L2 + m * np.log(w))
-    with np.errstate(invalid="ignore"):
+    with np.errstate(invalid="ignore", over="ignore"):
         t2 = np.where(np.isinf(ew), np.sign(s2 * f2) * np.inf, s2 * ew * f2)
     return s1 * _safe_exp(L1) * f1 + t2
 
@@ -268,7 +277,8 @@ def kummer_1f1(a, c, z):
     ):
         if mask.any():
             value[mask], log[mask] = fn(a[mask], c[mask], z[mask])
-    return _result(value * _safe_exp(log + shift), shape)
+    with np.errstate(over="ignore"):
+        return _result(value * _safe_exp(log + shift), shape)
 
 
 def jacobi_p(n: int, alpha: float, beta: float, x):

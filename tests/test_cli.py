@@ -90,6 +90,26 @@ class TestSpectrum:
         assert "discriminant" in err
         assert "no bound states" not in err
 
+    @pytest.mark.parametrize("well", [
+        (670.164, 243.099, 0.1704, 0.6470, 1.0, 0.0),
+        (741.397, 527.365, 0.1474, 0.3143, 2.5, 1.3),
+        (587.451, 294.494, 0.1070, 0.0, 1.0, 0.3116),  # Morse, asymptotic branch
+        (946.852, 177.943, 0.18416, 1.12e-8, 2.5, 0.0),  # the 2F1 series overflows
+    ])
+    def test_kernel_overflow_is_only_the_solver_error(self, tmp_path, capsys, well):
+        # the kernels overflow on these valid wells: the CLI prints the
+        # solver error and no RuntimeWarning (the test configuration turns
+        # one into an exception)
+        v1, v2, alpha, q, mass, c_spin = well
+        path = tmp_path / "overflow.json"
+        path.write_text(json.dumps({
+            "potential": {"v1": v1, "v2": v2, "alpha": alpha, "q": q},
+            "dirac": {"mass": mass, "c_spin": c_spin},
+        }))
+        assert main(["spectrum", "--config", str(path)]) == EXIT_SOLVER
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("solver error: ")
+
     def test_missing_field_exits_2(self, tmp_path, capsys):
         path = tmp_path / "bad.json"
         path.write_text(json.dumps({

@@ -1,5 +1,7 @@
 """Shooting-method oracle: grid construction and eigenvalue agreement."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -115,6 +117,34 @@ class TestRadialGrid:
         monkeypatch.setattr(oracle, "_MAX_POINTS", build_grid(DC, p).n_points - 1)
         with pytest.raises(GridError, match="grid points"):
             build_grid(DC, p)
+
+
+class TestNumerov:
+    def test_exact_zero_counts_its_sign_change(self):
+        # u = 1, 1, 0, -1: the zero makes the next ratio -inf, one node
+        r, nodes = oracle._numerov([1.0, 1.0], [1.0, 1.0], 1.0)
+        assert (r, nodes) == (-math.inf, 1)
+
+    def test_growth_past_the_float_range(self):
+        # u grows like 1e3^200 = 1e600; its ratio stays finite
+        r, nodes = oracle._numerov([1e3] * 200, [1.0] * 200, math.inf)
+        assert r == pytest.approx(1e3 - 1e-3)
+        assert nodes == 0
+
+    @pytest.mark.parametrize("last, near", [(0.0, 1e-300), (math.inf, 1e300),
+                                            (-math.inf, -1e300)])
+    def test_phase_is_finite_at_extreme_ratios(self, monkeypatch, last, near):
+        # a last ratio of 0 or +-inf puts an exact zero of v at m or m - 1:
+        # Theta stays finite there and continuous in the ratio
+        p = PotentialParams(25.0, 10.0, 1.0, 0.3)
+        g = build_grid(DC, p)
+
+        def theta(r):
+            monkeypatch.setattr(oracle, "_numerov", lambda a, b, r0: (r, 1))
+            return integrate_radial(0.5, DC, p, g)[0]
+
+        assert math.isfinite(theta(last))
+        assert theta(last) == pytest.approx(theta(near), abs=1e-12)
 
 
 class TestShooting:

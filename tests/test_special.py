@@ -13,6 +13,7 @@ from scipy.special import gammaln, gammasgn
 from qdeform import (
     DiracConstants,
     DomainError,
+    NonConvergenceError,
     PotentialParams,
     abc_params,
     bound_window,
@@ -307,6 +308,20 @@ class TestTerminatingPolynomials:
             gauss_2f1(-2.0, 1.5, 2.5, np.array([0.3, z]))
         with pytest.raises(DomainError):
             kummer_1f1(-2.0, 1.5, np.array([0.3, z]))
+
+
+class TestNonFiniteSeries:
+    @pytest.mark.parametrize("fn, args", [
+        (gauss_2f1, (300.5, 300.5, 1.5, 0.49)),  # the sum overflows
+        (kummer_1f1, (1000.5, 1.5, 400.0)),
+        (gauss_2f1, (math.nan, 1.5, 2.5, 0.3)),
+    ])
+    def test_raises_within_a_few_dozen_terms(self, fn, args):
+        # quietly (the test configuration makes a RuntimeWarning an error),
+        # and long before the 100,000-term budget runs out
+        with pytest.raises(NonConvergenceError, match="not finite") as info:
+            fn(*args)
+        assert int(str(info.value).split()[-2]) <= 1000
 
 
 class TestBroadcastKernels:
