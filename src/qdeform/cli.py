@@ -269,6 +269,17 @@ def _check_against_oracle(constants, params, config, levels):
     return e_oracle, worst, failure
 
 
+def _note_count(levels, config, failure):
+    """Say on stderr when the spectrum is empty (and no check failed) or
+    stops at the max_levels cap."""
+    if not levels and not failure:
+        print("note: no bound states for these parameters", file=sys.stderr)
+    elif len(levels) == config.max_levels:
+        print("note: the spectrum stops at max_levels = %d; levels past n_r = %d, "
+              "if any, are not listed" % (config.max_levels, config.max_levels - 1),
+              file=sys.stderr)
+
+
 def cmd_spectrum(args):
     constants, params, config = load_config(args.config)
     levels = spectrum(constants, params, config)
@@ -290,8 +301,7 @@ def cmd_spectrum(args):
                 row.append(float("nan"))
             rows.append(row)
 
-    if not levels and not failure:
-        print("note: no bound states for these parameters", file=sys.stderr)
+    _note_count(levels, config, failure)
     _write_table(columns, rows, args.out, args.format)
     if failure:
         print(failure, file=sys.stderr)
@@ -361,8 +371,7 @@ def cmd_verify(args):
     constants, params, config = load_config(args.config)
     levels = spectrum(constants, params, config)
     e_oracle, worst, failure = _check_against_oracle(constants, params, config, levels)
-    if not levels and not failure:
-        print("note: no bound states for these parameters", file=sys.stderr)
+    _note_count(levels, config, failure)
     rows = [[lv.n_r, lv.energy, e, abs(lv.energy - e)] for lv, e in zip(levels, e_oracle)]
     _write_table(["n_r", "E_analytic", "E_oracle", "abs_diff"], rows, args.out, args.format)
     if failure:

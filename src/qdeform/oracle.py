@@ -41,10 +41,10 @@ dv/dr being the difference over the step (m - 1, m) the halves share.  The
 matched phase Theta(E) = theta_out + theta_in is continuous and, apart from
 a dip between the window bottom and the first level, rises with E; level
 n_r is the root of Theta = (n_r + 1) pi, and at a root the two halves match
-for any choice of m.  Brent's method solves each level inside the tightest
-bracket the energies already swept give, starting from the previous level
-and the top of the window.  The sweeps are sequential, so each level is a
-one-bracket call of the lockstep ``solvers._brentq``.
+for any choice of m.  Chandrupatla's method solves each level inside the
+tightest bracket the energies already swept give, starting from the
+previous level and the top of the window.  The sweeps are sequential, so
+each level is a one-bracket call of the lockstep ``solvers._chandrupatla``.
 
 The module takes only the potential and the effective eigenvalue, no
 closed-form spectrum, so it serves as the ground truth the analytic solvers
@@ -61,7 +61,7 @@ import numpy as np
 from .deformed import PotentialParams, potential_value, singularity_radius
 from .effective import DiracConstants, bound_window, effective_eigenvalue
 from .errors import GridError
-from .solvers import METHOD_ORACLE, EnergyLevel, _brentq
+from .solvers import METHOD_ORACLE, EnergyLevel, _chandrupatla
 
 __all__ = [
     "RadialGrid",
@@ -304,7 +304,7 @@ def integrate_radial(e, dc: DiracConstants, p: PotentialParams,
         nodes_in -= 1
 
     # both phases take dv/dr = (dv/ds)/g': Theta(E) is then nearer linear,
-    # and Brent's method needs fewer sweeps, than with dv/ds.  Up to a factor,
+    # and its root needs fewer sweeps, than with dv/ds.  Up to a factor,
     # inward (v_m, v_(m-1)) = (1, r_in), outward (v_(m-1), v_m) = (cos t, sin t)
     dr = h * math.sqrt(jac2[m])
     t = math.atan(r_out)  # finite at r_out = +-inf
@@ -318,9 +318,9 @@ def shoot_eigenvalues(dc: DiracConstants, p: PotentialParams, n_max: int = 64,
     """All bound levels up to n_max: roots of Theta(E) = (n_r + 1) pi.
 
     The phase at the top of the window counts the levels.  Each level is
-    solved by Brent's method to the absolute energy tolerance ``tol``
-    inside the tightest bracket of the energies already swept; every sweep
-    is remembered.  Raises NonConvergenceError if Brent's method fails.
+    solved by Chandrupatla's method to the absolute energy tolerance
+    ``tol`` inside the tightest bracket of the energies already swept; every
+    sweep is remembered.  Raises NonConvergenceError if that fails.
     """
     grid = build_grid(dc, p)
     terms = sweep_terms(p, grid)
@@ -339,7 +339,7 @@ def shoot_eigenvalues(dc: DiracConstants, p: PotentialParams, n_max: int = 64,
         target = n + 1
         a = max((e for e, t in swept.items() if t < target), default=bottom)
         b = min(e for e, t in swept.items() if e > a and t >= target)
-        e_n = _brentq(lambda e: [turns(x) - target for x in e.tolist()], a, b, tol)
+        e_n = _chandrupatla(lambda e: [turns(x) - target for x in e.tolist()], a, b, tol)
         levels.append(EnergyLevel(
             n_r=n, energy=e_n, e_tilde=effective_eigenvalue(e_n, dc),
             method=METHOD_ORACLE,

@@ -19,13 +19,13 @@ deep-well asymptotic Morse levels.
 
 Each condition is one function of E on the bound window, evaluated over
 the whole scan grid in one array call.  Its brackets are refined in
-lockstep by Brent's method (``_brentq``), one array call per step, which
-keeps its bracket where the hypergeometric functions oscillate violently
-near the window edge.  ``spectrum`` refines each cell of the scan that
-changes sign or ends on an exact zero, one root per cell (``_roots``);
-``closed_form_spectrum`` refines, for every n at once, the cell where the
-running minimum of a(E) first reaches -n.  A refinement that fails, or
-meets a NaN or infinite value, raises.
+lockstep by Chandrupatla's method (``_chandrupatla``), one array call per
+step, which keeps its bracket where the hypergeometric functions
+oscillate violently near the window edge.  ``spectrum`` refines each cell
+of the scan that changes sign or ends on an exact zero, one root per cell
+(``_roots``); ``closed_form_spectrum`` refines, for every n at once, the
+cell where the running minimum of a(E) first reaches -n.  A refinement
+that fails, or meets a NaN or infinite value, raises.
 """
 
 from __future__ import annotations
@@ -125,25 +125,27 @@ def _brackets(v):
     return np.flatnonzero((lo != 0.0) & (lo * hi <= 0.0))
 
 
-_BRENT_RTOL = 4.0 * sys.float_info.epsilon
-_BRENT_MAXITER = 100
+_RTOL = 4.0 * sys.float_info.epsilon
+_MAXITER = 100
 
 
-def _brentq(f, xa, xb, xtol, *per_bracket, fa=None, fb=None):
-    """Roots of f in the brackets [xa, xb] by Brent's method (Brent 1973, ch. 4).
+def _chandrupatla(f, xa, xb, xtol, *per_bracket, fa=None, fb=None):
+    """Roots of f in the brackets [xa, xb] by Chandrupatla's method
+    (Adv. Eng. Softw. 28, 145 (1997)).
 
     ``xa``, ``xb``, ``xtol`` and the ``per_bracket`` arrays broadcast
     together, one element per bracket, and all brackets are refined in
     lockstep: each step makes one call f(x, *per_bracket) on the float64
     array of the brackets still live and drops those that have converged.
     ``fa`` and ``fb``, given together, hold f at the ends.  Element by
-    element this is the algorithm of scipy's ``brentq`` with its default
-    rtol = 4 eps and 100 iterations, so each bracket makes the same
-    evaluations and returns the same root.  A bracket stops once it is
-    narrower than 2 delta, delta = (xtol + rtol |x|)/2, or f(x) = 0.
-    Scalar inputs return a float.  Raises NonConvergenceError, naming the
-    bracket, when f has the same sign at both ends, when f is NaN or
-    infinite, and after 100 steps without convergence.
+    element this is the algorithm of scipy's ``elementwise.find_root`` with
+    xatol = xtol, xrtol = 4 eps, fatol = frtol = 0 and 100 iterations, so
+    each bracket makes the same evaluations and returns the same root.  A
+    bracket stops at the end xm with the smaller |f| once f(xm) = 0 or the
+    bracket is narrower than xtol + 4 eps |xm|.  Scalar inputs return a
+    float.  Raises NonConvergenceError, naming the bracket, when f has the
+    same sign at both ends, when f is NaN or infinite, and after 100 steps
+    without convergence.
     """
     xa, xb, xtol, *args = np.broadcast_arrays(xa, xb, xtol, *per_bracket)
     shape = xa.shape
@@ -163,70 +165,64 @@ def _brentq(f, xa, xb, xtol, *per_bracket, fa=None, fb=None):
     def call(idx, x):
         return finite(idx, x, f(x, *(a[idx] for a in args)))
 
-    every = np.arange(xa.size)
-    idx, x = np.concatenate([every, every]), np.concatenate([xa, xb])
+    live = np.arange(xa.size)
+    idx, x = np.concatenate([live, live]), np.concatenate([xa, xb])
     if fa is None or fb is None:
         ends = call(idx, x)
     else:
         ends = finite(idx, x, np.concatenate([np.broadcast_to(fa, shape).ravel(),
                                               np.broadcast_to(fb, shape).ravel()]))
-    fpre, fcur = ends[:xa.size], ends[xa.size:]
-    roots = np.where(fpre == 0.0, xa, xb)
-    same = (fpre != 0.0) & (fcur != 0.0) & ((fpre < 0.0) == (fcur < 0.0))
+    f1, f2 = ends[:xa.size], ends[xa.size:]
+    same = (f1 != 0.0) & (f2 != 0.0) & ((f1 < 0.0) == (f2 < 0.0))
     if same.any():
         k = np.flatnonzero(same)[0]
         raise NonConvergenceError(f"f has the same sign at both ends of [{xa[k]}, {xb[k]}]")
 
-    live = np.flatnonzero((fpre != 0.0) & (fcur != 0.0))
-    xpre, xcur, fpre, fcur, xtol = xa[live], xb[live], fpre[live], fcur[live], xtol[live]
-    xblk = fblk = spre = scur = np.zeros(len(live))
-    for _ in range(_BRENT_MAXITER):
-        flip = (fpre < 0.0) != (fcur < 0.0)
-        xblk, fblk, spre, scur = np.where(flip, [xpre, fpre, xcur - xpre, xcur - xpre],
-                                          [xblk, fblk, spre, scur])
-        swap = np.abs(fblk) < np.abs(fcur)
-        xpre, xcur, xblk, fpre, fcur, fblk = np.where(
-            swap, [xcur, xblk, xcur, fcur, fblk, fcur], [xpre, xcur, xblk, fpre, fcur, fblk])
-
-        delta = (xtol + _BRENT_RTOL * np.abs(xcur)) / 2.0
-        sbis = (xblk - xcur) / 2.0
-        done = (fcur == 0.0) | (np.abs(sbis) < delta)
+    # x1 is the newest point, x2 the other end of the bracket and x3 the end
+    # dropped last; with x3 unknown (NaN) the first step bisects
+    x1, x2 = xa, xb
+    x3 = f3 = np.full(xa.size, np.nan)
+    roots = np.empty(xa.size)
+    for step in range(_MAXITER + 1):
+        xm, fm = np.where(np.abs(f1) < np.abs(f2), [x1, f1], [x2, f2])
+        dx, tol = np.abs(x2 - x1), np.abs(xm) * _RTOL + xtol
+        done = (fm == 0.0) | (dx < tol)
         if done.any():
-            roots[live[done]] = xcur[done]
+            roots[live[done]] = xm[done]
             keep = ~done
-            live, xpre, xcur, xblk, fpre, fcur, fblk, spre, scur, sbis, delta, xtol = (
-                a[keep] for a in (live, xpre, xcur, xblk, fpre, fcur, fblk,
-                                  spre, scur, sbis, delta, xtol))
-        if not len(live):
+            live, x1, x2, x3, f1, f2, f3, dx, tol, xtol = (
+                a[keep] for a in (live, x1, x2, x3, f1, f2, f3, dx, tol, xtol))
+        if not len(live) or step == _MAXITER:
             break
 
-        # every element gets both interpolation steps; where one divides by
-        # zero or overflows, np.where takes bisection or the other step
+        # inverse quadratic interpolation through the three points where
+        # it is monotone in the bracket, bisection elsewhere; every element
+        # computes both, and np.where drops what divided by zero or overflowed
         with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-            secant = -fcur * (xcur - xpre) / (fcur - fpre)
-            dpre = (fpre - fcur) / (xpre - xcur)
-            dblk = (fblk - fcur) / (xblk - xcur)
-            quadratic = -fcur * (fblk * dblk - fpre * dpre) / (dblk * dpre * (fblk - fpre))
-            stry = np.where(xpre == xblk, secant, quadratic)
-            good = ((np.abs(spre) > delta) & (np.abs(fcur) < np.abs(fpre))
-                    & (2.0 * np.abs(stry)
-                       < np.minimum(np.abs(spre), 3.0 * np.abs(sbis) - delta)))
-        spre, scur = np.where(good, scur, sbis), np.where(good, stry, sbis)
-
-        xpre, fpre = xcur, fcur
-        xcur = np.where(np.abs(scur) > delta, xcur + scur,
-                        xcur + np.where(sbis > 0.0, delta, -delta))
-        fcur = call(live, xcur)
+            xi, phi = (x1 - x2) / (x3 - x2), (f1 - f2) / (f3 - f2)
+            alpha = (x3 - x1) / (x2 - x1)
+            t = np.where((1.0 - np.sqrt(1.0 - xi) < phi) & (phi < np.sqrt(xi)),
+                         f1 / (f1 - f2) * f3 / (f3 - f2)
+                         - alpha * f1 / (f3 - f1) * f2 / (f2 - f3), 0.5)
+        tl = 0.5 * tol / dx
+        x = x1 + np.clip(t, tl, 1.0 - tl) * (x2 - x1)
+        fx = call(live, x)
+        # x is the newest point; of x1 and x2, the end where f has the
+        # sign of f(x) is dropped
+        drop1 = np.sign(fx) == np.sign(f1)
+        x3, f3 = np.where(drop1, [x1, f1], [x2, f2])
+        x2, f2 = np.where(drop1, [x2, f2], [x1, f1])
+        x1, f1 = x, fx
     if len(live):
         k = live[0]
-        raise NonConvergenceError(f"Brent's method did not converge in {_BRENT_MAXITER} "
+        raise NonConvergenceError(f"Chandrupatla's method did not converge in {_MAXITER} "
                                   f"steps in [{xa[k]}, {xb[k]}]")
     return float(roots[0]) if shape == () else roots.reshape(shape)
 
 
 def _roots(f, grid, vals, tol):
     """The roots of f on a scan grid, ascending: one in each cell of
-    ``_brackets``, refined by Brent's method in lockstep.
+    ``_brackets``, refined by Chandrupatla's method in lockstep.
 
     ``vals`` holds f(grid).  When two adjacent cells both hold a root,
     9 evenly spaced points go into each, in one more array call of f, and
@@ -244,7 +240,7 @@ def _roots(f, grid, vals, tol):
         grid = np.insert(grid, at, sub)
         vals = np.insert(vals, at, np.asarray(f(sub), dtype=float))
     cells = _brackets(vals)
-    return _brentq(f, grid[cells], grid[cells + 1], tol,
+    return _chandrupatla(f, grid[cells], grid[cells + 1], tol,
                    fa=vals[cells], fb=vals[cells + 1]).tolist()
 
 
@@ -334,6 +330,6 @@ def closed_form_spectrum(dc: DiracConstants, p: PotentialParams,
     k = np.searchsorted(-np.fmin.accumulate(a_grid), np.arange(cfg.max_levels))
     k = k[k < len(grid)]
     ns = np.arange(len(k))
-    roots = _brentq(lambda e, n: a(e) + n, grid[k - 1], grid[k], cfg.tol_e * dc.m, ns,
+    roots = _chandrupatla(lambda e, n: a(e) + n, grid[k - 1], grid[k], cfg.tol_e * dc.m, ns,
                     fa=a_grid[k - 1] + ns, fb=a_grid[k] + ns)
     return [_level(n, e, dc, method) for n, e in enumerate(roots.tolist())]

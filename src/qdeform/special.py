@@ -175,9 +175,8 @@ def _connection_2f1(a, b, c, z):
     s2, L2 = _gamma_ratio_sign_log((c, -m), (a, b))
     f1 = _kahan_series((a, b), 1.0 - m, w)
     f2 = _kahan_series((c - a, c - b), 1.0 + m, w)
-    ew = _safe_exp(L2 + m * np.log(w))
     with np.errstate(invalid="ignore", over="ignore"):
-        t2 = np.where(np.isinf(ew), np.sign(s2 * f2) * np.inf, s2 * ew * f2)
+        t2 = s2 * _safe_exp(L2 + m * np.log(w)) * f2
     return s1 * _safe_exp(L1) * f1 + t2
 
 

@@ -571,6 +571,29 @@ class TestVerify:
         if command == ["verify"]:
             assert "verify: OK" in captured.err
 
+    @pytest.mark.parametrize("command", [["spectrum"], ["spectrum", "--verify"], ["verify"]])
+    @pytest.mark.parametrize("max_levels, n_rows", [(64, 64), (128, 91)])
+    def test_max_levels_cap_is_noted(self, command, max_levels, n_rows, tmp_path, capsys,
+                                     monkeypatch):
+        # a deep well of 91 levels: at the default cap the list stops at
+        # n_r = 63 and says so; the note changes no exit code
+        path = tmp_path / "deep.json"
+        path.write_text(json.dumps({
+            "potential": {"v1": 741.397, "v2": 527.365, "alpha": 0.1474, "q": 0.3143},
+            "dirac": {"mass": 1.0, "c_spin": 0.1688},
+            "solver": {"max_levels": max_levels},
+        }))
+        # the analytic levels stand in for the oracle's, which take seconds here
+        monkeypatch.setattr(oracle, "shoot_eigenvalues", lambda dc, p, n_max, tol:
+                            spectrum(dc, p, SolverConfig(max_levels=n_max)))
+        assert main(command + ["--config", str(path)]) == EXIT_OK
+        captured = capsys.readouterr()
+        assert len(captured.out.splitlines()) == n_rows + 1
+        note = ("note: the spectrum stops at max_levels = 64; levels past n_r = 63, "
+                "if any, are not listed\n")
+        assert (note in captured.err) == (max_levels == 64)
+        assert "FAIL" not in captured.err
+
     @pytest.mark.parametrize("command", [["verify"], ["spectrum", "--verify"]])
     def test_residual_above_tolerance_fails(self, command, config_path, capsys, monkeypatch):
         # every analytic level 1e-5 off: both commands give one verdict

@@ -5,7 +5,7 @@ import warnings
 
 import numpy as np
 import pytest
-from scipy.optimize import brentq
+from scipy.optimize import elementwise
 
 from qdeform import (
     METHOD_MORSE_ASYMPTOTIC,
@@ -30,7 +30,7 @@ from qdeform import (
     spectrum,
 )
 import qdeform.solvers as solvers
-from qdeform.solvers import _brackets, _brentq, _morse_shape, _roots, _scan_window
+from qdeform.solvers import _brackets, _chandrupatla, _morse_shape, _roots, _scan_window
 
 DC = DiracConstants(m=1.0, c_spin=0.0)
 
@@ -297,8 +297,22 @@ def _with_good_brackets(f_bad, lo, hi, xtol):
     def f(x, bad):
         return np.where(bad, f_bad(x), x - 0.3)
 
-    return _brentq(f, [0.0, -2.0, lo, 0.25], [1.0, 0.5, hi, 3.0],
-                   [1e-12, 1e-12, xtol, 1e-12], [False, False, True, False])
+    return _chandrupatla(f, [0.0, -2.0, lo, 0.25], [1.0, 0.5, hi, 3.0],
+                         [1e-12, 1e-12, xtol, 1e-12], [False, False, True, False])
+
+
+def _find_root(g, lo, hi, xtol):
+    """scipy's ``elementwise.find_root`` on the scalar function g, with the
+    tolerances of ``_chandrupatla``: its result and the points it evaluated."""
+    seen = []
+
+    def f(x):
+        seen.extend(np.ravel(x).tolist())
+        return np.reshape([g(x_k) for x_k in np.ravel(x).tolist()], np.shape(x))
+
+    res = elementwise.find_root(f, (lo, hi), maxiter=100, tolerances=dict(
+        xatol=xtol, xrtol=4.0 * np.finfo(float).eps, fatol=0.0, frtol=0.0))
+    return res, seen
 
 
 class TestBrent:
@@ -314,11 +328,12 @@ class TestBrent:
                 out.append(cases[k][0](x_k))
             return out
 
-        roots = _brentq(f, [c[1] for c in cases], [c[2] for c in cases],
-                        [c[3] for c in cases], np.arange(len(cases)))
+        roots = _chandrupatla(f, [c[1] for c in cases], [c[2] for c in cases],
+                              [c[3] for c in cases], np.arange(len(cases)))
         for k, (g, lo, hi, xtol) in enumerate(cases):
-            theirs = []
-            assert roots[k] == brentq(lambda x: theirs.append(x) or g(x), lo, hi, xtol=xtol)
+            res, theirs = _find_root(g, lo, hi, xtol)
+            assert res.status == 0
+            assert roots[k] == res.x
             assert ours[k] == theirs
 
     @pytest.mark.parametrize("q", [0.0, 0.3])
@@ -330,19 +345,19 @@ class TestBrent:
         cells = _brackets(f(grid))
         lo, hi = grid[cells], grid[cells + 1]
         assert len(cells) >= 35
-        lockstep = _brentq(f, lo, hi, 1e-10)
-        assert lockstep.tolist() == [_brentq(f, a, b, 1e-10) for a, b in zip(lo, hi)]
+        lockstep = _chandrupatla(f, lo, hi, 1e-10)
+        assert lockstep.tolist() == [_chandrupatla(f, a, b, 1e-10) for a, b in zip(lo, hi)]
 
     def test_no_sign_change_raises(self):
         with pytest.raises(NonConvergenceError, match=r"same sign.*\[-1\.0, 2\.0\]"):
             _with_good_brackets(lambda x: x * x + 1.0, -1.0, 2.0, 1e-12)
 
     def test_iteration_limit_raises(self):
-        # a root at 0 with the smallest subnormal as xtol: the steps halve
-        # the bracket, and 100 halvings do not reach the tolerance
+        # a root at 0 with the smallest subnormal as xtol: 100 steps do not
+        # narrow the bracket to the tolerance
         f = lambda x: math.copysign(abs(x) ** 0.1, x)  # noqa: E731
-        info = brentq(f, -1.0, 2.0, xtol=5e-324, full_output=True, disp=False)[1]
-        assert not info.converged and info.iterations == 100
+        res, seen = _find_root(f, -1.0, 2.0, 5e-324)
+        assert res.status == -2 and res.nit == 100 and len(seen) == 102
         with pytest.raises(NonConvergenceError,
                            match=r"did not converge in 100 steps in \[-1\.0, 2\.0\]"):
             _with_good_brackets(lambda x: np.copysign(np.abs(x) ** 0.1, x), -1.0, 2.0, 5e-324)
@@ -350,7 +365,6 @@ class TestBrent:
     @pytest.mark.parametrize("bad, fragment", [
         (math.nan, "NaN"), (math.inf, "inf"), (-math.inf, "-inf")])
     def test_non_finite_value_raises(self, bad, fragment):
-        # the first step from [-1, 2] is the secant step to 0.7
         with pytest.raises(NonConvergenceError,
                            match=rf"f is {fragment} at x = .* in the bracket \[-1\.0, 2\.0\]"):
             _with_good_brackets(lambda x: np.where(abs(x - 0.7) < 0.1, bad, x - 0.7),
@@ -358,25 +372,27 @@ class TestBrent:
 
     def test_nan_raises(self):
         with pytest.raises(NonConvergenceError, match="NaN"):
-            _brentq(lambda x: np.where(x > 0.5, math.nan, x - 0.7), 0.0, 1.0, 1e-12)
+            _chandrupatla(lambda x: np.where(x > 0.5, math.nan, x - 0.7), 0.0, 1.0, 1e-12)
 
     def test_exact_zero_at_an_end(self):
-        assert _brentq(lambda x: x - 1.0, 1.0, 3.0, 1e-12) == 1.0
-        assert _brentq(lambda x: x - 3.0, 1.0, 3.0, 1e-12) == 3.0
-        assert _brentq(lambda x: x - 1.0, [1.0, 0.0], [3.0, 1.0], 1e-12).tolist() == [1.0, 1.0]
+        assert _chandrupatla(lambda x: x - 1.0, 1.0, 3.0, 1e-12) == 1.0
+        assert _chandrupatla(lambda x: x - 3.0, 1.0, 3.0, 1e-12) == 3.0
+        assert (_chandrupatla(lambda x: x - 1.0, [1.0, 0.0], [3.0, 1.0], 1e-12).tolist()
+                == [1.0, 1.0])
 
     def test_steps_raise_no_floating_point_warnings(self):
-        # the interpolation steps overflow here: every element computes
-        # both of them, and none of that may warn
+        # a step of +-1e308: the interpolation overflows (f1 - f2), divides
+        # by zero (f3 = f1) and makes NaN, every element computes it, and
+        # none of that may warn
         seen = []
 
         def f(x):
             seen.append(x)
-            return 1e250 * np.sinh(40.0 * (x - 0.3))
+            return np.where(x < 0.3, -1e308, 1e308)
 
         with warnings.catch_warnings():
             warnings.simplefilter("error", RuntimeWarning)
-            root = _brentq(f, [0.0, 0.1], [1.0, 0.9], 1e-12)
+            root = _chandrupatla(f, [0.0, 0.1], [1.0, 0.9], 1e-12)
         assert root == pytest.approx([0.3, 0.3], abs=1e-12)
         assert len(seen) > 3
         assert all(type(x) is np.ndarray and x.dtype == np.float64 for x in seen)
@@ -390,19 +406,20 @@ class TestLockstepBudget:
         ((400.0, 300.0, 0.3, 0.0), 35), ((400.0, 300.0, 0.3, 0.3), 36), (ITEM_1_WELL, 42)])
     def test_kernel_calls_per_spectrum(self, well, n_levels, monkeypatch):
         # a count, not a timing: refining one bracket at a time made 256,
-        # 233 and 464 kernel calls on these wells
+        # 233 and 464 kernel calls on these wells, and lockstep Brent 18, 7
+        # and 19
         calls = []
         for name in ("gauss_2f1", "kummer_1f1"):
             real = getattr(solvers, name)
             monkeypatch.setattr(solvers, name,
                                 lambda *args, real=real: calls.append(1) or real(*args))
         assert len(spectrum(DC, PotentialParams(*well))) == n_levels
-        assert len(calls) <= 25
+        assert len(calls) <= 10
 
     def test_one_refinement_call_for_all_crossings(self, monkeypatch):
         calls = []
-        real = solvers._brentq
-        monkeypatch.setattr(solvers, "_brentq",
+        real = solvers._chandrupatla
+        monkeypatch.setattr(solvers, "_chandrupatla",
                             lambda *args, **kwargs: calls.append(1) or real(*args, **kwargs))
         assert len(spectrum(DC, PotentialParams(25.0, 18.0, 0.5, 1.0))) == 6
         assert len(calls) == 1
@@ -472,7 +489,8 @@ class TestClosedFormBrackets:
         assert len(levels) == min(max_levels, n_cross) >= 3
         assert [lv.n_r for lv in levels] == list(range(len(levels)))
         for n, lv in enumerate(levels):
-            # Brent's bracket ends closer than tol_e M + 4 eps |E| to the root
+            # the root finder's bracket ends closer than tol_e M + 4 eps |E|
+            # to the root
             d = cfg.tol_e * dc.m + 4.0 * np.finfo(float).eps * abs(lv.energy)
             lo, hi = _closed_form_a(np.array([lv.energy - d, lv.energy + d]), dc, p) + n
             assert lo > 0.0 >= hi
