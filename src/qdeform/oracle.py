@@ -41,10 +41,9 @@ dv/dr being the difference over the step (m - 1, m) the halves share.  The
 matched phase Theta(E) = theta_out + theta_in is continuous and, apart from
 a dip between the window bottom and the first level, rises with E; level
 n_r is the root of Theta = (n_r + 1) pi, and at a root the two halves match
-for any choice of m.  Chandrupatla's method solves each level inside the
-tightest bracket the energies already swept give, starting from the
-previous level and the top of the window.  The sweeps are sequential, so
-each level is a one-bracket call of the lockstep ``solvers._chandrupatla``.
+for any choice of m.  From the sweeps at the two ends of the window,
+``solvers._crossings`` separates the levels by halving and refines them all
+together, the search ``closed_form_spectrum`` runs on -a(E) over its scan.
 
 The module takes only the potential and the effective eigenvalue, no
 closed-form spectrum, so it serves as the ground truth the analytic solvers
@@ -61,7 +60,7 @@ import numpy as np
 from .deformed import PotentialParams, potential_value, singularity_radius
 from .effective import DiracConstants, bound_window, effective_eigenvalue
 from .errors import GridError
-from .solvers import METHOD_ORACLE, EnergyLevel, _chandrupatla
+from .solvers import METHOD_ORACLE, EnergyLevel, _crossings, _level
 
 __all__ = [
     "RadialGrid",
@@ -317,34 +316,20 @@ def shoot_eigenvalues(dc: DiracConstants, p: PotentialParams, n_max: int = 64,
                       tol: float = 1e-9) -> list[EnergyLevel]:
     """All bound levels up to n_max: roots of Theta(E) = (n_r + 1) pi.
 
-    The phase at the top of the window counts the levels.  Each level is
-    solved by Chandrupatla's method to the absolute energy tolerance
-    ``tol`` inside the tightest bracket of the energies already swept; every
-    sweep is remembered.  Raises NonConvergenceError if that fails.
+    ``solvers._crossings`` counts, separates and refines them all from
+    Theta/pi - 1 at the ends of the window, to the absolute energy tolerance
+    ``tol``, sweeping each energy once, or raises NonConvergenceError.
     """
     grid = build_grid(dc, p)
     terms = sweep_terms(p, grid)
-    lo, hi = bound_window(dc)
-    eps = 1e-8 * dc.m
-    swept = {}  # trial energy -> Theta / pi
 
-    def turns(e):
-        if e not in swept:
-            swept[e] = integrate_radial(e, dc, p, grid, terms)[0] / math.pi
-        return swept[e]
+    def phase(e):
+        return np.array([integrate_radial(x, dc, p, grid, terms)[0]
+                         for x in e.tolist()]) / math.pi - 1.0
 
-    bottom, top = lo + eps, hi - eps
-    levels = []
-    for n in range(min(n_max, int(turns(top)))):
-        target = n + 1
-        a = max((e for e, t in swept.items() if t < target), default=bottom)
-        b = min(e for e, t in swept.items() if e > a and t >= target)
-        e_n = _chandrupatla(lambda e: [turns(x) - target for x in e.tolist()], a, b, tol)
-        levels.append(EnergyLevel(
-            n_r=n, energy=e_n, e_tilde=effective_eigenvalue(e_n, dc),
-            method=METHOD_ORACLE,
-        ))
-    return levels
+    ends = np.array(bound_window(dc)) + [1e-8 * dc.m, -1e-8 * dc.m]
+    roots = _crossings(phase, ends, phase(ends), n_max, tol)
+    return [_level(n, e, dc, METHOD_ORACLE) for n, e in enumerate(roots.tolist())]
 
 
 def ode_residual(radii, f_values, e, dc: DiracConstants, p: PotentialParams) -> float:

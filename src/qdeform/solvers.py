@@ -17,15 +17,13 @@ only for q >= 1; below, it gives the disputed closed-form levels, and at
 q = 0, where a(E) has the limit eta + 1/2 - s of the Kummer parameter, the
 deep-well asymptotic Morse levels.
 
-Each condition is one function of E on the bound window, evaluated over
-the whole scan grid in one array call.  Its brackets are refined in
-lockstep by Chandrupatla's method (``_chandrupatla``), one array call per
-step, which keeps its bracket where the hypergeometric functions
-oscillate violently near the window edge.  ``spectrum`` refines each cell
-of the scan that changes sign or ends on an exact zero, one root per cell
-(``_roots``); ``closed_form_spectrum`` refines, for every n at once, the
-cell where the running minimum of a(E) first reaches -n.  A refinement
-that fails, or meets a NaN or infinite value, raises.
+Each condition is evaluated over the whole scan grid in one array call,
+and its brackets are refined in lockstep by Chandrupatla's method
+(``_chandrupatla``), one array call per step.  ``spectrum`` refines one root
+in each cell where the scan changes sign or ends on an exact zero
+(``_roots``).  ``_crossings`` finds where a counting phase, -a(E) here and
+Theta(E)/pi - 1 in the shooting oracle, first reaches each level n.  A
+refinement that fails, or meets a NaN or infinite value, raises.
 """
 
 from __future__ import annotations
@@ -134,18 +132,16 @@ def _chandrupatla(f, xa, xb, xtol, *per_bracket, fa=None, fb=None):
     (Adv. Eng. Softw. 28, 145 (1997)).
 
     ``xa``, ``xb``, ``xtol`` and the ``per_bracket`` arrays broadcast
-    together, one element per bracket, and all brackets are refined in
+    together, one element per bracket.  All brackets are refined in
     lockstep: each step makes one call f(x, *per_bracket) on the float64
-    array of the brackets still live and drops those that have converged.
-    ``fa`` and ``fb``, given together, hold f at the ends.  Element by
-    element this is the algorithm of scipy's ``elementwise.find_root`` with
-    xatol = xtol, xrtol = 4 eps, fatol = frtol = 0 and 100 iterations, so
-    each bracket makes the same evaluations and returns the same root.  A
+    array of the live brackets and drops those that have converged.  ``fa``
+    and ``fb``, given together, hold f at the ends.  Element by element this
+    is scipy's ``elementwise.find_root`` with xatol = xtol, xrtol = 4 eps,
+    fatol = frtol = 0 and 100 iterations: the same evaluations and root.  A
     bracket stops at the end xm with the smaller |f| once f(xm) = 0 or the
     bracket is narrower than xtol + 4 eps |xm|.  Scalar inputs return a
     float.  Raises NonConvergenceError, naming the bracket, when f has the
-    same sign at both ends, when f is NaN or infinite, and after 100 steps
-    without convergence.
+    same sign at both ends, when f is NaN or infinite, and after 100 steps.
     """
     xa, xb, xtol, *args = np.broadcast_arrays(xa, xb, xtol, *per_bracket)
     shape = xa.shape
@@ -244,10 +240,36 @@ def _roots(f, grid, vals, tol):
                    fa=vals[cells], fb=vals[cells + 1]).tolist()
 
 
+def _crossings(phase, e, v, n_max, tol):
+    """The energies where phase(E) reaches n = 0, 1, ..., for
+    n < min(n_max, floor(max v) + 1), from v = phase(e) on ascending e.
+
+    Level n is in the first cell where the running maximum of v reaches n.
+    Crowded cells are halved, one phase call for all, until each holds one
+    level; one lockstep Chandrupatla call then refines phase(E) - n in each.
+    Raises NonConvergenceError if the first sample already reaches level 0.
+    """
+    while True:
+        k = np.searchsorted(np.fmax.accumulate(v), np.arange(n_max))
+        k = k[k < len(e)]
+        if len(k) and k[0] == 0:
+            raise NonConvergenceError(f"level 0 is reached at the first sample E = {e[0]}")
+        i = k[1:][k[1:] == k[:-1]]
+        i = i[np.diff(i, prepend=0) > 0]  # each crowded cell once
+        if not len(i):
+            break
+        mid = 0.5 * (e[i - 1] + e[i])
+        stuck = mid[(mid == e[i - 1]) | (mid == e[i])]
+        if len(stuck):
+            raise NonConvergenceError(f"levels share a cell too narrow to halve at E = {stuck[0]}")
+        e, v = np.insert(e, i, mid), np.insert(v, i, phase(mid))
+    ns = np.arange(len(k))
+    return _chandrupatla(lambda x, n: phase(x) - n, e[k - 1], e[k], tol, ns,
+                         fa=v[k - 1] - ns, fb=v[k] - ns)
+
+
 def _level(n_r, e, dc, method):
-    return EnergyLevel(
-        n_r=n_r, energy=e, e_tilde=effective_eigenvalue(e, dc), method=method
-    )
+    return EnergyLevel(n_r, e, effective_eigenvalue(e, dc), method)
 
 
 def _morse_shape(e, dc: DiracConstants, p: PotentialParams):
@@ -267,8 +289,9 @@ def _hypergeometric_factor(e, dc: DiracConstants, p: PotentialParams, r):
     """
     if p.q > 0.0:
         sq = math.sqrt(p.q)
-        return gauss_2f1(*abc_params(e, dc, p),
-                         4.0 * sq / (2.0 * cosh_q(0.5 * p.alpha * r, sq)) ** 2)
+        with np.errstate(over="ignore"):  # far out, cosh_q = inf and z = 0
+            z = 4.0 * sq / (2.0 * cosh_q(0.5 * p.alpha * r, sq)) ** 2
+        return gauss_2f1(*abc_params(e, dc, p), z)
     eta, s, y0 = _morse_shape(e, dc, p)
     return kummer_1f1(0.5 + eta - s, 2.0 * eta + 1.0, y0 * np.exp(-p.alpha * r))
 
@@ -322,14 +345,6 @@ def closed_form_spectrum(dc: DiracConstants, p: PotentialParams,
             return abc_params(e, dc, p)[0]
         method = METHOD_Q_GE_1 if p.q >= 1.0 else "disputed-closed-form"
 
-    # a > 0 at the first scan point, so the lowest root of a(E) + n is in
-    # the cell where the running minimum of a first reaches -n; n has a
-    # level up to the first -n that the minimum never reaches
     grid = _scan_window(dc, cfg)
-    a_grid = a(grid)
-    k = np.searchsorted(-np.fmin.accumulate(a_grid), np.arange(cfg.max_levels))
-    k = k[k < len(grid)]
-    ns = np.arange(len(k))
-    roots = _chandrupatla(lambda e, n: a(e) + n, grid[k - 1], grid[k], cfg.tol_e * dc.m, ns,
-                    fa=a_grid[k - 1] + ns, fb=a_grid[k] + ns)
+    roots = _crossings(lambda e: -a(e), grid, -a(grid), cfg.max_levels, cfg.tol_e * dc.m)
     return [_level(n, e, dc, method) for n, e in enumerate(roots.tolist())]

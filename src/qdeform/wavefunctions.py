@@ -85,7 +85,8 @@ def analytic_upper(r, level: EnergyLevel, dc: DiracConstants, p: PotentialParams
         sq = math.sqrt(p.q)
         x = 0.5 * p.alpha * r
         t = np.asarray(tanh_q(x, sq))
-        env = (p.q ** 0.25 / np.asarray(cosh_q(x, sq))) ** (2.0 * eta) * t ** (2.0 * lam)
+        with np.errstate(over="ignore"):  # far out, cosh_q = inf and the envelope 0
+            env = (p.q ** 0.25 / np.asarray(cosh_q(x, sq))) ** (2.0 * eta) * t ** (2.0 * lam)
         if r0 is not None:
             return env * jacobi_p(level.n_r, 2.0 * lam - 0.5, 2.0 * eta, 1.0 - 2.0 * (t * t))
     return env * _hypergeometric_factor(e, dc, p, r)

@@ -452,6 +452,23 @@ class TestWavefunction:
         assert main(argv + ["--format", "json"]) == EXIT_OK
         assert capsys.readouterr().out == want_json
 
+    @pytest.mark.parametrize("potential", [
+        (592.1743657072199, 261.0997930123119, 2.855467382510766, 1.888362945089285),
+        (273.57637326685057, 186.05984560277363, 2.833608644022173, 0.25783811524601213),
+    ], ids=["q>=1-envelope", "q<1-z"])
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_far_tail_exports_without_warnings(self, potential, tmp_path, capsys):
+        # far out cosh_q overflows to inf, and the envelope (q >= 1) or z
+        # (q < 1) is then exactly 0; no RuntimeWarning may reach stderr
+        v1, v2, alpha, q = potential
+        config = tmp_path / "well.json"
+        config.write_text(json.dumps({
+            "potential": {"v1": v1, "v2": v2, "alpha": alpha, "q": q},
+            "dirac": {"mass": 1.0, "c_spin": 0.4}}))
+        assert main(["wavefunction", "--config", str(config), "--n-r", "2",
+                     "--out", str(tmp_path / "wf.csv")]) == EXIT_OK
+        assert capsys.readouterr().err == ""
+
     def test_missing_level_exits_4(self, config_path, capsys):
         assert main(["wavefunction", "--config", config_path,
                      "--n-r", "99"]) == EXIT_NO_LEVEL

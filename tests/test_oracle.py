@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from qdeform import oracle
+from qdeform import oracle, solvers
 from qdeform import (
     METHOD_ORACLE,
     DiracConstants,
@@ -228,10 +228,18 @@ class TestShooting:
         p = PotentialParams(25.0, 18.0, 0.5, 1.0)
         levels = shoot_eigenvalues(DC, p)
         assert len(levels) == 6
-        assert len(sweeps) <= 12 * len(levels)
+        assert len(sweeps) <= 10 * len(levels)
         assert len(set(sweeps)) == len(sweeps)  # no energy is swept twice
         # every sweep runs through integrate_radial: one outward, one inward half
         assert len(kernel_runs) == 2 * len(sweeps)
+
+    def test_one_refinement_call_for_all_levels(self, monkeypatch):
+        calls = []
+        real = solvers._chandrupatla
+        monkeypatch.setattr(solvers, "_chandrupatla",
+                            lambda *args, **kwargs: calls.append(1) or real(*args, **kwargs))
+        assert len(shoot_eigenvalues(DC, PotentialParams(25.0, 18.0, 0.5, 1.0))) == 6
+        assert len(calls) == 1
 
     def test_empty_for_shallow_well(self):
         p = PotentialParams(4.0, 1.0, 1.0, 2.0)

@@ -30,7 +30,14 @@ from qdeform import (
     spectrum,
 )
 import qdeform.solvers as solvers
-from qdeform.solvers import _brackets, _chandrupatla, _morse_shape, _roots, _scan_window
+from qdeform.solvers import (
+    _brackets,
+    _chandrupatla,
+    _crossings,
+    _morse_shape,
+    _roots,
+    _scan_window,
+)
 
 DC = DiracConstants(m=1.0, c_spin=0.0)
 
@@ -423,6 +430,43 @@ class TestLockstepBudget:
                             lambda *args, **kwargs: calls.append(1) or real(*args, **kwargs))
         assert len(spectrum(DC, PotentialParams(25.0, 18.0, 0.5, 1.0))) == 6
         assert len(calls) == 1
+
+
+class TestCrossings:
+    @staticmethod
+    def _traced(phase):
+        seen = []
+
+        def traced(e):
+            seen.extend(e.tolist())
+            return phase(e)
+        return traced, seen
+
+    def test_crowded_levels_are_separated(self):
+        # ten levels in the one cell [0, 1], at E = (n + 1/2)/10
+        phase, seen = self._traced(lambda e: 10.0 * e - 0.5)
+        e = np.array([0.0, 1.0])
+        roots = _crossings(phase, e, phase(e), 64, 1e-12)
+        assert roots == pytest.approx((np.arange(10) + 0.5) / 10.0, abs=1e-12)
+        assert len(set(seen)) == len(seen)  # no energy is evaluated twice
+
+    def test_phase_that_dips_before_it_rises(self):
+        # like Theta/pi - 1 on (25, 10, 1, 2): just below 0 at the first
+        # sample, lower still further on, then rising through levels 0 and 1
+        def dip(e):
+            return 4.0 * (e - 0.3) ** 2 - 0.37
+        phase, seen = self._traced(dip)
+        e = np.array([0.0, 1.0])
+        roots = _crossings(phase, e, phase(e), 64, 1e-12)
+        assert roots == pytest.approx(0.3 + np.sqrt((np.arange(2) + 0.37) / 4.0), abs=1e-12)
+        assert dip(0.5) < dip(0.0) and 0.5 in seen  # the first halving lands in the dip
+        assert len(set(seen)) == len(seen)
+
+    def test_first_sample_at_level_0_raises(self):
+        e = np.array([0.25, 1.0])
+        with pytest.raises(NonConvergenceError,
+                           match=r"level 0 is reached at the first sample E = 0\.25"):
+            _crossings(lambda e: e, e, e, 64, 1e-12)
 
 
 class TestDisputed:
