@@ -60,7 +60,7 @@ import numpy as np
 from .deformed import PotentialParams, potential_value, singularity_radius
 from .effective import DiracConstants, bound_window, effective_eigenvalue
 from .errors import GridError
-from .solvers import METHOD_ORACLE, EnergyLevel, _crossings, _level
+from .solvers import _WINDOW_EPS_FACTOR, METHOD_ORACLE, EnergyLevel, _crossings, _level
 
 __all__ = [
     "RadialGrid",
@@ -327,7 +327,8 @@ def shoot_eigenvalues(dc: DiracConstants, p: PotentialParams, n_max: int = 64,
         return np.array([integrate_radial(x, dc, p, grid, terms)[0]
                          for x in e.tolist()]) / math.pi - 1.0
 
-    ends = np.array(bound_window(dc)) + [1e-8 * dc.m, -1e-8 * dc.m]
+    eps = _WINDOW_EPS_FACTOR * dc.m
+    ends = np.array(bound_window(dc)) + [eps, -eps]
     roots = _crossings(phase, ends, phase(ends), n_max, tol)
     return [_level(n, e, dc, METHOD_ORACLE) for n, e in enumerate(roots.tolist())]
 

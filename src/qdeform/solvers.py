@@ -17,12 +17,12 @@ only for q >= 1; below, it gives the disputed closed-form levels, and at
 q = 0, where a(E) has the limit eta + 1/2 - s of the Kummer parameter, the
 deep-well asymptotic Morse levels.
 
-Each condition is evaluated over the whole scan grid in one array call,
-and its brackets are refined in lockstep by Chandrupatla's method
-(``_chandrupatla``), one array call per step.  ``spectrum`` refines one root
-in each cell where the scan changes sign or ends on an exact zero
-(``_roots``).  ``_crossings`` finds where a counting phase, -a(E) here and
-Theta(E)/pi - 1 in the shooting oracle, first reaches each level n.  A
+The closed-form condition is evaluated over the whole scan grid in one
+array call.  ``_crossings`` finds where a counting phase, -a(E) here and
+Theta(E)/pi - 1 in the shooting oracle, first reaches each level n.  Below
+q = 1 the closed-form levels bracket the exact ones (see ``spectrum``), so
+H(E, 0) is never scanned.  Every bracket is refined in lockstep by
+Chandrupatla's method (``_chandrupatla``), one array call per step; a
 refinement that fails, or meets a NaN or infinite value, raises.
 """
 
@@ -110,17 +110,6 @@ def _scan_window(dc: DiracConstants, cfg: SolverConfig):
     keep = (grid > lo) & (grid < hi)
     keep[1:] &= grid[1:] != grid[:-1]
     return grid[keep]
-
-
-def _brackets(v):
-    """The cells of the 1-D samples v that hold a root: cell i, between
-    points i and i + 1, when v[i] is neither 0 nor NaN and v[i + 1] is 0 or
-    of the other sign.  So an exact zero at point j >= 1 is the upper end
-    of cell j - 1 and of no other cell; a zero at the first point is in none.
-    """
-    lo, hi = np.sign(v[:-1]), np.sign(v[1:])
-    # a NaN at either end makes lo * hi NaN, and NaN <= 0 is False
-    return np.flatnonzero((lo != 0.0) & (lo * hi <= 0.0))
 
 
 _RTOL = 4.0 * sys.float_info.epsilon
@@ -216,30 +205,6 @@ def _chandrupatla(f, xa, xb, xtol, *per_bracket, fa=None, fb=None):
     return float(roots[0]) if shape == () else roots.reshape(shape)
 
 
-def _roots(f, grid, vals, tol):
-    """The roots of f on a scan grid, ascending: one in each cell of
-    ``_brackets``, refined by Chandrupatla's method in lockstep.
-
-    ``vals`` holds f(grid).  When two adjacent cells both hold a root,
-    9 evenly spaced points go into each, in one more array call of f, and
-    the scan is read again (double-root guard).
-    """
-    cells = _brackets(vals)
-    adjacent = np.diff(cells) == 1
-    paired = np.zeros(len(cells), dtype=bool)
-    paired[:-1] |= adjacent
-    paired[1:] |= adjacent
-    if paired.any():
-        i = cells[paired]
-        sub = np.linspace(grid[i], grid[i + 1], 11, axis=1)[:, 1:-1].ravel()
-        at = np.repeat(i + 1, 9)
-        grid = np.insert(grid, at, sub)
-        vals = np.insert(vals, at, np.asarray(f(sub), dtype=float))
-    cells = _brackets(vals)
-    return _chandrupatla(f, grid[cells], grid[cells + 1], tol,
-                   fa=vals[cells], fb=vals[cells + 1]).tolist()
-
-
 def _crossings(phase, e, v, n_max, tol):
     """The energies where phase(E) reaches n = 0, 1, ..., for
     n < min(n_max, floor(max v) + 1), from v = phase(e) on ascending e.
@@ -296,13 +261,47 @@ def _hypergeometric_factor(e, dc: DiracConstants, p: PotentialParams, r):
     return kummer_1f1(0.5 + eta - s, 2.0 * eta + 1.0, y0 * np.exp(-p.alpha * r))
 
 
+def _closed_form_levels(dc: DiracConstants, p: PotentialParams, cfg: SolverConfig, n_max):
+    """The roots E_n of a(E) = -n for n < n_max, and their method label;
+    see ``closed_form_spectrum``."""
+    if p.q == 0.0:
+        def a(e):
+            eta, s, _ = _morse_shape(e, dc, p)
+            return eta + 0.5 - s
+        method = METHOD_MORSE_ASYMPTOTIC
+    elif p.v1 < p.v2 * math.sqrt(p.q):
+        raise DiscriminantError(
+            f"attractive wall: V1 = {p.v1} < V2 sqrt(q) = {p.v2 * math.sqrt(p.q)}; "
+            "the discriminant of lambda is negative in the bound window"
+        )
+    else:
+        def a(e):
+            return abc_params(e, dc, p)[0]
+        method = METHOD_Q_GE_1 if p.q >= 1.0 else "disputed-closed-form"
+
+    grid = _scan_window(dc, cfg)
+    return _crossings(lambda e: -a(e), grid, -a(grid), n_max, cfg.tol_e * dc.m), method
+
+
 def spectrum(dc: DiracConstants, p: PotentialParams,
              cfg: SolverConfig = SolverConfig()) -> list[EnergyLevel]:
     """All bound levels, exact in every regime of q.
 
-    For q >= 1 these are the levels of ``closed_form_spectrum``.  For
-    0 < q < 1 they are the zeros of 2F1 at z0, and for q = 0 the zeros of
-    1F1 at 4 sqrt(Vt1)/alpha, labelled in order of energy.
+    For q >= 1 these are the levels of ``closed_form_spectrum``.  Below,
+    they are the zeros of H(E, 0): 2F1 at z0 for 0 < q < 1, and 1F1 at
+    4 sqrt(Vt1)/alpha for q = 0.
+
+    There, the closed-form levels E_n are the exact levels of the longer
+    interval r > ln(q)/(2 alpha) (the whole line at q = 0), and a node at
+    r = 0 is one more constraint.  With V1 > V2 > 0 the well is repulsive
+    left of r = 0 and binds nothing there, and one point constraint moves
+    the level count by at most one (Dirichlet bracketing; Reed & Simon IV,
+    XIII.15).  So level n lies in (E_n, E_(n+1)), the last one below the
+    window top, and H changes sign there once: each n_r is certified by
+    its bracket, not counted.  The bracket starts at s_n = E_n - min(1e-6 M,
+    (E_n - E_(n-1))/4), which covers the rounding of E_n at tiny q, and H
+    at u_n = E_n + (s_(n+1) - E_n)/4 picks the half that holds the level.
+    One lockstep call then refines all levels.
     """
     if p.q >= 1.0:
         return closed_form_spectrum(dc, p, cfg)
@@ -310,9 +309,25 @@ def spectrum(dc: DiracConstants, p: PotentialParams,
     def f(e):
         return _hypergeometric_factor(e, dc, p, 0.0)
     method = METHOD_Q_LT_1 if p.q > 0.0 else METHOD_MORSE_EXACT
-    grid = _scan_window(dc, cfg)
-    roots = _roots(f, grid, f(grid), cfg.tol_e * dc.m)
-    return [_level(n, e, dc, method) for n, e in enumerate(roots[: cfg.max_levels])]
+    e_n = _closed_form_levels(dc, p, cfg, cfg.max_levels + 1)[0]
+    if not len(e_n):
+        return []
+    lo, hi = bound_window(dc)
+    s = e_n - np.minimum(1e-6 * dc.m, 0.25 * np.diff(e_n, prepend=lo))
+    if len(e_n) <= cfg.max_levels:  # the last bracket ends at the window top
+        s = np.append(s, hi - _WINDOW_EPS_FACTOR * dc.m)
+    k = len(s) - 1
+    u = e_n[:k] + 0.25 * (s[1:] - e_n[:k])
+    v = f(np.concatenate([s, u]))
+    fs, fu = v[:k + 1], v[k + 1:]
+    if k == len(e_n) and np.sign(fs[-2]) == np.sign(fs[-1]):
+        k -= 1  # H keeps its sign from the last s_n to the top: no level there
+    # a NaN or infinite H at an end of a chosen half raises in _chandrupatla
+    left = np.sign(fs[:k]) != np.sign(fu[:k])
+    xa, xb = np.where(left, s[:k], u[:k]), np.where(left, u[:k], s[1:k + 1])
+    fa, fb = np.where(left, fs[:k], fu[:k]), np.where(left, fu[:k], fs[1:k + 1])
+    roots = _chandrupatla(f, xa, xb, cfg.tol_e * dc.m, fa=fa, fb=fb)
+    return [_level(n, e, dc, method) for n, e in enumerate(roots.tolist())]
 
 
 def closed_form_spectrum(dc: DiracConstants, p: PotentialParams,
@@ -330,21 +345,5 @@ def closed_form_spectrum(dc: DiracConstants, p: PotentialParams,
     class, since the discriminant of lambda turns negative for deep enough
     states: it raises DiscriminantError.
     """
-    if p.q == 0.0:
-        def a(e):
-            eta, s, _ = _morse_shape(e, dc, p)
-            return eta + 0.5 - s
-        method = METHOD_MORSE_ASYMPTOTIC
-    elif p.v1 < p.v2 * math.sqrt(p.q):
-        raise DiscriminantError(
-            f"attractive wall: V1 = {p.v1} < V2 sqrt(q) = {p.v2 * math.sqrt(p.q)}; "
-            "the discriminant of lambda is negative in the bound window"
-        )
-    else:
-        def a(e):
-            return abc_params(e, dc, p)[0]
-        method = METHOD_Q_GE_1 if p.q >= 1.0 else "disputed-closed-form"
-
-    grid = _scan_window(dc, cfg)
-    roots = _crossings(lambda e: -a(e), grid, -a(grid), cfg.max_levels, cfg.tol_e * dc.m)
+    roots, method = _closed_form_levels(dc, p, cfg, cfg.max_levels)
     return [_level(n, e, dc, method) for n, e in enumerate(roots.tolist())]

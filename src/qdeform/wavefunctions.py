@@ -37,7 +37,9 @@ from .solvers import (
     METHOD_Q_GE_1,
     METHOD_Q_LT_1,
     EnergyLevel,
+    _chandrupatla,
     _hypergeometric_factor,
+    _level,
     _morse_shape,
 )
 from .special import jacobi_p
@@ -47,6 +49,8 @@ __all__ = ["WavefunctionGrid", "analytic_upper", "make_wavefunction"]
 # the spectrum methods whose levels belong to each regime's well
 _METHODS = {"singular": (METHOD_Q_GE_1,), "regular": (METHOD_Q_LT_1,),
             "morse": (METHOD_MORSE_EXACT, METHOD_MORSE_ASYMPTOTIC)}
+# the methods whose levels are zeros of H(E, 0), by regime
+_ZEROS_OF_H = {"regular": METHOD_Q_LT_1, "morse": METHOD_MORSE_EXACT}
 
 
 @dataclass(frozen=True)
@@ -118,6 +122,18 @@ def _simpson(y, h):
     return float(total)
 
 
+def _polished(level: EnergyLevel, dc: DiracConstants, p: PotentialParams) -> EnergyLevel:
+    """The level moved to the kernel's own zero of H(E, 0) within 1e-9 M,
+    or as given where H does not change sign there."""
+    def h(e):
+        return _hypergeometric_factor(e, dc, p, 0.0)
+    lo, hi = level.energy - 1e-9 * dc.m, level.energy + 1e-9 * dc.m
+    f_lo, f_hi = h(np.array([lo, hi])).tolist()
+    if not f_lo * f_hi < 0.0:
+        return level
+    return _level(level.n_r, _chandrupatla(h, lo, hi, 0.0, fa=f_lo, fb=f_hi), dc, level.method)
+
+
 def make_wavefunction(dc: DiracConstants, p: PotentialParams, level: EnergyLevel,
                       n_points: int = 10001) -> WavefunctionGrid:
     """Sample and normalize the analytic eigenfunction of one level.
@@ -126,8 +142,12 @@ def make_wavefunction(dc: DiracConstants, p: PotentialParams, level: EnergyLevel
     until F has decayed below 1e-9 of its peak (the right edge is grown
     geometrically until that holds).  Raises NonConvergenceError when F at
     the left edge is not below 1e-6 of its peak: the closed form has lost
-    the boundary condition there.
+    the boundary condition there.  Below q = 1 an exact level is first
+    polished to the kernel's own zero of H(E, 0), so that F is as near 0
+    at r = 0 as the kernel allows.
     """
+    if level.method == _ZEROS_OF_H.get(p.regime):
+        level = _polished(level, dc, p)
     base = singularity_radius(p) or 0.0
     left = base + 1e-8 / p.alpha
     kappa = math.sqrt(max(-level.e_tilde, 1e-30))

@@ -22,6 +22,7 @@ from qdeform import (
     PotentialParams,
     SolverConfig,
     make_wavefunction,
+    ode_residual,
     potential_value,
     spectrum,
 )
@@ -91,20 +92,22 @@ class TestSpectrum:
         assert "no bound states" not in err
 
     @pytest.mark.parametrize("well", [
-        (670.164, 243.099, 0.1704, 0.6470, 1.0, 0.0),
-        (741.397, 527.365, 0.1474, 0.3143, 2.5, 1.3),
-        (587.451, 294.494, 0.1070, 0.0, 1.0, 0.3116),  # Morse, asymptotic branch
-        (946.852, 177.943, 0.18416, 1.12e-8, 2.5, 0.0),  # the 2F1 series overflows
+        (670.164, 243.099, 0.1704, 0.6470, 1.0, 0.0, 64),
+        # its first 64 levels solve; H overflows in a bracket above them
+        (741.397, 527.365, 0.1474, 0.3143, 2.5, 1.3, 200),
+        (587.451, 294.494, 0.1070, 0.0, 1.0, 0.3116, 64),  # Morse, asymptotic branch
+        (946.852, 177.943, 0.18416, 1.12e-8, 2.5, 0.0, 64),  # the 2F1 series overflows
     ])
     def test_kernel_overflow_is_only_the_solver_error(self, tmp_path, capsys, well):
         # the kernels overflow on these valid wells: the CLI prints the
         # solver error and no RuntimeWarning (the test configuration turns
         # one into an exception)
-        v1, v2, alpha, q, mass, c_spin = well
+        v1, v2, alpha, q, mass, c_spin, max_levels = well
         path = tmp_path / "overflow.json"
         path.write_text(json.dumps({
             "potential": {"v1": v1, "v2": v2, "alpha": alpha, "q": q},
             "dirac": {"mass": mass, "c_spin": c_spin},
+            "solver": {"max_levels": max_levels},
         }))
         assert main(["spectrum", "--config", str(path)]) == EXIT_SOLVER
         err = capsys.readouterr().err.splitlines()
@@ -476,8 +479,7 @@ class TestWavefunction:
 
     @pytest.mark.parametrize("potential,n_r", [
         ({"v1": 400.0, "v2": 300.0, "alpha": 0.3, "q": 0.0}, 10),
-        ({"v1": 25.0, "v2": 10.0, "alpha": 1.0, "q": 0.999}, 0),
-    ], ids=["deep-morse-n10", "q0.999-n0"])
+    ], ids=["deep-morse-n10"])
     def test_f_that_misses_the_boundary_exits_3(self, potential, n_r, tmp_path, capsys):
         config = tmp_path / "well.json"
         config.write_text(json.dumps({"potential": potential, "dirac": {"mass": 1.0}}))
@@ -486,6 +488,26 @@ class TestWavefunction:
                      "--out", str(out)]) == EXIT_SOLVER
         assert "solver error:" in capsys.readouterr().err
         assert not out.exists()
+
+    def test_q_near_1_ground_state_meets_the_boundary(self, tmp_path, capsys):
+        # z0 = 1 - 6.3e-8: the level is polished to the kernel's zero of
+        # H(E, 0) before sampling, so F vanishes at the left edge
+        config = tmp_path / "well.json"
+        config.write_text(json.dumps({
+            "potential": {"v1": 25.0, "v2": 10.0, "alpha": 1.0, "q": 0.999},
+            "dirac": {"mass": 1.0}}))
+        out = tmp_path / "wf.csv"
+        assert main(["wavefunction", "--config", str(config), "--n-r", "0",
+                     "--out", str(out)]) == EXIT_OK
+        assert capsys.readouterr().err == ""
+        with open(out, newline="") as fh:
+            rows = list(csv.DictReader(fh))
+        r = np.array([float(row["r"]) for row in rows])
+        f = np.array([float(row["F"]) for row in rows])
+        level = spectrum(DiracConstants(m=1.0), PotentialParams(25.0, 10.0, 1.0, 0.999))[0]
+        assert abs(f[0]) <= 1e-8 * np.max(np.abs(f))
+        assert ode_residual(r, f, level.energy, DiracConstants(m=1.0),
+                            PotentialParams(25.0, 10.0, 1.0, 0.999)) <= 1e-6
 
 
 class TestMorseLimit:

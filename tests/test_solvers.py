@@ -1,6 +1,9 @@
 """Quantization solvers for the three deformation regimes."""
 
+import importlib.util
 import math
+import os
+import random
 import warnings
 
 import numpy as np
@@ -27,15 +30,14 @@ from qdeform import (
     gauss_2f1,
     integrate_radial,
     kummer_1f1,
+    shoot_eigenvalues,
     spectrum,
 )
 import qdeform.solvers as solvers
 from qdeform.solvers import (
-    _brackets,
     _chandrupatla,
     _crossings,
     _morse_shape,
-    _roots,
     _scan_window,
 )
 
@@ -228,43 +230,6 @@ def test_scan_window_is_np_unique_of_its_points(m, c_spin, scan_points, monkeypa
     assert grid.dtype == want.dtype and grid.tobytes() == want.tobytes()
 
 
-class TestRefinement:
-    @pytest.mark.parametrize("bad", [math.nan, math.inf])
-    def test_non_finite_value_in_bracket_raises(self, bad):
-        # finite at every grid point, so the scan brackets the root at 0.55,
-        # but not finite around it: no unconverged answer may come back
-        def f(e):
-            e = np.asarray(e, dtype=float)
-            return np.where(abs(e - 0.55) < 0.04, bad, e - 0.55)
-
-        grid = np.linspace(0.0, 1.0, 11)
-        with pytest.raises(NonConvergenceError):
-            _roots(f, grid, f(grid), 1e-12)
-
-    @pytest.mark.parametrize("f, expected", [
-        (lambda e: np.cos(10.0 * e), [0.05 * math.pi, 0.15 * math.pi, 0.25 * math.pi]),
-        # adjacent bracketing cells, one with three roots: the double-root
-        # guard rescans both 10x finer and finds all four
-        (lambda e: (e - 0.45) * (e - 0.552) * (e - 0.565) * (e - 0.578),
-         [0.45, 0.552, 0.565, 0.578]),
-        (lambda e: e + 5.0, []),
-        # exact zeros on the scan: each is the top of the cell below it,
-        # so a crossing or a tangent zero counts once
-        (lambda e: e - 0.5, [0.5]),
-        (lambda e: -(e - 0.5) ** 2, [0.5]),
-        (lambda e: (e - 0.5) ** 2, [0.5]),
-        (lambda e: e - 1.0, [1.0]),
-        (lambda e: 1.0 - e, [1.0]),
-        # no cell lies below the first scan point
-        (lambda e: e, []),
-    ])
-    def test_roots_of_array_function(self, f, expected):
-        grid = np.linspace(0.0, 1.0, 11)
-        roots = _roots(f, grid, f(grid), 1e-13)
-        assert roots == pytest.approx(expected, abs=1e-12)
-        assert np.all(np.diff(roots) > 0.0)
-
-
 def _brent_cases():
     """300 random sign-change brackets of smooth, steep and piecewise functions."""
     rng = np.random.default_rng(23)
@@ -344,14 +309,18 @@ class TestBrent:
             assert ours[k] == theirs
 
     @pytest.mark.parametrize("q", [0.0, 0.3])
-    def test_lockstep_equals_one_bracket_calls(self, q):
-        # the brackets of the 35 (q = 0) and 36 (q = 0.3) levels of a deep well
+    def test_lockstep_equals_one_bracket_calls(self, q, monkeypatch):
+        # the brackets spectrum refines for the 35 (q = 0) and 36 (q = 0.3)
+        # levels of a deep well: its last _chandrupatla call
         p = PotentialParams(400.0, 300.0, 0.3, q)
+        brackets = []
+        real = solvers._chandrupatla
+        monkeypatch.setattr(solvers, "_chandrupatla", lambda f, xa, xb, *args, **kwargs:
+                            brackets.append((xa, xb)) or real(f, xa, xb, *args, **kwargs))
+        spectrum(DC, p)
+        lo, hi = brackets[-1]
+        assert len(lo) == (35 if q == 0.0 else 36)
         f = _quantization(p)
-        grid = _scan_window(DC, SolverConfig())
-        cells = _brackets(f(grid))
-        lo, hi = grid[cells], grid[cells + 1]
-        assert len(cells) >= 35
         lockstep = _chandrupatla(f, lo, hi, 1e-10)
         assert lockstep.tolist() == [_chandrupatla(f, a, b, 1e-10) for a, b in zip(lo, hi)]
 
@@ -430,6 +399,77 @@ class TestLockstepBudget:
                             lambda *args, **kwargs: calls.append(1) or real(*args, **kwargs))
         assert len(spectrum(DC, PotentialParams(25.0, 18.0, 0.5, 1.0))) == 6
         assert len(calls) == 1
+
+    @pytest.mark.parametrize("well, c_spin, max_levels", [
+        ((400.0, 300.0, 0.3, 0.0), 0.0, 64), ((400.0, 300.0, 0.3, 0.3), 0.0, 64),
+        ((400.0, 300.0, 0.3, 0.3), 0.0, 20), (ITEM_1_WELL, 0.0, 64),
+        ((741.397, 527.365, 0.1474, 0.3143), 0.1688, 200), ((25.0, 10.0, 1.0, 0.3), 0.0, 64),
+        ((25.0, 10.0, 1.0, 0.0), 0.0, 64), ((4.0, 1.0, 1.0, 0.3), 0.0, 64)])
+    def test_kernel_energies_per_call(self, well, c_spin, max_levels, monkeypatch):
+        # H is evaluated at the bracket ends and split points of the L
+        # closed-form levels and inside the refinement, never on a scan
+        dc = DiracConstants(m=1.0, c_spin=c_spin)
+        p, cfg = PotentialParams(*well), SolverConfig(max_levels=max_levels)
+        sizes = []
+        for name in ("gauss_2f1", "kummer_1f1"):
+            real = getattr(solvers, name)
+            monkeypatch.setattr(solvers, name, lambda *args, real=real:
+                                sizes.append(max(map(np.size, args))) or real(*args))
+        spectrum(dc, p, cfg)
+        n_closed = len(closed_form_spectrum(dc, p, cfg))
+        assert max(sizes, default=0) <= 2 * n_closed + 2
+
+
+def _draw_well():
+    """``draw_well`` of demos/oracle_sweep.py."""
+    path = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
+                        "demos", "oracle_sweep.py")
+    spec = importlib.util.spec_from_file_location("oracle_sweep", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module.draw_well
+
+
+class TestBracketedByClosedForm:
+    @pytest.mark.parametrize("well, c_spin, n_levels", [
+        ((741.397, 527.365, 0.1474, 0.3143), 0.1688, 91),
+        ((715.564, 659.530, 0.2710, 0.9096), 0.0, 75)])
+    def test_a_coarse_scan_keeps_every_level(self, well, c_spin, n_levels):
+        # a scan of H(E, 0) with 100 points lost two levels of each well
+        # and shifted every label above them
+        dc = DiracConstants(m=1.0, c_spin=c_spin)
+        p = PotentialParams(*well)
+        coarse = spectrum(dc, p, SolverConfig(scan_points=100, max_levels=200))
+        fine = spectrum(dc, p, SolverConfig(scan_points=2000, max_levels=200))
+        assert len(coarse) == len(fine) == n_levels
+        assert [lv.energy for lv in coarse] == pytest.approx(
+            [lv.energy for lv in fine], abs=2.0 * SolverConfig().tol_e * dc.m)
+
+    def test_levels_below_a_kernel_overflow_solve(self):
+        # a scan met H = -inf at E = 1.3913 and raised; the brackets of
+        # the first 64 levels hold no overflow (the 200-level run still
+        # raises, see test_cli)
+        dc = DiracConstants(m=2.5, c_spin=1.3)
+        p = PotentialParams(741.397, 527.365, 0.1474, 0.3143)
+        levels = spectrum(dc, p)
+        oracle = shoot_eigenvalues(dc, p, n_max=64, tol=1e-10 * dc.m)
+        assert len(levels) == len(oracle) == 64
+        assert max(abs(a.energy - b.energy) for a, b in zip(levels, oracle)) <= 1e-10 * dc.m
+
+    def test_each_level_lies_between_two_closed_form_levels(self):
+        # exact level n lies in (E_n, E_(n+1)) of a(E) = -n; E_n may be
+        # rounded by up to 3e-10 M at tiny q, so 1e-6 M below E_n counts
+        draw_well, rng = _draw_well(), random.Random(5)
+        for i in range(240):
+            dc, p = draw_well(rng, ("morse", "regular")[i % 2])
+            cfg = SolverConfig(scan_points=100)
+            levels = spectrum(dc, p, cfg)
+            e_n = [lv.energy for lv in closed_form_spectrum(
+                dc, p, SolverConfig(scan_points=100, max_levels=cfg.max_levels + 1))]
+            e_n.append(bound_window(dc)[1])
+            assert len(levels) in (len(e_n) - 2, len(e_n) - 1)
+            for lv in levels:
+                assert e_n[lv.n_r] - 1e-6 * dc.m <= lv.energy < e_n[lv.n_r + 1]
 
 
 class TestCrossings:

@@ -172,14 +172,23 @@ class TestDomainChecks:
 
 
 class TestLeftEdge:
-    # levels at the default tol_e whose sampled F is of the order of its
+    # a level at the default tol_e whose sampled F is of the order of its
     # peak at the left edge instead of about 0
-    @pytest.mark.parametrize("p,n_r", [(PotentialParams(400.0, 300.0, 0.3, 0.0), 10),
-                                       (PotentialParams(25.0, 10.0, 1.0, 0.999), 0)],
-                             ids=["deep-morse-n10", "q0.999-n0"])
+    @pytest.mark.parametrize("p,n_r", [(PotentialParams(400.0, 300.0, 0.3, 0.0), 10)],
+                             ids=["deep-morse-n10"])
     def test_rejects_f_that_misses_the_boundary(self, p, n_r):
         with pytest.raises(NonConvergenceError, match="left edge"):
             make_wavefunction(DC, p, spectrum(DC, p)[n_r])
+
+    def test_polished_level_meets_the_boundary(self):
+        # z0 = 1 - 6.3e-8: sampled at the energy spectrum returns, |F| peaks
+        # at the left edge; at the kernel's own zero of H(E, 0) it vanishes
+        p = PotentialParams(25.0, 10.0, 1.0, 0.999)
+        lv = spectrum(DC, p)[0]
+        wf = make_wavefunction(DC, p, lv)
+        f = wf.f_values
+        assert abs(f[0]) <= 1e-8 * np.max(np.abs(f))
+        assert ode_residual(wf.radii, f, lv.energy, DC, p) <= 1e-6
 
 
 class TestLowerComponent:
