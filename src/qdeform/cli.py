@@ -7,7 +7,8 @@ reproduces the CSV byte for byte.
 
 Exit codes: 0 success (an empty spectrum is still a success and prints a
 note; with ``verify`` the oracle must agree that it is empty), 2
-configuration error, 3 solver failure, 4 requested level absent.
+configuration error or an ``--out`` path that cannot be opened for
+writing, 3 solver failure, 4 requested level absent.
 """
 
 import argparse
@@ -42,6 +43,10 @@ EXIT_NO_LEVEL = 4
 
 class ConfigError(Exception):
     """Raised when the run configuration is missing or malformed."""
+
+
+class OutputError(Exception):
+    """Raised when an output file cannot be opened for writing."""
 
 
 def _fmt(x):
@@ -232,10 +237,18 @@ def _write_table(columns, rows, out_path, fmt):
     base, ext = os.path.splitext(out_path)
     csv_path = out_path if ext == ".csv" else base + ".csv"
     json_path = out_path if ext == ".json" else base + ".json"
-    with open(csv_path, "w") as fh:
-        fh.write(to_csv())
-    with open(json_path, "w") as fh:
-        fh.write(to_json())
+    # both mirrors are opened before either is written, so that a path
+    # that cannot be opened leaves no rows behind
+    with _open_for_writing(csv_path) as csv_fh, _open_for_writing(json_path) as json_fh:
+        csv_fh.write(to_csv())
+        json_fh.write(to_json())
+
+
+def _open_for_writing(path):
+    try:
+        return open(path, "w")
+    except OSError as exc:
+        raise OutputError("cannot write %s: %s" % (path, exc.strerror or exc))
 
 
 def _check_against_oracle(constants, params, config, levels):
@@ -430,6 +443,9 @@ def main(argv=None):
         return args.func(args)
     except ConfigError as exc:
         print("config error: %s" % exc, file=sys.stderr)
+        return EXIT_CONFIG
+    except OutputError as exc:
+        print("error: %s" % exc, file=sys.stderr)
         return EXIT_CONFIG
     except QdeformError as exc:
         print("solver error: %s" % exc, file=sys.stderr)

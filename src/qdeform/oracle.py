@@ -41,9 +41,10 @@ dv/dr being the difference over the step (m - 1, m) the halves share.  The
 matched phase Theta(E) = theta_out + theta_in is continuous and, apart from
 a dip between the window bottom and the first level, rises with E; level
 n_r is the root of Theta = (n_r + 1) pi, and at a root the two halves match
-for any choice of m.  From the sweeps at the two ends of the window,
-``solvers._crossings`` separates the levels by halving and refines them all
-together, the search ``closed_form_spectrum`` runs on -a(E) over its scan.
+for any choice of m.  ``solvers._crossings`` seeds itself with the sweeps
+at the two ends of ``solvers._window``, separates the levels by halving and
+refines them all together: the search ``closed_form_spectrum`` runs on
+-a(E) over the same window from ``scan_points`` uniform seeds.
 
 The module takes only the potential and the effective eigenvalue, no
 closed-form spectrum, so it serves as the ground truth the analytic solvers
@@ -58,9 +59,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .deformed import PotentialParams, potential_value, singularity_radius
-from .effective import DiracConstants, bound_window, effective_eigenvalue
+from .effective import DiracConstants, effective_eigenvalue
 from .errors import GridError
-from .solvers import _WINDOW_EPS_FACTOR, METHOD_ORACLE, EnergyLevel, _crossings, _level
+from .solvers import METHOD_ORACLE, EnergyLevel, _crossings, _level, _window
 
 __all__ = [
     "RadialGrid",
@@ -317,8 +318,9 @@ def shoot_eigenvalues(dc: DiracConstants, p: PotentialParams, n_max: int = 64,
     """All bound levels up to n_max: roots of Theta(E) = (n_r + 1) pi.
 
     ``solvers._crossings`` counts, separates and refines them all from
-    Theta/pi - 1 at the ends of the window, to the absolute energy tolerance
-    ``tol``, sweeping each energy once, or raises NonConvergenceError.
+    Theta/pi - 1 at the two ends of ``solvers._window``, to the absolute
+    energy tolerance ``tol``, sweeping each energy once, or raises
+    NonConvergenceError.
     """
     grid = build_grid(dc, p)
     terms = sweep_terms(p, grid)
@@ -327,9 +329,7 @@ def shoot_eigenvalues(dc: DiracConstants, p: PotentialParams, n_max: int = 64,
         return np.array([integrate_radial(x, dc, p, grid, terms)[0]
                          for x in e.tolist()]) / math.pi - 1.0
 
-    eps = _WINDOW_EPS_FACTOR * dc.m
-    ends = np.array(bound_window(dc)) + [eps, -eps]
-    roots = _crossings(phase, ends, phase(ends), n_max, tol)
+    roots = _crossings(phase, *_window(dc), 2, n_max, tol)
     return [_level(n, e, dc, METHOD_ORACLE) for n, e in enumerate(roots.tolist())]
 
 

@@ -17,13 +17,15 @@ only for q >= 1; below, it gives the disputed closed-form levels, and at
 q = 0, where a(E) has the limit eta + 1/2 - s of the Kummer parameter, the
 deep-well asymptotic Morse levels.
 
-The closed-form condition is evaluated over the whole scan grid in one
-array call.  ``_crossings`` finds where a counting phase, -a(E) here and
-Theta(E)/pi - 1 in the shooting oracle, first reaches each level n.  Below
-q = 1 the closed-form levels bracket the exact ones (see ``spectrum``), so
-H(E, 0) is never scanned.  Every bracket is refined in lockstep by
-Chandrupatla's method (``_chandrupatla``), one array call per step; a
-refinement that fails, or meets a NaN or infinite value, raises.
+``_crossings`` finds where a counting phase, -a(E) here and Theta(E)/pi - 1
+in the shooting oracle, first reaches each level n.  Both search the one
+window of ``_window``, the closed form seeded with ``scan_points`` uniform
+energies in one array call and the oracle with the two ends; halving, not
+the seed, separates the levels.  Below q = 1 the closed-form levels bracket
+the exact ones (see ``spectrum``), so H(E, 0) is never scanned.  Every
+bracket is refined in lockstep by Chandrupatla's method (``_chandrupatla``),
+one array call per step; a refinement that fails, or meets a NaN or
+infinite value, raises.
 """
 
 from __future__ import annotations
@@ -78,8 +80,13 @@ class EnergyLevel:
 
 @dataclass(frozen=True)
 class SolverConfig:
+    """Solver settings: ``scan_points`` uniform energies, at least 100, seed
+    the closed-form search over the window, whose halving, not the seed,
+    separates the levels; ``tol_e`` is the absolute energy tolerance of
+    every root, in units of M; a spectrum lists at most ``max_levels``."""
+
     scan_points: int = 2000
-    tol_e: float = 1e-10  # absolute, in units of M
+    tol_e: float = 1e-10
     max_levels: int = 64
 
     def __post_init__(self):
@@ -92,24 +99,12 @@ class SolverConfig:
             raise ParameterError(f"max_levels must be >= 1, got {self.max_levels}")
 
 
-def _scan_window(dc: DiracConstants, cfg: SolverConfig):
-    """Scan grid over the bound window: uniform bulk plus geometrically
-    refined points toward both edges, where weakly bound levels cluster
-    (the effective eigenvalue vanishes at the endpoints)."""
+def _window(dc: DiracConstants):
+    """The bound window with each end moved 1e-8 M inward, where the
+    searches of the closed form and the oracle start and stop."""
     lo, hi = bound_window(dc)
     eps = _WINDOW_EPS_FACTOR * dc.m
-    width = hi - lo
-    bulk = np.linspace(lo + eps, hi - eps, cfg.scan_points)
-    # 4 points per octave from width/2 down to the eps offset
-    n_oct = max(8, int(math.ceil(math.log2(width / (2.0 * eps)))))
-    d = width * 0.5 * 2.0 ** (-np.arange(0, n_oct * 4) / 4.0)
-    d = d[d > eps]
-    edges = np.concatenate([lo + d, hi - d])
-    grid = np.sort(np.concatenate([bulk, edges]))
-    # the points np.unique keeps; np.unique itself would load numpy.ma
-    keep = (grid > lo) & (grid < hi)
-    keep[1:] &= grid[1:] != grid[:-1]
-    return grid[keep]
+    return lo + eps, hi - eps
 
 
 _RTOL = 4.0 * sys.float_info.epsilon
@@ -205,15 +200,18 @@ def _chandrupatla(f, xa, xb, xtol, *per_bracket, fa=None, fb=None):
     return float(roots[0]) if shape == () else roots.reshape(shape)
 
 
-def _crossings(phase, e, v, n_max, tol):
-    """The energies where phase(E) reaches n = 0, 1, ..., for
-    n < min(n_max, floor(max v) + 1), from v = phase(e) on ascending e.
+def _crossings(phase, lo, hi, n_seed, n_max, tol):
+    """The energies in [lo, hi] where phase(E) reaches n = 0, 1, ..., for
+    n < min(n_max, floor(max v) + 1), v being phase at the samples.
 
-    Level n is in the first cell where the running maximum of v reaches n.
-    Crowded cells are halved, one phase call for all, until each holds one
-    level; one lockstep Chandrupatla call then refines phase(E) - n in each.
+    phase is sampled at n_seed uniform energies from lo to hi, and level n
+    is in the first cell where the running maximum of v reaches n.  Crowded
+    cells are halved, one phase call for all, until each holds one level;
+    one lockstep Chandrupatla call then refines phase(E) - n in each.
     Raises NonConvergenceError if the first sample already reaches level 0.
     """
+    e = np.linspace(lo, hi, n_seed)
+    v = phase(e)
     while True:
         k = np.searchsorted(np.fmax.accumulate(v), np.arange(n_max))
         k = k[k < len(e)]
@@ -279,8 +277,8 @@ def _closed_form_levels(dc: DiracConstants, p: PotentialParams, cfg: SolverConfi
             return abc_params(e, dc, p)[0]
         method = METHOD_Q_GE_1 if p.q >= 1.0 else "disputed-closed-form"
 
-    grid = _scan_window(dc, cfg)
-    return _crossings(lambda e: -a(e), grid, -a(grid), n_max, cfg.tol_e * dc.m), method
+    return _crossings(lambda e: -a(e), *_window(dc), cfg.scan_points, n_max,
+                      cfg.tol_e * dc.m), method
 
 
 def spectrum(dc: DiracConstants, p: PotentialParams,
@@ -312,10 +310,9 @@ def spectrum(dc: DiracConstants, p: PotentialParams,
     e_n = _closed_form_levels(dc, p, cfg, cfg.max_levels + 1)[0]
     if not len(e_n):
         return []
-    lo, hi = bound_window(dc)
-    s = e_n - np.minimum(1e-6 * dc.m, 0.25 * np.diff(e_n, prepend=lo))
+    s = e_n - np.minimum(1e-6 * dc.m, 0.25 * np.diff(e_n, prepend=bound_window(dc)[0]))
     if len(e_n) <= cfg.max_levels:  # the last bracket ends at the window top
-        s = np.append(s, hi - _WINDOW_EPS_FACTOR * dc.m)
+        s = np.append(s, _window(dc)[1])
     k = len(s) - 1
     u = e_n[:k] + 0.25 * (s[1:] - e_n[:k])
     v = f(np.concatenate([s, u]))

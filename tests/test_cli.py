@@ -477,6 +477,25 @@ class TestWavefunction:
                      "--n-r", "99"]) == EXIT_NO_LEVEL
         assert "n_r=99" in capsys.readouterr().err
 
+    def test_out_in_a_missing_directory_exits_2(self, config_path, tmp_path, capsys):
+        out = tmp_path / "missing" / "wf.csv"
+        assert main(["wavefunction", "--config", config_path, "--n-r", "0",
+                     "--out", str(out)]) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert err == "error: cannot write %s: No such file or directory\n" % out
+        assert not out.parent.exists()
+
+    def test_json_mirror_that_is_a_directory_exits_2(self, config_path, tmp_path, capsys):
+        # both mirrors are opened before either is written: no CSV rows
+        (tmp_path / "wf.json").mkdir()
+        out = tmp_path / "wf.csv"
+        assert main(["wavefunction", "--config", config_path, "--n-r", "0",
+                     "--out", str(out)]) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and "Traceback" not in err
+        assert err.startswith("error: cannot write %s: " % (tmp_path / "wf.json"))
+        assert out.read_text() == ""
+
     @pytest.mark.parametrize("potential,n_r", [
         ({"v1": 400.0, "v2": 300.0, "alpha": 0.3, "q": 0.0}, 10),
     ], ids=["deep-morse-n10"])

@@ -26,5 +26,5 @@ Morse-exact levels: -0.732789742, -0.056509314, 0.430278226, 0.766429922, 0.9624
 
  scale   max |E_asym - E_exact|
      1                1.176e-06
-   100                2.389e-11
+   100                2.040e-11
 """

@@ -38,7 +38,7 @@ from qdeform.solvers import (
     _chandrupatla,
     _crossings,
     _morse_shape,
-    _scan_window,
+    _window,
 )
 
 DC = DiracConstants(m=1.0, c_spin=0.0)
@@ -208,26 +208,39 @@ class TestSpectrumDispatch:
 @pytest.mark.parametrize("m", [1.0, 2.5])
 @pytest.mark.parametrize("c_spin", [0.0, 1.3])
 @pytest.mark.parametrize("scan_points", [100, 2000])
-def test_scan_window_is_np_unique_of_its_points(m, c_spin, scan_points, monkeypatch):
-    # the grid is np.unique of the points _scan_window sorts, cut to the
-    # open window, bit for bit
-    real_sort = np.sort
-    points = []
+def test_closed_form_and_oracle_seed_one_window(m, c_spin, scan_points, monkeypatch):
+    # the closed form seeds _crossings with scan_points uniform energies and
+    # the oracle with 2, both on _window: the bound window with each end
+    # moved 1e-8 M inward
+    import qdeform.oracle as oracle
 
-    def sort(a, *args, **kwargs):
-        points.append(np.array(a))
-        return real_sort(a, *args, **kwargs)
+    real_crossings = solvers._crossings
+    calls, seeds = [], []
 
-    monkeypatch.setattr(np, "sort", sort)
+    def crossings(phase, lo, hi, n_seed, n_max, tol):
+        calls.append((lo, hi, n_seed))
+
+        def traced(e):
+            if len(seeds) < len(calls):
+                seeds.append(np.array(e))
+            return phase(e)
+        return real_crossings(traced, lo, hi, n_seed, n_max, tol)
+
+    monkeypatch.setattr(solvers, "_crossings", crossings)
+    monkeypatch.setattr(oracle, "_crossings", crossings)
     dc = DiracConstants(m=m, c_spin=c_spin)
-    grid = _scan_window(dc, SolverConfig(scan_points=scan_points))
+    p = PotentialParams(25.0 * m, 10.0 * m, 1.0, 2.0)
+    assert closed_form_spectrum(dc, p, SolverConfig(scan_points=scan_points))
+    assert oracle.shoot_eigenvalues(dc, p, n_max=1)
     monkeypatch.undo()
 
     lo, hi = bound_window(dc)
-    want = np.unique(points[0])
-    want = want[(want > lo) & (want < hi)]
-    assert np.all(np.diff(grid) > 0.0)
-    assert grid.dtype == want.dtype and grid.tobytes() == want.tobytes()
+    eps = 1e-8 * m
+    assert calls == [(lo + eps, hi - eps, scan_points), (lo + eps, hi - eps, 2)]
+    for (w_lo, w_hi, n_seed), e in zip(calls, seeds):
+        want = np.linspace(w_lo, w_hi, n_seed)
+        assert e.dtype == want.dtype and e.tobytes() == want.tobytes()
+        assert lo < e[0] and e[-1] < hi and np.all(np.diff(e) > 0.0)
 
 
 def _brent_cases():
@@ -445,6 +458,29 @@ class TestBracketedByClosedForm:
         assert [lv.energy for lv in coarse] == pytest.approx(
             [lv.energy for lv in fine], abs=2.0 * SolverConfig().tol_e * dc.m)
 
+    def test_the_seed_does_not_decide_the_levels(self):
+        # halving, not the seed, separates the levels: 100 and 2000 uniform
+        # seed energies give the same levels in every regime, on the
+        # benchmark wells that solve, the deep Morse well, the 91-level
+        # well and random wells
+        wells = [(DC, PotentialParams(*w)) for w in [
+            (25.0, 10.0, 1.0, 0.3), (25.0, 18.0, 0.5, 0.5), (25.0, 10.0, 1.0, 0.0),
+            (400.0, 300.0, 0.3, 0.3), (25.0, 10.0, 1.0, 2.0), (25.0, 10.0, 1.0, 4.0),
+            (25.0, 18.0, 0.5, 1.0), (25.0, 10.0, 1.0, 1.0), (400.0, 300.0, 0.3, 0.0)]]
+        wells += [(DiracConstants(m=1.0, c_spin=0.1688),
+                   PotentialParams(741.397, 527.365, 0.1474, 0.3143))]
+        draw_well, rng = _draw_well(), random.Random(9)
+        wells += [draw_well(rng, ("morse", "regular", "singular")[i % 3]) for i in range(30)]
+        for dc, p in wells:
+            for solve in (spectrum, closed_form_spectrum):
+                coarse, fine = (solve(dc, p, SolverConfig(scan_points=n, max_levels=200))
+                                for n in (100, 2000))
+                assert len(coarse) == len(fine)
+                assert [(lv.n_r, lv.method) for lv in coarse] == [
+                    (lv.n_r, lv.method) for lv in fine]
+                assert [lv.energy for lv in coarse] == pytest.approx(
+                    [lv.energy for lv in fine], abs=2.0 * SolverConfig().tol_e * dc.m)
+
     def test_levels_below_a_kernel_overflow_solve(self):
         # a scan met H = -inf at E = 1.3913 and raised; the brackets of
         # the first 64 levels hold no overflow (the 200-level run still
@@ -485,8 +521,7 @@ class TestCrossings:
     def test_crowded_levels_are_separated(self):
         # ten levels in the one cell [0, 1], at E = (n + 1/2)/10
         phase, seen = self._traced(lambda e: 10.0 * e - 0.5)
-        e = np.array([0.0, 1.0])
-        roots = _crossings(phase, e, phase(e), 64, 1e-12)
+        roots = _crossings(phase, 0.0, 1.0, 2, 64, 1e-12)
         assert roots == pytest.approx((np.arange(10) + 0.5) / 10.0, abs=1e-12)
         assert len(set(seen)) == len(seen)  # no energy is evaluated twice
 
@@ -496,17 +531,15 @@ class TestCrossings:
         def dip(e):
             return 4.0 * (e - 0.3) ** 2 - 0.37
         phase, seen = self._traced(dip)
-        e = np.array([0.0, 1.0])
-        roots = _crossings(phase, e, phase(e), 64, 1e-12)
+        roots = _crossings(phase, 0.0, 1.0, 2, 64, 1e-12)
         assert roots == pytest.approx(0.3 + np.sqrt((np.arange(2) + 0.37) / 4.0), abs=1e-12)
         assert dip(0.5) < dip(0.0) and 0.5 in seen  # the first halving lands in the dip
         assert len(set(seen)) == len(seen)
 
     def test_first_sample_at_level_0_raises(self):
-        e = np.array([0.25, 1.0])
         with pytest.raises(NonConvergenceError,
                            match=r"level 0 is reached at the first sample E = 0\.25"):
-            _crossings(lambda e: e, e, e, 64, 1e-12)
+            _crossings(lambda e: e, 0.25, 1.0, 2, 64, 1e-12)
 
 
 class TestDisputed:
@@ -567,7 +600,7 @@ class TestClosedFormBrackets:
         p = PotentialParams(60.0, 25.0, 0.5, q)
         cfg = SolverConfig(scan_points=100, max_levels=max_levels)
         levels = closed_form_spectrum(dc, p, cfg)
-        grid = _scan_window(dc, cfg)
+        grid = np.linspace(*_window(dc), cfg.scan_points)
         a_grid = _closed_form_a(grid, dc, p)
         n_cross = sum(1 for n in range(1000) if a_grid.min() <= -n)
         assert len(levels) == min(max_levels, n_cross) >= 3
@@ -581,9 +614,8 @@ class TestClosedFormBrackets:
             assert np.all(a_grid[grid < lv.energy] > -n)
 
     def test_a_is_positive_at_the_first_scan_point(self):
-        # the rule above needs a + n > 0 at the bottom of the scan for every n
+        # the rule above needs a + n > 0 at the bottom of the window for every n
         rng = np.random.default_rng(15)
-        cfg = SolverConfig(scan_points=100)
         for _ in range(400):
             v1 = rng.uniform(2.0, 5000.0)
             q = rng.choice([0.0, 10.0 ** rng.uniform(-9.0, -5.0), rng.uniform(0.0, 1.0),
@@ -591,4 +623,4 @@ class TestClosedFormBrackets:
             p = PotentialParams(v1, v1 * rng.uniform(0.05, 0.95) / max(1.0, math.sqrt(q)),
                                 rng.uniform(0.05, 3.0), q)
             dc = DiracConstants(m=1.0, c_spin=rng.uniform(-3.0, 1.9))
-            assert _closed_form_a(_scan_window(dc, cfg)[:1], dc, p)[0] > 0.0
+            assert _closed_form_a(np.array(_window(dc)[:1]), dc, p)[0] > 0.0
