@@ -17,7 +17,6 @@ _EXPORTS = {
     "deformed": (
         "PotentialParams",
         "cosh_q",
-        "morse_value",
         "potential_value",
         "singularity_radius",
         "tanh_q",

@@ -361,20 +361,11 @@ def cmd_morse_limit(args):
                        config)
               for q in q_list]
 
+    # |E - E_exact| of the same n_r (NaN where none), 0 for the exact levels
     exact_by_n = {lv.n_r: lv.energy for lv in exact}
     columns = ["q", "n_r", "E", "method", "deviation_from_morse"]
-    rows = []
-    for q, levels in zip(q_list, sweeps):
-        for lv in levels:
-            dev = (abs(lv.energy - exact_by_n[lv.n_r])
-                   if lv.n_r in exact_by_n else float("nan"))
-            rows.append([q, lv.n_r, lv.energy, lv.method, dev])
-    for lv in exact:
-        rows.append([0.0, lv.n_r, lv.energy, lv.method, 0.0])
-    for lv in asym:
-        dev = (abs(lv.energy - exact_by_n[lv.n_r])
-               if lv.n_r in exact_by_n else float("nan"))
-        rows.append([0.0, lv.n_r, lv.energy, lv.method, dev])
+    rows = [[q, lv.n_r, lv.energy, lv.method, abs(lv.energy - exact_by_n.get(lv.n_r, math.nan))]
+            for q, levels in zip(q_list + [0.0, 0.0], sweeps + [exact, asym]) for lv in levels]
     _write_table(columns, rows, args.out, args.format)
     return EXIT_OK
 

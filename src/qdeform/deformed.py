@@ -4,13 +4,14 @@ The deformed functions follow the Arai convention
 
     sinh_q(x) = (e^x - q e^-x) / 2,   cosh_q(x) = (e^x + q e^-x) / 2,
 
-which reduces to the ordinary hyperbolic functions at q = 1 and gives the
-radial Morse well in the q -> 0 limit.  For q >= 1 the well
+which reduces to the ordinary hyperbolic functions at q = 1.  The well
 
     V_q(r) = (V1 - V2 cosh_q(alpha r)) / sinh_q(alpha r)^2
 
-has an impenetrable singularity at r0 = ln(q) / (2 alpha); for 0 < q < 1 it
-is regular on all of r > 0.
+has an impenetrable singularity at r0 = ln(q) / (2 alpha) for q >= 1, and
+the domain r > 0 below.  One expression, with e = e^-alpha r and u = q e^2,
+(4 V1 e^2 - 2 V2 e (1 + u)) / (1 - u)^2, serves every q >= 0: it never
+overflows at large r, and at q = 0 it is the Morse well 4 V1 e^2 - 2 V2 e.
 """
 
 from __future__ import annotations
@@ -28,7 +29,6 @@ __all__ = [
     "tanh_q",
     "singularity_radius",
     "potential_value",
-    "morse_value",
 ]
 
 
@@ -97,30 +97,25 @@ def singularity_radius(p: PotentialParams) -> float | None:
     return None
 
 
-def morse_value(r, v1, v2, alpha):
-    """Radial Morse well 4 V1 e^{-2 alpha r} - 2 V2 e^{-alpha r}."""
-    r = np.asarray(r, dtype=float)
+def _well(r, v1, v2, alpha, q):
+    """(4 V1 e^2 - 2 V2 e (1 + u)) / (1 - u)^2 with e = e^-alpha r and
+    u = q e^2, unchecked: the deformed well at q >= 0 for V2 > 0, and with
+    V2 -> -V2 the well with its attractive term flipped."""
     e = np.exp(-alpha * r)
-    out = 4.0 * v1 * e * e - 2.0 * v2 * e
-    return out if out.ndim else float(out)
+    u = q * e * e
+    return (4.0 * v1 * e * e - 2.0 * v2 * e * (1.0 + u)) / (1.0 - u) ** 2
 
 
 def potential_value(r, p: PotentialParams):
     """Evaluate the deformed well at radius r (scalar or array).
 
-    For q = 0 delegates to ``morse_value``.  Raises DomainError at or
-    inside the singularity (r <= r0 for q >= 1, r <= 0 otherwise).
+    One expression serves every q >= 0 (see the module docstring); at q = 0
+    it is the Morse well.  Raises DomainError at or inside the singularity:
+    r <= r0 for q >= 1, r <= 0 below q = 1.
     """
-    if p.q == 0.0:
-        return morse_value(r, p.v1, p.v2, p.alpha)
     r_arr = np.asarray(r, dtype=float)
     left = singularity_radius(p) if p.q >= 1.0 else 0.0
     if np.any(r_arr <= left):
         raise DomainError(f"radius must exceed {left} for q={p.q}")
-    # exact rewrite with e^-x factored out so large radii never overflow:
-    # V = (4 V1 e^-2x - 2 V2 e^-x (1 + q e^-2x)) / (1 - q e^-2x)^2
-    x = p.alpha * r_arr
-    e = np.exp(-x)
-    u = p.q * e * e
-    out = (4.0 * p.v1 * e * e - 2.0 * p.v2 * e * (1.0 + u)) / (1.0 - u) ** 2
+    out = _well(r_arr, p.v1, p.v2, p.alpha, p.q)
     return out if np.ndim(out) else float(out)

@@ -8,7 +8,8 @@ equation with effective eigenvalue
 and effective strengths Vt_i = (M + E - C) V_i.  All derived parameters
 (lambda, eta, a, b, c) are functions of the trial energy E and are
 recomputed on demand, keeping root-finding stateless.  E may be a scalar or
-an array; a function raises if any element lies outside its domain.
+an array; a function raises if any element lies outside its domain, or,
+naming it, where a quantity leaves the float range (alpha = 1e-300).
 """
 
 from __future__ import annotations
@@ -51,9 +52,20 @@ class DiracConstants:
             raise ParameterError(f"mass must be positive, got {self.m}")
 
 
+def _finite(name, x, e):
+    """x, made from E; DomainError names x and the first E where it is not finite."""
+    bad = ~np.isfinite(x)
+    if np.any(bad):
+        raise DomainError(f"{name} is not finite at E = {np.broadcast_to(e, bad.shape)[bad][0]}"
+                          ": the parameters leave the float range")
+    return x
+
+
 def effective_eigenvalue(e, dc: DiracConstants) -> float:
     """Et = E^2 - M^2 + C(M - E), equal to (E - M)(E + M - C)."""
-    return e * e - dc.m * dc.m + dc.c_spin * (dc.m - e)
+    with np.errstate(all="ignore"):
+        et = e * e - dc.m * dc.m + dc.c_spin * (dc.m - e)
+    return _finite("the effective eigenvalue Et", et, e)
 
 
 def effective_strengths(e, dc: DiracConstants, p: PotentialParams):
@@ -63,7 +75,9 @@ def effective_strengths(e, dc: DiracConstants, p: PotentialParams):
         raise NonBindingError(
             f"M + E - C = {np.min(pref)} <= 0: effective well is not attractive"
         )
-    return pref * p.v1, pref * p.v2
+    with np.errstate(over="ignore"):
+        v1t = pref * p.v1
+    return _finite("the effective strength Vt1", v1t, e), pref * p.v2  # Vt2 < Vt1
 
 
 def shape_params(e, dc: DiracConstants, p: PotentialParams):
@@ -84,11 +98,13 @@ def _shape_and_strengths(e, dc: DiracConstants, p: PotentialParams):
         raise DomainError(f"effective eigenvalue {np.max(et)} >= 0: not a bound state")
     v1t, v2t = effective_strengths(e, dc, p)
     sq = math.sqrt(p.q)
-    disc = 1.0 + (4.0 / (p.alpha * p.alpha)) * (v1t / p.q - v2t / sq)
+    with np.errstate(all="ignore"):
+        disc = 1.0 + np.divide(4.0, p.alpha * p.alpha) * (v1t / p.q - v2t / sq)
     if np.any(disc < 0.0):
         raise DiscriminantError(
             f"negative discriminant {np.min(disc)}: exponent lambda would be complex"
         )
+    _finite("the discriminant of lambda", disc, e)  # so eta = sqrt(-Et)/alpha is finite
     lam = 0.25 * (1.0 + np.sqrt(disc))
     eta = np.sqrt(-et) / p.alpha
     return lam, eta, v1t, v2t
@@ -102,7 +118,9 @@ def abc_params(e, dc: DiracConstants, p: PotentialParams):
     where the condition is a(E) = -n_r.
     """
     lam, eta, v1t, v2t = _shape_and_strengths(e, dc, p)
-    disc = 1.0 + (4.0 / (p.alpha * p.alpha * p.q)) * (v1t + v2t * math.sqrt(p.q))
+    with np.errstate(all="ignore"):
+        disc = 1.0 + np.divide(4.0, p.alpha * p.alpha * p.q) * (v1t + v2t * math.sqrt(p.q))
+    _finite("the discriminant of (a, b)", disc, e)
     if np.any(disc < 0.0):
         raise DiscriminantError(f"negative discriminant {np.min(disc)} in (a, b)")
     root = np.sqrt(disc)

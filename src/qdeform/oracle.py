@@ -58,7 +58,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .deformed import PotentialParams, potential_value, singularity_radius
+from .deformed import PotentialParams, _well, potential_value, singularity_radius
 from .effective import DiracConstants, effective_eigenvalue
 from .errors import GridError
 from .solvers import METHOD_ORACLE, EnergyLevel, _crossings, _level, _window
@@ -107,14 +107,6 @@ class RadialGrid:
     def n_points(self) -> int:
         return len(self.radii)
 
-    @property
-    def r_start(self) -> float:
-        return float(self.radii[0])
-
-    @property
-    def r_end(self) -> float:
-        return float(self.radii[-1])
-
 
 def sweep_terms(p: PotentialParams, grid: RadialGrid):
     """(g'^2 V, g'^2, Liouville term) on the grid, reusable across trial energies.
@@ -128,31 +120,19 @@ def sweep_terms(p: PotentialParams, grid: RadialGrid):
 class _Envelope:
     """Q_env(r) = (2M - C) Vbar(r) + (M - C/2)^2, a bound on |W| over the window.
 
-    Vbar = (4 V1 y^2 + 2 V2 y + 2 V2 q y^3) / (1 - q y^2)^2, y = e^(-alpha r),
-    is the deformed well with the sign of its attractive term flipped, so
-    Vbar >= |V|, and (M - C/2)^2 = max |Et|.
+    Vbar, ``deformed._well`` with V2 -> -V2, is the deformed well with the
+    sign of its attractive term flipped, so Vbar >= |V|; 2M - C is the
+    largest M + E - C and (M - C/2)^2 = max |Et| over the window.
     """
 
     def __init__(self, dc: DiracConstants, p: PotentialParams):
         self.pref = 2.0 * dc.m - dc.c_spin  # max of M + E - C over the window
-        self.alpha, self.q = p.alpha, p.q
+        self.v1, self.v2, self.alpha, self.q = p.v1, p.v2, p.alpha, p.q
         self.c4, self.c2 = 4.0 * p.v1 * self.pref, 2.0 * p.v2 * self.pref
         self.floor = -effective_eigenvalue(0.5 * dc.c_spin, dc)
 
     def __call__(self, r):
-        """Q_env at r, computed in place to keep the temporaries few."""
-        y = np.exp(r * -self.alpha)
-        b = y * y
-        b *= self.q
-        num = b + 1.0
-        num *= self.c2
-        num += self.c4 * y
-        num *= y
-        b -= 1.0  # (q y^2 - 1)^2 = (1 - q y^2)^2
-        b *= b
-        num /= b
-        num += self.floor
-        return num
+        return self.pref * _well(r, self.v1, -self.v2, self.alpha, self.q) + self.floor
 
     def with_liouville(self, r):
         """(Q_env, -1/2 {g; s}) at r for the map g' = Q_env^(-1/2).
@@ -203,7 +183,8 @@ def build_grid(dc: DiracConstants, p: PotentialParams) -> RadialGrid:
 
     base = r0 if r0 is not None else 0.0
     probe = base + np.geomspace(0.1 / p.alpha, 2000.0 / p.alpha, 400)
-    tail = envelope.pref * np.abs(potential_value(probe, p))
+    with np.errstate(over="ignore"):  # an inf is above the cutoff all the same
+        tail = envelope.pref * np.abs(potential_value(probe, p))
     ok = np.nonzero(tail < 1e-10 * envelope.floor)[0]
     if len(ok) == 0:
         raise GridError("could not place the right cutoff: potential decays too slowly")
@@ -219,13 +200,16 @@ def build_grid(dc: DiracConstants, p: PotentialParams) -> RadialGrid:
     pr[0], pr[-1] = r_start, r_end
     ps = np.empty_like(pr)
     ps[0] = 0.0
-    np.cumsum(envelope.action(pr[:-1], pr[1:]), out=ps[1:])
-    env, liouville = envelope.with_liouville(pr)
+    with np.errstate(over="ignore", invalid="ignore"):  # checked below
+        np.cumsum(envelope.action(pr[:-1], pr[1:]), out=ps[1:])
+        env, liouville = envelope.with_liouville(pr)
 
     q_max = 1.0 + float(np.max(np.abs(liouville)))  # |g'^2 W| <= 1 by the envelope
     s_span = float(ps[-1])
-    n = max(int(math.ceil(s_span * _POINTS_PER_WAVELENGTH * math.sqrt(q_max)
-                          / (2.0 * math.pi))) + 1, 1000)
+    n = s_span * _POINTS_PER_WAVELENGTH * math.sqrt(q_max) / (2.0 * math.pi)
+    if not math.isfinite(n):
+        raise GridError("the envelope of the well leaves the float range")
+    n = max(int(math.ceil(n)) + 1, 1000)
     if n > _MAX_POINTS:
         raise GridError(f"the well needs {n} grid points, more than {_MAX_POINTS}")
     h = s_span / (n - 1)

@@ -39,6 +39,7 @@ import numpy as np
 from .deformed import PotentialParams, cosh_q
 from .effective import (
     DiracConstants,
+    _finite,
     abc_params,
     bound_window,
     effective_eigenvalue,
@@ -208,10 +209,18 @@ def _crossings(phase, lo, hi, n_seed, n_max, tol):
     is in the first cell where the running maximum of v reaches n.  Crowded
     cells are halved, one phase call for all, until each holds one level;
     one lockstep Chandrupatla call then refines phase(E) - n in each.
-    Raises NonConvergenceError if the first sample already reaches level 0.
+    Raises NonConvergenceError, naming the energy, where phase is NaN or
+    infinite at a sample and when the first sample already reaches level 0.
     """
+    def sample(e):  # phase at the ascending energies e, every value finite
+        v = phase(e)
+        bad = np.flatnonzero(~np.isfinite(v))
+        if len(bad):
+            raise NonConvergenceError(f"phase is {v[bad[0]]} at the sample E = {e[bad[0]]}")
+        return v
+
     e = np.linspace(lo, hi, n_seed)
-    v = phase(e)
+    v = sample(e)
     while True:
         k = np.searchsorted(np.fmax.accumulate(v), np.arange(n_max))
         k = k[k < len(e)]
@@ -225,7 +234,7 @@ def _crossings(phase, lo, hi, n_seed, n_max, tol):
         stuck = mid[(mid == e[i - 1]) | (mid == e[i])]
         if len(stuck):
             raise NonConvergenceError(f"levels share a cell too narrow to halve at E = {stuck[0]}")
-        e, v = np.insert(e, i, mid), np.insert(v, i, phase(mid))
+        e, v = np.insert(e, i, mid), np.insert(v, i, sample(mid))
     ns = np.arange(len(k))
     return _chandrupatla(lambda x, n: phase(x) - n, e[k - 1], e[k], tol, ns,
                          fa=v[k - 1] - ns, fb=v[k] - ns)
@@ -239,8 +248,10 @@ def _morse_shape(e, dc: DiracConstants, p: PotentialParams):
     """(eta, s, y0) of the Morse problem: 1F1(1/2 + eta - s, 2 eta + 1; y0)
     with s = Vt2/(2 alpha sqrt(Vt1)) and y0 = 4 sqrt(Vt1)/alpha."""
     v1t, v2t = effective_strengths(e, dc, p)
-    eta = np.sqrt(-effective_eigenvalue(e, dc)) / p.alpha
-    return eta, v2t / (2.0 * p.alpha * np.sqrt(v1t)), 4.0 * np.sqrt(v1t) / p.alpha
+    with np.errstate(all="ignore"):
+        shape = (np.sqrt(-effective_eigenvalue(e, dc)) / p.alpha,
+                 v2t / (2.0 * p.alpha * np.sqrt(v1t)), 4.0 * np.sqrt(v1t) / p.alpha)
+    return tuple(_finite(name, x, e) for name, x in zip(("eta", "s", "y0"), shape))
 
 
 def _hypergeometric_factor(e, dc: DiracConstants, p: PotentialParams, r):

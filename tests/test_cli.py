@@ -49,7 +49,37 @@ def morse_config_path(tmp_path):
     return str(path)
 
 
+# accepted inputs whose effective algebra leaves the float range:
+# (v1, v2, alpha, q), M, C
+FLOAT_RANGE_CASES = [
+    ((25.0, 10.0, 1e-300, 0.3), 1.0, 0.0),
+    ((25.0, 10.0, 1e-300, 2.0), 1.0, 0.0),
+    ((25.0, 10.0, 1e-160, 0.3), 1.0, 0.0),
+    ((25.0, 10.0, 1.0, 1e-310), 1.0, 0.0),
+    ((25.0, 10.0, 1.0, 1e-320), 1.0, 0.0),
+    ((25.0, 10.0, 1.0, 0.3), 1e300, 0.0),
+    ((25.0, 10.0, 1.0, 0.3), 1.0, -1e300),
+]
+
+
 class TestSpectrum:
+    @pytest.mark.parametrize("potential, mass, c_spin", FLOAT_RANGE_CASES, ids=[
+        "alpha=1e-300,q=0.3", "alpha=1e-300,q=2", "alpha=1e-160", "q=1e-310", "q=1e-320",
+        "M=1e300", "C=-1e300"])
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_float_range_fails_in_one_line(self, potential, mass, c_spin, tmp_path, capsys):
+        # no RuntimeWarning either: it would be a second stderr line
+        v1, v2, alpha, q = potential
+        config = tmp_path / "extreme.json"
+        config.write_text(json.dumps({
+            "potential": {"v1": v1, "v2": v2, "alpha": alpha, "q": q},
+            "dirac": {"mass": mass, "c_spin": c_spin}}))
+        assert main(["spectrum", "--config", str(config)]) in (EXIT_CONFIG, EXIT_SOLVER)
+        out, err = capsys.readouterr()
+        assert out == "" and "Traceback" not in err
+        assert re.fullmatch(r"solver error: .+ is not finite at E = \S+: "
+                            r"the parameters leave the float range\n", err)
+
     def test_csv_to_stdout(self, config_path, capsys):
         assert main(["spectrum", "--config", config_path]) == EXIT_OK
         lines = capsys.readouterr().out.strip().splitlines()

@@ -8,10 +8,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qdeform import (
+    DomainError,
     ParameterError,
     PotentialParams,
     cosh_q,
-    morse_value,
     potential_value,
     singularity_radius,
     tanh_q,
@@ -119,8 +119,27 @@ class TestPotentialValue:
         expected = (4.0 * p.v1 * np.exp(-2.0 * r)
                     - 2.0 * p.v2 * np.exp(-r))
         assert np.allclose(potential_value(r, p), expected, rtol=1e-13)
-        assert np.allclose(morse_value(r, p.v1, p.v2, 1.0),
-                           expected, rtol=1e-13)
+
+    def test_q_zero_is_the_morse_expression_to_the_bit(self):
+        # the one expression of every q, at q = 0, is 4 V1 e^2 - 2 V2 e with
+        # e = exp(-alpha r), bit for bit, on random wells and radii r > 0
+        rng = np.random.default_rng(2026)
+        for _ in range(300):
+            v2 = 10.0 ** rng.uniform(-2.0, 3.0)
+            p = PotentialParams(v2 * 10.0 ** rng.uniform(1e-4, 1.0), v2,
+                                10.0 ** rng.uniform(-2.0, 2.0), 0.0)
+            r = 10.0 ** rng.uniform(-10.0, 2.0, 64) / p.alpha
+            e = np.exp(-p.alpha * r)
+            assert np.array_equal(potential_value(r, p), 4.0 * p.v1 * e * e - 2.0 * p.v2 * e)
+            value = potential_value(float(r[0]), p)
+            assert type(value) is float and value == 4.0 * p.v1 * e[0] * e[0] - 2.0 * p.v2 * e[0]
+
+    @pytest.mark.parametrize("q", [0.0, 0.3])
+    def test_below_q_one_the_domain_is_r_positive(self, q):
+        p = PotentialParams(4.0, 1.0, 1.0, q)
+        for r in (0.0, -1.0, -np.inf, np.array([1.0, 0.0])):
+            with pytest.raises(DomainError, match="radius must exceed 0.0"):
+                potential_value(r, p)
 
     def test_q_to_zero_continuity(self):
         # pointwise approach to the Morse curve as q -> 0+
@@ -153,8 +172,10 @@ class TestPotentialValue:
         # the mapped (V1, V2) place the well minimum -D_e at r = r_e
         de, re_, alpha = 5.0, 1.3, 0.8
         v1, v2 = morse_from_physical(de, re_, alpha)
+        assert v1 < v2  # outside PotentialParams: the Morse well written out
         r = np.linspace(0.1, 10.0, 20001)
-        vals = morse_value(r, v1, v2, alpha)
+        e = np.exp(-alpha * r)
+        vals = 4.0 * v1 * e * e - 2.0 * v2 * e
         i = int(np.argmin(vals))
         assert r[i] == pytest.approx(re_, abs=1e-3)
         assert vals[i] == pytest.approx(-de, rel=1e-6)

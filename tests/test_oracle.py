@@ -58,18 +58,22 @@ class TestRadialGrid:
         # a numpy scalar step would make every Numerov step numpy arithmetic
         assert type(g.spacing) is float
         assert g.n_points == len(g.radii) == len(g.jac2) == len(g.liouville)
-        assert g.r_start == g.radii[0] == 1e-8
-        assert g.r_end == g.radii[-1]
+        assert g.radii[0] == 1e-8
 
     def test_build_grid_starts_past_the_wall(self):
         p = PotentialParams(25.0, 10.0, 1.0, 4.0)
         g = build_grid(DC, p)
-        assert g.r_start > singularity_radius(p)
+        assert g.radii[0] > singularity_radius(p)
+
+    def test_envelope_out_of_float_range_raises(self):
+        # alpha^2 overflows in the Liouville term: one GridError, no warning
+        with pytest.raises(GridError, match="leaves the float range"):
+            build_grid(DC, PotentialParams(25.0, 10.0, 1e300, 0.3))
 
     def test_build_grid_reaches_the_tail(self):
         p = PotentialParams(25.0, 10.0, 1.0, 2.0)
         g = build_grid(DC, p)
-        assert g.r_end > 20.0
+        assert g.radii[-1] > 20.0
 
     @pytest.mark.parametrize("q", GRID_QS)
     def test_radii_rise_from_start_to_end(self, q):
@@ -86,7 +90,7 @@ class TestRadialGrid:
         g = build_grid(DC, PotentialParams(25.0, 10.0, 1.0, q))
         d1, _, _ = _differences(g.radii, g.spacing, 3)
         inner = slice(3, g.n_points - 3)
-        far = g.radii[inner] - g.r_start > 1e-3
+        far = g.radii[inner] - g.radii[0] > 1e-3
         assert np.max(np.abs(d1 / np.sqrt(g.jac2[inner]) - 1.0)[far]) < 1e-8
 
     @pytest.mark.parametrize("q", GRID_QS)
@@ -94,7 +98,7 @@ class TestRadialGrid:
         g = build_grid(DC, PotentialParams(25.0, 10.0, 1.0, q))
         d1, d2, d3 = _differences(g.radii, g.spacing, 3)
         inner = slice(3, g.n_points - 3)
-        far = g.radii[inner] - g.r_start > 1e-3
+        far = g.radii[inner] - g.radii[0] > 1e-3
         schwarzian = d3 / d1 - 1.5 * (d2 / d1) ** 2
         miss = np.abs(-0.5 * schwarzian - g.liouville[inner])[far]
         assert np.max(miss) <= 1e-5 * np.max(np.abs(g.liouville))

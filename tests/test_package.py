@@ -8,8 +8,8 @@ import qdeform
 
 # submodule -> the public names ``from qdeform import *`` gives
 PUBLIC = {
-    "deformed": ["PotentialParams", "cosh_q", "morse_value", "potential_value",
-                 "singularity_radius", "tanh_q"],
+    "deformed": ["PotentialParams", "cosh_q", "potential_value", "singularity_radius",
+                 "tanh_q"],
     "effective": ["DiracConstants", "abc_params", "bound_window", "effective_eigenvalue",
                   "effective_strengths", "shape_params"],
     "errors": ["DiscriminantError", "DomainError", "EmptyWindowError", "GridError",
@@ -29,7 +29,7 @@ NAMES = {name for names in PUBLIC.values() for name in names}
 def test_star_import_gives_the_public_names():
     namespace = {}
     exec("from qdeform import *", namespace)
-    assert len(NAMES) == 41
+    assert len(NAMES) == 40
     assert set(namespace) - {"__builtins__"} == NAMES
     assert set(qdeform.__all__) == NAMES
 

@@ -541,6 +541,20 @@ class TestCrossings:
                            match=r"level 0 is reached at the first sample E = 0\.25"):
             _crossings(lambda e: e, 0.25, 1.0, 2, 64, 1e-12)
 
+    def test_non_finite_seed_raises(self):
+        # np.fmax.accumulate skips a NaN: the NaN top seed would hide all ten levels
+        def phase(e):
+            return np.where(e < 1.0, 10.0 * e - 0.5, np.nan)
+        with pytest.raises(NonConvergenceError, match=r"^phase is nan at the sample E = 1\.0$"):
+            _crossings(phase, 0.0, 1.0, 2, 64, 1e-12)
+
+    def test_non_finite_midpoint_raises(self):
+        # the first halving of the crowded cell [0, 1] samples E = 0.5
+        def phase(e):
+            return np.where(e == 0.5, np.inf, 10.0 * e - 0.5)
+        with pytest.raises(NonConvergenceError, match=r"^phase is inf at the sample E = 0\.5$"):
+            _crossings(phase, 0.0, 1.0, 2, 64, 1e-12)
+
 
 class TestDisputed:
     def test_disagrees_with_valid_solver(self):
