@@ -7,7 +7,7 @@ is scaled up: at q = 0 the closed-form condition a(E) = -n_r is the
 deep-well asymptotic one.
 """
 
-from qdeform import DiracConstants, PotentialParams, closed_form_spectrum, spectrum
+from qdeform import DiracConstants, PotentialParams, SolverConfig, closed_form_spectrum, spectrum
 
 DC = DiracConstants(m=1.0, c_spin=0.0)
 V1, V2, ALPHA = 25.0, 18.0, 0.5
@@ -27,11 +27,13 @@ def main():
         print(f"{q:>8.0e} {dev:>22.3e}")
 
     print(f"\n{'scale':>6} {'max |E_asym - E_exact|':>24}")
-    dc = DiracConstants(m=1.0, c_spin=-100.0)
-    for scale in (1.0, 100.0):
+    # a root tolerance far below the smallest gap, so that the gap is the
+    # asymptotic error and not the refinement's
+    dc, cfg = DiracConstants(m=1.0, c_spin=-100.0), SolverConfig(tol_e=1e-15)
+    for scale in (1.0, 3.0, 10.0):
         p = PotentialParams(0.25 * scale, 0.2 * scale, 1.0, 0.0)
-        ex = {lv.n_r: lv.energy for lv in spectrum(dc, p)}
-        asym = {lv.n_r: lv.energy for lv in closed_form_spectrum(dc, p)}
+        ex = {lv.n_r: lv.energy for lv in spectrum(dc, p, cfg)}
+        asym = {lv.n_r: lv.energy for lv in closed_form_spectrum(dc, p, cfg)}
         gap = max(abs(asym[n] - ex[n]) for n in ex)
         print(f"{scale:>6.0f} {gap:>24.3e}")
 

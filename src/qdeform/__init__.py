@@ -48,6 +48,7 @@ _EXPORTS = {
         "shoot_eigenvalues",
     ),
     "solvers": (
+        "METHOD_DISPUTED",
         "METHOD_MORSE_ASYMPTOTIC",
         "METHOD_MORSE_EXACT",
         "METHOD_ORACLE",

@@ -105,11 +105,12 @@ def load_config(path):
         {
           "potential": {"v1": ..., "v2": ..., "alpha": ..., "q": ...},
           "dirac":     {"mass": ..., "c_spin": 0.0},
-          "solver":    {"scan_points": 2000, "tol_e": 1e-10, "max_levels": 64}
+          "solver":    {"tol_e": 1e-10, "max_levels": 64}
         }
 
     The "solver" block and "c_spin" are optional; an unknown field is an
-    error.
+    error.  "solver" may also name the retired seed count, which is checked
+    as a count and then dropped.
     """
     try:
         with open(path) as fh:
@@ -127,6 +128,7 @@ def load_config(path):
                            for name in _SCHEMA)
         params = PotentialParams(**pot)
         constants = DiracConstants(dirac.pop("mass"), **dirac)
+        sol.pop("scan_points", None)  # no longer a setting; older configs still name it
         config = SolverConfig(**sol)
     except (TypeError, ValueError, OverflowError) as exc:
         raise ConfigError(str(exc))

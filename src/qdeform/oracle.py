@@ -41,10 +41,10 @@ dv/dr being the difference over the step (m - 1, m) the halves share.  The
 matched phase Theta(E) = theta_out + theta_in is continuous and, apart from
 a dip between the window bottom and the first level, rises with E; level
 n_r is the root of Theta = (n_r + 1) pi, and at a root the two halves match
-for any choice of m.  ``solvers._crossings`` seeds itself with the sweeps
-at the two ends of ``solvers._window``, separates the levels by halving and
+for any choice of m.  ``solvers._crossings`` starts from the sweeps at the
+two ends of ``solvers._window``, separates the levels by halving and
 refines them all together: the search ``closed_form_spectrum`` runs on
--a(E) over the same window from ``scan_points`` uniform seeds.
+-a(E) over the same window.
 
 The module takes only the potential and the effective eigenvalue, no
 closed-form spectrum, so it serves as the ground truth the analytic solvers
@@ -313,7 +313,7 @@ def shoot_eigenvalues(dc: DiracConstants, p: PotentialParams, n_max: int = 64,
         return np.array([integrate_radial(x, dc, p, grid, terms)[0]
                          for x in e.tolist()]) / math.pi - 1.0
 
-    roots = _crossings(phase, *_window(dc), 2, n_max, tol)
+    roots = _crossings(phase, *_window(dc), n_max, tol)
     return [_level(n, e, dc, METHOD_ORACLE) for n, e in enumerate(roots.tolist())]
 
 

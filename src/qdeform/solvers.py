@@ -19,13 +19,11 @@ deep-well asymptotic Morse levels.
 
 ``_crossings`` finds where a counting phase, -a(E) here and Theta(E)/pi - 1
 in the shooting oracle, first reaches each level n.  Both search the one
-window of ``_window``, the closed form seeded with ``scan_points`` uniform
-energies in one array call and the oracle with the two ends; halving, not
-the seed, separates the levels.  Below q = 1 the closed-form levels bracket
-the exact ones (see ``spectrum``), so H(E, 0) is never scanned.  Every
-bracket is refined in lockstep by Chandrupatla's method (``_chandrupatla``),
-one array call per step; a refinement that fails, or meets a NaN or
-infinite value, raises.
+window of ``_window`` from its two ends, and halving separates the levels.
+Below q = 1 the closed-form levels bracket the exact ones (see
+``spectrum``), so H(E, 0) is never scanned.  Every bracket is refined in
+lockstep by Chandrupatla's method (``_chandrupatla``), one array call per
+step; a refinement that fails, or meets a NaN or infinite value, raises.
 """
 
 from __future__ import annotations
@@ -53,6 +51,7 @@ __all__ = [
     "SolverConfig",
     "METHOD_Q_GE_1",
     "METHOD_Q_LT_1",
+    "METHOD_DISPUTED",
     "METHOD_MORSE_EXACT",
     "METHOD_MORSE_ASYMPTOTIC",
     "METHOD_ORACLE",
@@ -62,6 +61,7 @@ __all__ = [
 
 METHOD_Q_GE_1 = "closed-form-q>=1"
 METHOD_Q_LT_1 = "transcendental-q<1"
+METHOD_DISPUTED = "disputed-closed-form"
 METHOD_MORSE_EXACT = "morse-exact"
 METHOD_MORSE_ASYMPTOTIC = "morse-asymptotic"
 METHOD_ORACLE = "oracle"
@@ -81,19 +81,14 @@ class EnergyLevel:
 
 @dataclass(frozen=True)
 class SolverConfig:
-    """Solver settings: ``scan_points`` uniform energies, at least 100, seed
-    the closed-form search over the window, whose halving, not the seed,
-    separates the levels; ``tol_e`` is the absolute energy tolerance of
-    every root, in units of M; a spectrum lists at most ``max_levels``."""
+    """Solver settings: ``tol_e`` is the absolute energy tolerance of every
+    root, in units of M; a spectrum lists at most ``max_levels``."""
 
-    scan_points: int = 2000
     tol_e: float = 1e-10
     max_levels: int = 64
 
     def __post_init__(self):
         _require_finite(self)
-        if self.scan_points < 100:
-            raise ParameterError(f"scan_points must be >= 100, got {self.scan_points}")
         if self.tol_e <= 0.0:
             raise ParameterError(f"tol_e must be positive, got {self.tol_e}")
         if self.max_levels < 1:
@@ -201,14 +196,14 @@ def _chandrupatla(f, xa, xb, xtol, *per_bracket, fa=None, fb=None):
     return float(roots[0]) if shape == () else roots.reshape(shape)
 
 
-def _crossings(phase, lo, hi, n_seed, n_max, tol):
+def _crossings(phase, lo, hi, n_max, tol):
     """The energies in [lo, hi] where phase(E) reaches n = 0, 1, ..., for
     n < min(n_max, floor(max v) + 1), v being phase at the samples.
 
-    phase is sampled at n_seed uniform energies from lo to hi, and level n
-    is in the first cell where the running maximum of v reaches n.  Crowded
-    cells are halved, one phase call for all, until each holds one level;
-    one lockstep Chandrupatla call then refines phase(E) - n in each.
+    phase is first sampled at lo and hi, and level n is in the first cell
+    where the running maximum of v reaches n.  Crowded cells are halved,
+    one phase call for all, until each holds one level; one lockstep
+    Chandrupatla call then refines phase(E) - n in each.
     Raises NonConvergenceError, naming the energy, where phase is NaN or
     infinite at a sample and when the first sample already reaches level 0.
     """
@@ -219,7 +214,7 @@ def _crossings(phase, lo, hi, n_seed, n_max, tol):
             raise NonConvergenceError(f"phase is {v[bad[0]]} at the sample E = {e[bad[0]]}")
         return v
 
-    e = np.linspace(lo, hi, n_seed)
+    e = np.array([lo, hi])
     v = sample(e)
     while True:
         k = np.searchsorted(np.fmax.accumulate(v), np.arange(n_max))
@@ -286,10 +281,9 @@ def _closed_form_levels(dc: DiracConstants, p: PotentialParams, cfg: SolverConfi
     else:
         def a(e):
             return abc_params(e, dc, p)[0]
-        method = METHOD_Q_GE_1 if p.q >= 1.0 else "disputed-closed-form"
+        method = METHOD_Q_GE_1 if p.q >= 1.0 else METHOD_DISPUTED
 
-    return _crossings(lambda e: -a(e), *_window(dc), cfg.scan_points, n_max,
-                      cfg.tol_e * dc.m), method
+    return _crossings(lambda e: -a(e), *_window(dc), n_max, cfg.tol_e * dc.m), method
 
 
 def spectrum(dc: DiracConstants, p: PotentialParams,

@@ -207,14 +207,32 @@ class TestSpectrum:
         assert out == "" and err.startswith("config error: field '%s'" % key)
 
     def test_integral_float_count_is_accepted(self, tmp_path):
+        # scan_points is checked like any count, then ignored
         path = tmp_path / "counts.json"
         path.write_text(json.dumps({
             "potential": {"v1": 25, "v2": 10, "alpha": 1, "q": 2},
             "dirac": {"mass": 1}, "solver": {"scan_points": 150.0, "max_levels": 8}}))
         constants, params, config = cli.load_config(str(path))
         assert params == PotentialParams(25.0, 10.0, 1.0, 2.0)
-        assert (config.scan_points, config.max_levels) == (150, 8)
-        assert type(config.scan_points) is int and type(params.v1) is float
+        assert config == SolverConfig(max_levels=8)
+        assert type(config.max_levels) is int and type(params.v1) is float
+
+    @pytest.mark.parametrize("scan_points", [10, 100, 20000])
+    def test_retired_scan_points_leaves_the_levels_unchanged(self, tmp_path, capsys,
+                                                           scan_points):
+        # older configs name scan_points; any count, 10 (below the old least
+        # of 100) too, loads and prints the bytes of a config without it
+        config = {"potential": {"v1": 25.0, "v2": 18.0, "alpha": 0.5, "q": 0.5},
+                  "dirac": {"mass": 1.0}}
+        outs = []
+        for solver in ({}, {"scan_points": scan_points}):
+            path = tmp_path / "legacy.json"
+            path.write_text(json.dumps(dict(config, solver=solver)))
+            assert main(["spectrum", "--config", str(path), "--show-disputed"]) == EXIT_OK
+            out, err = capsys.readouterr()
+            assert err == ""
+            outs.append(out)
+        assert outs[0] == outs[1] and outs[0].count("\n") > 3
 
     def test_left_out_fields_take_the_dataclass_defaults(self, tmp_path):
         path = tmp_path / "minimal.json"

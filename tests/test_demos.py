@@ -26,5 +26,6 @@ Morse-exact levels: -0.732789742, -0.056509314, 0.430278226, 0.766429922, 0.9624
 
  scale   max |E_asym - E_exact|
      1                1.176e-06
-   100                2.040e-11
+     3                7.876e-09
+    10                3.471e-13
 """

@@ -17,7 +17,7 @@ PUBLIC = {
                "ZeroNormError"],
     "oracle": ["RadialGrid", "build_grid", "integrate_radial", "ode_residual",
                "shoot_eigenvalues"],
-    "solvers": ["METHOD_MORSE_ASYMPTOTIC", "METHOD_MORSE_EXACT", "METHOD_ORACLE",
+    "solvers": ["METHOD_DISPUTED", "METHOD_MORSE_ASYMPTOTIC", "METHOD_MORSE_EXACT", "METHOD_ORACLE",
                 "METHOD_Q_GE_1", "METHOD_Q_LT_1", "EnergyLevel", "SolverConfig",
                 "closed_form_spectrum", "spectrum"],
     "special": ["gauss_2f1", "jacobi_p", "kummer_1f1"],
@@ -29,7 +29,7 @@ NAMES = {name for names in PUBLIC.values() for name in names}
 def test_star_import_gives_the_public_names():
     namespace = {}
     exec("from qdeform import *", namespace)
-    assert len(NAMES) == 40
+    assert len(NAMES) == 41
     assert set(namespace) - {"__builtins__"} == NAMES
     assert set(qdeform.__all__) == NAMES
 

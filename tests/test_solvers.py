@@ -11,6 +11,7 @@ import pytest
 from scipy.optimize import elementwise
 
 from qdeform import (
+    METHOD_DISPUTED,
     METHOD_MORSE_ASYMPTOTIC,
     METHOD_MORSE_EXACT,
     METHOD_Q_GE_1,
@@ -108,16 +109,13 @@ class TestSolveQLt1:
         # z0 = 0.9997, and c - a - b passes within 3e-8 of -32 in the window
         p = PotentialParams(519.3001686780265, 330.1893523433154,
                             0.2576858226816229, 0.933114315474702)
-        coarse = spectrum(DC, p, SolverConfig(scan_points=2000))
-        fine = spectrum(DC, p, SolverConfig(scan_points=20000))
-        assert [lv.n_r for lv in fine] == [lv.n_r for lv in coarse] == list(range(42))
-        assert [lv.energy for lv in fine] == pytest.approx([lv.energy for lv in coarse],
-                                                          abs=1e-9)
+        levels = spectrum(DC, p)
+        assert [lv.n_r for lv in levels] == list(range(42))
         # the oracle's level n_r is where its phase Theta reaches (n_r + 1) pi
         grid = build_grid(DC, p)
         turns = lambda e: integrate_radial(e, DC, p, grid)[0] / math.pi  # noqa: E731
         assert int(turns(bound_window(DC)[1] - 1e-8)) == 42
-        for lv in coarse:
+        for lv in levels:
             assert turns(lv.energy - 1e-6) < lv.n_r + 1 <= turns(lv.energy + 1e-6)
 
 
@@ -176,8 +174,6 @@ class TestSpectrumDispatch:
 
     def test_config_validation(self):
         with pytest.raises(ParameterError):
-            SolverConfig(scan_points=10)
-        with pytest.raises(ParameterError):
             SolverConfig(tol_e=0.0)
         with pytest.raises(ParameterError):
             SolverConfig(max_levels=0)
@@ -190,7 +186,6 @@ class TestSpectrumDispatch:
         (lambda x: PotentialParams(25.0, 10.0, 1.0, x), "PotentialParams.q"),
         (lambda x: DiracConstants(m=x), "DiracConstants.m"),
         (lambda x: DiracConstants(m=1.0, c_spin=x), "DiracConstants.c_spin"),
-        (lambda x: SolverConfig(scan_points=x), "SolverConfig.scan_points"),
         (lambda x: SolverConfig(tol_e=x), "SolverConfig.tol_e"),
         (lambda x: SolverConfig(max_levels=x), "SolverConfig.max_levels"),
     ])
@@ -207,40 +202,40 @@ class TestSpectrumDispatch:
 
 @pytest.mark.parametrize("m", [1.0, 2.5])
 @pytest.mark.parametrize("c_spin", [0.0, 1.3])
-@pytest.mark.parametrize("scan_points", [100, 2000])
-def test_closed_form_and_oracle_seed_one_window(m, c_spin, scan_points, monkeypatch):
-    # the closed form seeds _crossings with scan_points uniform energies and
-    # the oracle with 2, both on _window: the bound window with each end
-    # moved 1e-8 M inward
+@pytest.mark.parametrize("q", [2.0, 0.3])
+def test_closed_form_and_oracle_seed_one_window(m, c_spin, q, monkeypatch):
+    # the closed form and the oracle both start _crossings from the ends of
+    # _window, the bound window with each end moved 1e-8 M inward, on both
+    # sides of q = 1
     import qdeform.oracle as oracle
 
     real_crossings = solvers._crossings
     calls, seeds = [], []
 
-    def crossings(phase, lo, hi, n_seed, n_max, tol):
-        calls.append((lo, hi, n_seed))
+    def crossings(phase, lo, hi, n_max, tol):
+        calls.append((lo, hi))
 
         def traced(e):
             if len(seeds) < len(calls):
                 seeds.append(np.array(e))
             return phase(e)
-        return real_crossings(traced, lo, hi, n_seed, n_max, tol)
+        return real_crossings(traced, lo, hi, n_max, tol)
 
     monkeypatch.setattr(solvers, "_crossings", crossings)
     monkeypatch.setattr(oracle, "_crossings", crossings)
     dc = DiracConstants(m=m, c_spin=c_spin)
-    p = PotentialParams(25.0 * m, 10.0 * m, 1.0, 2.0)
-    assert closed_form_spectrum(dc, p, SolverConfig(scan_points=scan_points))
+    p = PotentialParams(25.0 * m, 10.0 * m, 1.0, q)
+    assert closed_form_spectrum(dc, p)
     assert oracle.shoot_eigenvalues(dc, p, n_max=1)
     monkeypatch.undo()
 
     lo, hi = bound_window(dc)
     eps = 1e-8 * m
-    assert calls == [(lo + eps, hi - eps, scan_points), (lo + eps, hi - eps, 2)]
-    for (w_lo, w_hi, n_seed), e in zip(calls, seeds):
-        want = np.linspace(w_lo, w_hi, n_seed)
+    assert calls == [(lo + eps, hi - eps)] * 2
+    want = np.array([lo + eps, hi - eps])
+    for e in seeds:
         assert e.dtype == want.dtype and e.tobytes() == want.tobytes()
-        assert lo < e[0] and e[-1] < hi and np.all(np.diff(e) > 0.0)
+        assert lo < e[0] and e[-1] < hi
 
 
 def _brent_cases():
@@ -443,26 +438,46 @@ def _draw_well():
     return module.draw_well
 
 
+def _assert_first_grid_crossings(dc, p, cfg):
+    """Check closed_form_spectrum against a seed-free reference, 2000
+    uniform energies over the window: it has a level for each n with
+    min a <= -n on the grid, up to max_levels, and level n lies in the first
+    grid cell where -a reaches n, its lower end lowered by the root
+    tolerance.  Returns the levels."""
+    levels = closed_form_spectrum(dc, p, cfg)
+    grid = np.linspace(*_window(dc), 2000)
+    minus_a = -_closed_form_a(grid, dc, p)
+    n_cross = sum(1 for n in range(cfg.max_levels) if minus_a.max() >= n)
+    assert len(levels) == n_cross
+    assert [lv.n_r for lv in levels] == list(range(n_cross))
+    for n, lv in enumerate(levels):
+        k = np.argmax(minus_a >= n)
+        d = cfg.tol_e * dc.m + 4.0 * np.finfo(float).eps * abs(lv.energy)
+        assert k > 0 and grid[k - 1] - d <= lv.energy
+        assert np.all(minus_a[grid < lv.energy] < n)
+    return levels
+
+
 class TestBracketedByClosedForm:
     @pytest.mark.parametrize("well, c_spin, n_levels", [
         ((741.397, 527.365, 0.1474, 0.3143), 0.1688, 91),
         ((715.564, 659.530, 0.2710, 0.9096), 0.0, 75)])
     def test_a_coarse_scan_keeps_every_level(self, well, c_spin, n_levels):
         # a scan of H(E, 0) with 100 points lost two levels of each well
-        # and shifted every label above them
+        # and shifted every label above them; the closed-form search starts
+        # from the two window ends and still finds every bracket
         dc = DiracConstants(m=1.0, c_spin=c_spin)
-        p = PotentialParams(*well)
-        coarse = spectrum(dc, p, SolverConfig(scan_points=100, max_levels=200))
-        fine = spectrum(dc, p, SolverConfig(scan_points=2000, max_levels=200))
-        assert len(coarse) == len(fine) == n_levels
-        assert [lv.energy for lv in coarse] == pytest.approx(
-            [lv.energy for lv in fine], abs=2.0 * SolverConfig().tol_e * dc.m)
+        p, cfg = PotentialParams(*well), SolverConfig(max_levels=200)
+        _assert_first_grid_crossings(dc, p, cfg)
+        levels = spectrum(dc, p, cfg)
+        assert [lv.n_r for lv in levels] == list(range(n_levels))
 
     def test_the_seed_does_not_decide_the_levels(self):
-        # halving, not the seed, separates the levels: 100 and 2000 uniform
-        # seed energies give the same levels in every regime, on the
-        # benchmark wells that solve, the deep Morse well, the 91-level
-        # well and random wells
+        # halving, not the seed, separates the levels: the search from the
+        # two window ends finds each level where a 2000-point grid puts it,
+        # in every regime, on the benchmark wells that solve, the deep
+        # Morse well, the 91-level well and random wells; below q = 1 the
+        # exact levels sit between those closed-form levels
         wells = [(DC, PotentialParams(*w)) for w in [
             (25.0, 10.0, 1.0, 0.3), (25.0, 18.0, 0.5, 0.5), (25.0, 10.0, 1.0, 0.0),
             (400.0, 300.0, 0.3, 0.3), (25.0, 10.0, 1.0, 2.0), (25.0, 10.0, 1.0, 4.0),
@@ -471,15 +486,22 @@ class TestBracketedByClosedForm:
                    PotentialParams(741.397, 527.365, 0.1474, 0.3143))]
         draw_well, rng = _draw_well(), random.Random(9)
         wells += [draw_well(rng, ("morse", "regular", "singular")[i % 3]) for i in range(30)]
+        cfg = SolverConfig(max_levels=200)
         for dc, p in wells:
-            for solve in (spectrum, closed_form_spectrum):
-                coarse, fine = (solve(dc, p, SolverConfig(scan_points=n, max_levels=200))
-                                for n in (100, 2000))
-                assert len(coarse) == len(fine)
-                assert [(lv.n_r, lv.method) for lv in coarse] == [
-                    (lv.n_r, lv.method) for lv in fine]
-                assert [lv.energy for lv in coarse] == pytest.approx(
-                    [lv.energy for lv in fine], abs=2.0 * SolverConfig().tol_e * dc.m)
+            closed = _assert_first_grid_crossings(dc, p, cfg)
+            levels = spectrum(dc, p, cfg)
+            if p.q >= 1.0:
+                assert levels == closed
+                continue
+            method = METHOD_Q_LT_1 if p.q > 0.0 else METHOD_MORSE_EXACT
+            assert [(lv.n_r, lv.method) for lv in levels] == [
+                (n, method) for n in range(len(levels))]
+            e_n = [lv.energy for lv in _assert_first_grid_crossings(
+                dc, p, SolverConfig(max_levels=cfg.max_levels + 1))]
+            e_n.append(bound_window(dc)[1])
+            assert len(levels) in (len(e_n) - 2, len(e_n) - 1)
+            for lv in levels:
+                assert e_n[lv.n_r] - 1e-6 * dc.m <= lv.energy < e_n[lv.n_r + 1]
 
     def test_levels_below_a_kernel_overflow_solve(self):
         # a scan met H = -inf at E = 1.3913 and raised; the brackets of
@@ -498,10 +520,10 @@ class TestBracketedByClosedForm:
         draw_well, rng = _draw_well(), random.Random(5)
         for i in range(240):
             dc, p = draw_well(rng, ("morse", "regular")[i % 2])
-            cfg = SolverConfig(scan_points=100)
+            cfg = SolverConfig()
             levels = spectrum(dc, p, cfg)
             e_n = [lv.energy for lv in closed_form_spectrum(
-                dc, p, SolverConfig(scan_points=100, max_levels=cfg.max_levels + 1))]
+                dc, p, SolverConfig(max_levels=cfg.max_levels + 1))]
             e_n.append(bound_window(dc)[1])
             assert len(levels) in (len(e_n) - 2, len(e_n) - 1)
             for lv in levels:
@@ -521,7 +543,7 @@ class TestCrossings:
     def test_crowded_levels_are_separated(self):
         # ten levels in the one cell [0, 1], at E = (n + 1/2)/10
         phase, seen = self._traced(lambda e: 10.0 * e - 0.5)
-        roots = _crossings(phase, 0.0, 1.0, 2, 64, 1e-12)
+        roots = _crossings(phase, 0.0, 1.0, 64, 1e-12)
         assert roots == pytest.approx((np.arange(10) + 0.5) / 10.0, abs=1e-12)
         assert len(set(seen)) == len(seen)  # no energy is evaluated twice
 
@@ -531,7 +553,7 @@ class TestCrossings:
         def dip(e):
             return 4.0 * (e - 0.3) ** 2 - 0.37
         phase, seen = self._traced(dip)
-        roots = _crossings(phase, 0.0, 1.0, 2, 64, 1e-12)
+        roots = _crossings(phase, 0.0, 1.0, 64, 1e-12)
         assert roots == pytest.approx(0.3 + np.sqrt((np.arange(2) + 0.37) / 4.0), abs=1e-12)
         assert dip(0.5) < dip(0.0) and 0.5 in seen  # the first halving lands in the dip
         assert len(set(seen)) == len(seen)
@@ -539,21 +561,21 @@ class TestCrossings:
     def test_first_sample_at_level_0_raises(self):
         with pytest.raises(NonConvergenceError,
                            match=r"level 0 is reached at the first sample E = 0\.25"):
-            _crossings(lambda e: e, 0.25, 1.0, 2, 64, 1e-12)
+            _crossings(lambda e: e, 0.25, 1.0, 64, 1e-12)
 
     def test_non_finite_seed_raises(self):
         # np.fmax.accumulate skips a NaN: the NaN top seed would hide all ten levels
         def phase(e):
             return np.where(e < 1.0, 10.0 * e - 0.5, np.nan)
         with pytest.raises(NonConvergenceError, match=r"^phase is nan at the sample E = 1\.0$"):
-            _crossings(phase, 0.0, 1.0, 2, 64, 1e-12)
+            _crossings(phase, 0.0, 1.0, 64, 1e-12)
 
     def test_non_finite_midpoint_raises(self):
         # the first halving of the crowded cell [0, 1] samples E = 0.5
         def phase(e):
             return np.where(e == 0.5, np.inf, 10.0 * e - 0.5)
         with pytest.raises(NonConvergenceError, match=r"^phase is inf at the sample E = 0\.5$"):
-            _crossings(phase, 0.0, 1.0, 2, 64, 1e-12)
+            _crossings(phase, 0.0, 1.0, 64, 1e-12)
 
 
 class TestDisputed:
@@ -572,7 +594,8 @@ class TestDisputed:
         p = PotentialParams(25.0, 10.0, 1.0, 0.3)
         levels = closed_form_spectrum(DC, p)
         assert levels
-        assert all(lv.method == "disputed-closed-form" for lv in levels)
+        assert METHOD_DISPUTED == "disputed-closed-form"
+        assert all(lv.method == METHOD_DISPUTED for lv in levels)
 
 
 class TestClosedForm:
@@ -612,20 +635,15 @@ class TestClosedFormBrackets:
     def test_each_level_is_the_first_crossing_of_minus_n(self, q, max_levels):
         dc = DiracConstants(m=1.0, c_spin=0.4)
         p = PotentialParams(60.0, 25.0, 0.5, q)
-        cfg = SolverConfig(scan_points=100, max_levels=max_levels)
-        levels = closed_form_spectrum(dc, p, cfg)
-        grid = np.linspace(*_window(dc), cfg.scan_points)
-        a_grid = _closed_form_a(grid, dc, p)
-        n_cross = sum(1 for n in range(1000) if a_grid.min() <= -n)
-        assert len(levels) == min(max_levels, n_cross) >= 3
-        assert [lv.n_r for lv in levels] == list(range(len(levels)))
+        cfg = SolverConfig(max_levels=max_levels)
+        levels = _assert_first_grid_crossings(dc, p, cfg)
+        assert len(levels) >= 3
         for n, lv in enumerate(levels):
             # the root finder's bracket ends closer than tol_e M + 4 eps |E|
             # to the root
             d = cfg.tol_e * dc.m + 4.0 * np.finfo(float).eps * abs(lv.energy)
             lo, hi = _closed_form_a(np.array([lv.energy - d, lv.energy + d]), dc, p) + n
             assert lo > 0.0 >= hi
-            assert np.all(a_grid[grid < lv.energy] > -n)
 
     def test_a_is_positive_at_the_first_scan_point(self):
         # the rule above needs a + n > 0 at the bottom of the window for every n
