@@ -1,0 +1,138 @@
+"""In-process timings of the calls where the special-function kernels work.
+
+    python demos/bench_inprocess.py
+
+A CLI invocation spends about 70 ms starting Python and numpy, so the
+compute of most commands hides behind start-up.  This script times the
+calls themselves, in one process: each entry's wall time is the best of 5
+runs.  One more, untimed run counts what the 2F1/1F1 kernels did for the
+entry: how often the solvers called them, at how many points, and how many
+series terms they summed.  It prints one JSON object.
+
+The entries are the deep wells, the wavefunction export of a deep Morse
+level, and the computations of the `morse-limit` invocation of perfbench's
+`regular` workload: (25, 10, 1, 0), its closed-form levels, and q = 0.1,
+0.01, 0.001 and 0.0001.  Wells are (V1, V2, alpha, q) with M = 1, C = 0.
+"""
+
+import json
+import platform
+import time
+
+import numpy as np
+
+from qdeform import (
+    DiracConstants,
+    PotentialParams,
+    closed_form_spectrum,
+    make_wavefunction,
+    solvers,
+    spectrum,
+    special,
+)
+
+DC = DiracConstants(m=1.0, c_spin=0.0)
+DEEP_MORSE = PotentialParams(400.0, 300.0, 0.3, 0.0)
+REPEATS = 5
+
+
+def _morse_limit_chain():
+    morse = PotentialParams(25.0, 10.0, 1.0, 0.0)
+    levels = [spectrum(DC, morse), closed_form_spectrum(DC, morse)]
+    levels += [spectrum(DC, PotentialParams(25.0, 10.0, 1.0, q))
+               for q in (0.1, 0.01, 0.001, 0.0001)]
+    return levels
+
+
+def entries():
+    """name -> the call to time."""
+    level = spectrum(DC, DEEP_MORSE)[3]
+    return {
+        "spectrum deep Morse (400, 300, 0.3, 0)": lambda: spectrum(DC, DEEP_MORSE),
+        "spectrum deep (400, 300, 0.3, 0.3)":
+            lambda: spectrum(DC, PotentialParams(400.0, 300.0, 0.3, 0.3)),
+        "spectrum z0 = 0.9997 well": lambda: spectrum(DC, PotentialParams(
+            519.3001686780265, 330.1893523433154, 0.2576858226816229, 0.933114315474702)),
+        "make_wavefunction deep Morse n_r = 3": lambda: make_wavefunction(DC, DEEP_MORSE, level),
+        "morse-limit (25, 10, 1, 0), q = 0.1 .. 0.0001": _morse_limit_chain,
+    }
+
+
+def series_terms(num, c, z):
+    """How many terms the series of each element sums: the kernel's stop
+    rule (3 consecutive terms below 1e-16 of the compensated sum), replayed
+    one term at a time."""
+    terms = np.zeros(z.size, dtype=np.int64)
+    term, s, comp = np.ones(z.size), np.ones(z.size), np.zeros(z.size)
+    small, live, k = np.zeros(z.size, dtype=np.int64), np.ones(z.size, dtype=bool), 0
+    with np.errstate(over="ignore", invalid="ignore"):
+        while live.any():
+            ratio = num[0] + k
+            for p in num[1:]:
+                ratio = ratio * (p + k)
+            term = term * (ratio / ((c + k) * (k + 1.0)) * z)
+            y = term - comp
+            t = s + y
+            comp, s = (t - s) - y, t
+            k += 1
+            small = np.where(np.abs(term) <= 1e-16 * np.abs(s), small + 1, 0)
+            stop = live & (small >= 3)
+            terms[stop], live = k, live & ~stop
+    return int(terms.sum())
+
+
+class _Count:
+    """Counts the kernel calls of the solvers and the series terms summed."""
+
+    def __init__(self):
+        self.calls = self.points = self.terms = 0
+
+    def kernel(self, fn):
+        def counted(*args):
+            self.calls += 1
+            self.points += int(np.size(args[-1]))
+            return fn(*args)
+        return counted
+
+    def series(self, fn):
+        def counted(num, c, z):
+            self.terms += series_terms(num, c, z)
+            return fn(num, c, z)
+        return counted
+
+
+def counts(call):
+    count = _Count()
+    saved = solvers.gauss_2f1, solvers.kummer_1f1, special._kahan_series
+    solvers.gauss_2f1, solvers.kummer_1f1 = map(count.kernel, saved[:2])
+    special._kahan_series = count.series(saved[2])
+    try:
+        call()
+    finally:
+        solvers.gauss_2f1, solvers.kummer_1f1, special._kahan_series = saved
+    return {"kernel_calls": count.calls, "points": count.points,
+            "series_terms": count.terms}
+
+
+def main():
+    report = {
+        "machine": f"{platform.machine()}, Python {platform.python_version()}, "
+                   f"numpy {np.__version__}",
+        "repeats": REPEATS,
+        "entries": {},
+    }
+    for name, call in entries().items():
+        call()
+        best = min(_seconds(call) for _ in range(REPEATS))
+        report["entries"][name] = {"best_s": round(best, 6), **counts(call)}
+    print(json.dumps(report, indent=2))
+
+
+def _seconds(call):
+    t0 = time.perf_counter()
+    call()
+    return time.perf_counter() - t0
+
+
+if __name__ == "__main__":
+    main()

@@ -68,6 +68,14 @@ def effective_eigenvalue(e, dc: DiracConstants) -> float:
     return _finite("the effective eigenvalue Et", et, e)
 
 
+def _bound_eigenvalue(e, dc: DiracConstants):
+    """Et of effective_eigenvalue, which a bound state needs negative."""
+    et = effective_eigenvalue(e, dc)
+    if np.any(et >= 0.0):
+        raise DomainError(f"effective eigenvalue {np.max(et)} >= 0: not a bound state")
+    return et
+
+
 def effective_strengths(e, dc: DiracConstants, p: PotentialParams):
     """(Vt1, Vt2) = (M + E - C) (V1, V2); requires an attractive prefactor."""
     pref = dc.m + e - dc.c_spin
@@ -93,9 +101,7 @@ def _shape_and_strengths(e, dc: DiracConstants, p: PotentialParams):
     """(lambda, eta) of shape_params and the (Vt1, Vt2) they were made from."""
     if p.q <= 0.0:
         raise DomainError("shape_params needs q > 0; use the Morse forms at q = 0")
-    et = effective_eigenvalue(e, dc)
-    if np.any(et >= 0.0):
-        raise DomainError(f"effective eigenvalue {np.max(et)} >= 0: not a bound state")
+    et = _bound_eigenvalue(e, dc)
     v1t, v2t = effective_strengths(e, dc, p)
     sq = math.sqrt(p.q)
     with np.errstate(all="ignore"):

@@ -37,6 +37,7 @@ import numpy as np
 from .deformed import PotentialParams, cosh_q
 from .effective import (
     DiracConstants,
+    _bound_eigenvalue,
     _finite,
     abc_params,
     bound_window,
@@ -242,9 +243,10 @@ def _level(n_r, e, dc, method):
 def _morse_shape(e, dc: DiracConstants, p: PotentialParams):
     """(eta, s, y0) of the Morse problem: 1F1(1/2 + eta - s, 2 eta + 1; y0)
     with s = Vt2/(2 alpha sqrt(Vt1)) and y0 = 4 sqrt(Vt1)/alpha."""
+    et = _bound_eigenvalue(e, dc)
     v1t, v2t = effective_strengths(e, dc, p)
     with np.errstate(all="ignore"):
-        shape = (np.sqrt(-effective_eigenvalue(e, dc)) / p.alpha,
+        shape = (np.sqrt(-et) / p.alpha,
                  v2t / (2.0 * p.alpha * np.sqrt(v1t)), 4.0 * np.sqrt(v1t) / p.alpha)
     return tuple(_finite(name, x, e) for name, x in zip(("eta", "s", "y0"), shape))
 

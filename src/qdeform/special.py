@@ -12,8 +12,11 @@ z > 1/2.  The rest of 1F1 is mapped from z < 0 to -z by Kummer reflection,
 carrying e^z as a log shift, and has two rows: the series (z <= 500) and the
 large-z asymptotic branch.  The series are summed with compensated (Kahan)
 accumulation, each element until its own terms stop mattering; a sum that
-leaves the float range raises.  A value past the float range is +-inf,
-without a warning.
+leaves the float range raises.  A pass sums a block of up to 16 terms for
+every element still summing, fewer when the array is long, and does the
+same arithmetic in the same order as one term per pass: a value does not
+depend on the block length, nor on the other elements of its call.  A
+value past the float range is +-inf, without a warning.
 """
 
 from __future__ import annotations
@@ -32,6 +35,7 @@ __all__ = [
 
 _MAX_TERMS = 100_000
 _KUMMER_ASYM_Z = 500.0
+_BLOCK_CELLS = 4096  # terms x elements in one block of _kahan_series
 
 
 def _libm(fn, x):
@@ -70,42 +74,90 @@ def _kahan_series(num, c, z):
     The parameters and z are 1-d arrays of one length.  An element stops
     once its term has been below 1e-16 of its running sum for 3 consecutive
     terms (a transformed series that happens to terminate stops on its zero
-    terms).  Each element is summed as if alone, so an array call gives the
-    scalar calls' values.  A running sum that leaves the float range (or
-    starts from a NaN parameter) raises NonConvergenceError within 32 terms,
-    and before its element stops.
+    terms), and its sum is read at that term.  A running sum that leaves the
+    float range (or starts from a NaN parameter) raises NonConvergenceError
+    within 32 terms, and before its element stops.
+
+    A pass sums the next n terms of every live element as an (n, live)
+    block: the ratios come from one broadcast expression in k, the terms
+    from a running product down the block with the last term folded into
+    row 0, and the compensated sums row by row.  These are the products and
+    sums of one term per pass, in the same order, so every term and sum,
+    the term each element stops at and the term a raise names are the same
+    to the bit whatever n is, and an array call gives its elements' scalar
+    values.  n is the largest power of two up to 16 with
+    n * live <= _BLOCK_CELLS: a long array is summed a term per pass, with
+    temporaries no larger than that needs, and a short one 16 at a time.
+    n divides k, 32 and _MAX_TERMS, so no block straddles a check.
     """
     cols = [z, c, *num]
     out = np.ones(z.size)
     live = np.arange(z.size)
-    term, s = np.ones(z.size), np.ones(z.size)
-    comp, small = np.zeros(z.size), np.zeros(z.size, dtype=np.int64)
+    term, s, comp = np.ones(z.size), np.ones(z.size), np.zeros(z.size)
+    # were the last two terms small?  (False before the first term)
+    small2, small1 = np.zeros(z.size, dtype=bool), np.zeros(z.size, dtype=bool)
     k = 0
     while live.size:
         if k == _MAX_TERMS:
             raise NonConvergenceError(
                 f"hypergeometric series did not converge in {_MAX_TERMS} terms"
             )
+        n = 16
+        while n > 1 and (n * live.size > _BLOCK_CELLS or k % n):
+            n //= 2
         z, c, *num = cols
-        ratio = num[0] + k
+        kk = np.arange(k, k + n, dtype=float)[:, None]
+        terms = num[0] + kk
         for p in num[1:]:
-            ratio = ratio * (p + k)
-        term = term * (ratio / ((c + k) * (k + 1.0)) * z)
-        y = term - comp
-        t = s + y
-        comp = (t - s) - y
-        s = t
-        k += 1
-        small = np.where(np.abs(term) <= 1e-16 * np.abs(s), small + 1, 0)
-        done = small >= 3
-        stop = done.any()
-        if (stop or k % 32 == 0) and not np.isfinite(s).all():
-            raise NonConvergenceError(
-                f"hypergeometric series sum is not finite after {k} terms")
-        if stop:
-            out[live[done]] = s[done]
-            keep = ~done
-            live, term, s, comp, small = (x[keep] for x in (live, term, s, comp, small))
+            terms *= p + kk
+        den = c + kk
+        den *= kk + 1.0
+        terms /= den
+        terms *= z
+        terms[0] *= term
+        # one row is its own running product, which accumulate would copy
+        # column by column
+        if n > 1:
+            terms = np.multiply.accumulate(terms, axis=0)
+        sums, y = np.empty_like(terms), den[0]
+        for j in range(n):
+            np.subtract(terms[j], comp, out=y)
+            t = np.add(s, y, out=sums[j])
+            np.subtract(t, s, out=comp)
+            comp -= y
+            s = t
+        tiny = np.abs(sums, out=den)
+        tiny *= 1e-16
+        rows = np.empty((n + 2, live.size), dtype=bool)
+        rows[0], rows[1] = small2, small1
+        np.less_equal(np.abs(terms), tiny, out=rows[2:])
+        del den, y, tiny  # one work array, freed before the copies below
+        # done[j]: terms j-2, j-1 and j of the block are all small
+        done = rows[2:] & rows[1:-1]
+        done &= rows[:-2]
+        hit = done.any(axis=0)
+        stops = hit.any()
+        k += n
+        # a sum out of the float range stays out, so the last row shows it
+        if (stops or k % 32 == 0) and not np.isfinite(s).all():
+            live_at = np.ones_like(done)  # not stopped before the row
+            live_at[1:] = ~np.logical_or.accumulate(done, axis=0)[:-1]
+            # the rows the sums are checked at: where an element stops, and
+            # every 32nd term
+            checked = (done & live_at).any(axis=1)
+            checked[-1] |= k % 32 == 0
+            bad = checked & (live_at & ~np.isfinite(sums)).any(axis=1)
+            if bad.any():
+                raise NonConvergenceError(
+                    f"hypergeometric series sum is not finite after "
+                    f"{k - n + 1 + bad.argmax()} terms")
+        term, small2, small1 = terms[-1], rows[-2], rows[-1]
+        if stops:
+            at = np.flatnonzero(hit)
+            out[live[at]] = sums[done[:, at].argmax(axis=0), at]
+            keep = ~hit
+            live, term, s, comp, small2, small1 = (
+                x[keep] for x in (live, term, s, comp, small2, small1))
             cols = [x[keep] for x in cols]
     return out
 

@@ -80,6 +80,20 @@ class TestSpectrum:
         assert re.fullmatch(r"solver error: .+ is not finite at E = \S+: "
                             r"the parameters leave the float range\n", err)
 
+    @pytest.mark.parametrize("q", [0.0, 0.3, 2.0])
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_underflowing_mass_fails_alike_in_every_regime(self, q, tmp_path, capsys):
+        # E^2 - M^2 underflows to 0 at M = 1e-300: no energy is bound, in
+        # the Morse regime as at q > 0, and not "no bound states"
+        config = tmp_path / "tiny.json"
+        config.write_text(json.dumps({
+            "potential": {"v1": 25.0, "v2": 10.0, "alpha": 1.0, "q": q},
+            "dirac": {"mass": 1e-300}}))
+        assert main(["spectrum", "--config", str(config)]) == EXIT_SOLVER
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == "solver error: effective eigenvalue 0.0 >= 0: not a bound state\n"
+
     def test_csv_to_stdout(self, config_path, capsys):
         assert main(["spectrum", "--config", config_path]) == EXIT_OK
         lines = capsys.readouterr().out.strip().splitlines()

@@ -1,6 +1,7 @@
 """Hypergeometric kernels against extended-precision references."""
 
 import math
+import tracemalloc
 from fractions import Fraction
 
 import mpmath
@@ -310,18 +311,176 @@ class TestTerminatingPolynomials:
             kummer_1f1(-2.0, 1.5, np.array([0.3, z]))
 
 
+# inputs whose series sum leaves the float range
+NON_FINITE_SERIES = [
+    (gauss_2f1, (300.5, 300.5, 1.5, 0.49)),  # the sum overflows
+    (kummer_1f1, (1000.5, 1.5, 400.0)),
+    (gauss_2f1, (math.nan, 1.5, 2.5, 0.3)),
+]
+
+
 class TestNonFiniteSeries:
-    @pytest.mark.parametrize("fn, args", [
-        (gauss_2f1, (300.5, 300.5, 1.5, 0.49)),  # the sum overflows
-        (kummer_1f1, (1000.5, 1.5, 400.0)),
-        (gauss_2f1, (math.nan, 1.5, 2.5, 0.3)),
-    ])
+    @pytest.mark.parametrize("fn, args", NON_FINITE_SERIES)
     def test_raises_within_a_few_dozen_terms(self, fn, args):
         # quietly (the test configuration makes a RuntimeWarning an error),
         # and long before the 100,000-term budget runs out
         with pytest.raises(NonConvergenceError, match="not finite") as info:
             fn(*args)
         assert int(str(info.value).split()[-2]) <= 1000
+
+
+@np.errstate(over="ignore", invalid="ignore")  # a sum that overflows raises
+def one_term_series(num, c, z, stops=None):
+    """special._kahan_series as it was when it summed one term per pass for
+    every live element: the reference that the blocked sums must equal to
+    the bit.  The term count at which each element stops is appended to
+    the list ``stops``, when one is given."""
+    cols = [z, c, *num]
+    out = np.ones(z.size)
+    live = np.arange(z.size)
+    term, s = np.ones(z.size), np.ones(z.size)
+    comp, small = np.zeros(z.size), np.zeros(z.size, dtype=np.int64)
+    k = 0
+    while live.size:
+        if k == special._MAX_TERMS:
+            raise NonConvergenceError(
+                f"hypergeometric series did not converge in {special._MAX_TERMS} terms"
+            )
+        z, c, *num = cols
+        ratio = num[0] + k
+        for p in num[1:]:
+            ratio = ratio * (p + k)
+        term = term * (ratio / ((c + k) * (k + 1.0)) * z)
+        y = term - comp
+        t = s + y
+        comp = (t - s) - y
+        s = t
+        k += 1
+        small = np.where(np.abs(term) <= 1e-16 * np.abs(s), small + 1, 0)
+        done = small >= 3
+        stop = done.any()
+        if (stop or k % 32 == 0) and not np.isfinite(s).all():
+            raise NonConvergenceError(
+                f"hypergeometric series sum is not finite after {k} terms")
+        if stop:
+            out[live[done]] = s[done]
+            if stops is not None:
+                stops += [k] * int(done.sum())
+            keep = ~done
+            live, term, s, comp, small = (x[keep] for x in (live, term, s, comp, small))
+            cols = [x[keep] for x in cols]
+    return out
+
+
+def _series_draw(size, seed):
+    """(a, b, c, z) with |z| < 0.95.  About a quarter of the elements sit
+    in the Pfaff row with c - b = 0, -1, ..., -5, so that their transformed
+    series (a, c - b; c; z/(z - 1)) reaches zero terms and stops on them."""
+    rng = np.random.default_rng(seed)
+    a, b = rng.uniform(-12.0, 12.0, (2, size))
+    c = rng.uniform(0.5, 12.0, size)
+    z = rng.uniform(-0.95, 0.95, size)
+    ends = rng.random(size) < 0.25
+    c = np.where(ends, rng.integers(4, 96, size) / 8.0, c)  # c - b is exact
+    b = np.where(ends, c + rng.integers(0, 6, size), b)
+    z = np.where(ends, -rng.uniform(0.5, 0.95, size), z)
+    return a, b, c, z
+
+
+def _outcome(fn, args):
+    try:
+        return fn(*args)
+    except NonConvergenceError as exc:
+        return type(exc), str(exc)
+
+
+class TestBlockedSeries:
+    """The series sums up to 16 terms per pass.  Its values and its errors
+    must be those of the one-term-per-pass loop, to the bit."""
+
+    @staticmethod
+    def _assert_same(fn, args, monkeypatch):
+        got = _outcome(fn, args)
+        monkeypatch.setattr(special, "_kahan_series", one_term_series)
+        want = _outcome(fn, args)
+        monkeypatch.undo()
+        if isinstance(want, tuple):
+            assert got == want
+        else:
+            assert np.array_equal(got, want)
+        return got
+
+    # 10,001 elements start a term per pass (16 per pass only below 256
+    # live elements), so the block length changes within the call
+    @pytest.mark.parametrize("size, seeds", [
+        (1, range(40)), (3, range(20)), (40, range(8)), (300, range(3)), (10_001, range(1))])
+    def test_values_equal_the_one_term_loop(self, size, seeds, monkeypatch):
+        for seed in seeds:
+            a, b, c, z = _series_draw(size, seed)
+            for fn, args in ((gauss_2f1, (a, b, c, z)), (kummer_1f1, (a, c, 40.0 * z))):
+                assert not isinstance(self._assert_same(fn, args, monkeypatch), tuple)
+
+    def test_the_draws_stop_mid_block_and_on_zero_terms(self):
+        a, b, c, z = _series_draw(40, 0)
+        stops = []
+        one_term_series((a, b), c, z, stops)
+        assert {k % 16 for k in stops} != {0}
+        # where c - b = -n, the Pfaff series ends after term n and stops 3
+        # terms later
+        n = b - c
+        ends = (n == np.round(n)) & (z < -0.5)
+        assert ends.sum() >= 5
+        stops.clear()
+        one_term_series((a[ends], -n[ends]), c[ends], z[ends] / (z[ends] - 1.0), stops)
+        assert sorted(stops) == sorted(n[ends] + 3)
+
+    @pytest.mark.parametrize("fn, args", NON_FINITE_SERIES)
+    @pytest.mark.parametrize("size", [1, 3, 40, 300, 10_001])
+    def test_errors_equal_the_one_term_loop(self, fn, args, size, monkeypatch):
+        # the same message names the same term: the first check, at most
+        # 32 terms after the sum left the float range.  The non-finite
+        # elements sit among finite ones: first at the start, then at both
+        # ends.
+        draw = _series_draw(size, 1)
+        if fn is kummer_1f1:
+            draw = draw[0], draw[2], 40.0 * draw[3]
+        for at in (0, -1):
+            for x, bad in zip(draw, args):
+                x[at] = bad
+            kind, message = self._assert_same(fn, draw, monkeypatch)
+            assert kind is NonConvergenceError and "not finite" in message
+
+
+def _peak_bytes(fn, args):
+    """The most memory traced at once during a call (numpy reports its
+    array buffers to tracemalloc), after one call to warm up."""
+    fn(*args)
+    tracemalloc.start()
+    try:
+        fn(*args)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+class TestSeriesMemory:
+    # A block of n terms holds n rows per live element, so a long array
+    # must be summed in short blocks.  The bounds are the peaks of the same
+    # calls with the one-term-per-pass loop, measured on x86_64 with
+    # Python 3.11.7 and numpy 2.4.6.
+    N = 10_001
+
+    @pytest.mark.parametrize("fn, args, loop_peak", [
+        # every element in the 1-z connection row: two series per element
+        (gauss_2f1, (np.full(N, 2.3), np.full(N, -1.7), np.full(N, 3.1),
+                     np.linspace(0.51, 0.99, N)), 2_780_449),
+        # every element in the series row, stopping after 4 to 130 terms
+        (kummer_1f1, (np.full(N, 2.3), np.full(N, 3.1), np.linspace(0.1, 60.0, N)),
+         2_064_578),
+    ], ids=["gauss_2f1", "kummer_1f1"])
+    def test_a_long_array_needs_no_more_memory_than_the_one_term_loop(
+            self, fn, args, loop_peak):
+        assert _peak_bytes(fn, args) <= loop_peak
 
 
 class TestBroadcastKernels:
