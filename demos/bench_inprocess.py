@@ -7,12 +7,17 @@ compute of most commands hides behind start-up.  This script times the
 calls themselves, in one process: each entry's wall time is the best of 5
 runs.  One more, untimed run counts what the 2F1/1F1 kernels did for the
 entry: how often the solvers called them, at how many points, and how many
-series terms they summed.  It prints one JSON object.
+series terms they summed; and how many sweeps the shooting oracle made.  It
+prints one JSON object.
 
-The entries are the deep wells, the wavefunction export of a deep Morse
-level, and the computations of the `morse-limit` invocation of perfbench's
-`regular` workload: (25, 10, 1, 0), its closed-form levels, and q = 0.1,
-0.01, 0.001 and 0.0001.  Wells are (V1, V2, alpha, q) with M = 1, C = 0.
+The entries are `spectrum` of the deep wells, of the z0 = 0.9997 well and
+of the 91-level well (C = 0.1688, `max_levels` 200), the oracle's
+`shoot_eigenvalues` of the deep wells (n_max one past their count, tol
+1e-10 M), the wavefunction export of a deep Morse level, and the
+computations of the `morse-limit` invocation of perfbench's `regular`
+workload: (25, 10, 1, 0), its closed-form levels, and q = 0.1, 0.01, 0.001
+and 0.0001.  Wells are (V1, V2, alpha, q) with M = 1 and C = 0 unless
+stated.
 """
 
 import json
@@ -24,8 +29,11 @@ import numpy as np
 from qdeform import (
     DiracConstants,
     PotentialParams,
+    SolverConfig,
     closed_form_spectrum,
     make_wavefunction,
+    oracle,
+    shoot_eigenvalues,
     solvers,
     spectrum,
     special,
@@ -33,6 +41,7 @@ from qdeform import (
 
 DC = DiracConstants(m=1.0, c_spin=0.0)
 DEEP_MORSE = PotentialParams(400.0, 300.0, 0.3, 0.0)
+DEEP = PotentialParams(400.0, 300.0, 0.3, 0.3)
 REPEATS = 5
 
 
@@ -46,13 +55,21 @@ def _morse_limit_chain():
 
 def entries():
     """name -> the call to time."""
-    level = spectrum(DC, DEEP_MORSE)[3]
+    levels = {p: spectrum(DC, p) for p in (DEEP_MORSE, DEEP)}
+    level = levels[DEEP_MORSE][3]
     return {
         "spectrum deep Morse (400, 300, 0.3, 0)": lambda: spectrum(DC, DEEP_MORSE),
-        "spectrum deep (400, 300, 0.3, 0.3)":
-            lambda: spectrum(DC, PotentialParams(400.0, 300.0, 0.3, 0.3)),
+        "spectrum deep (400, 300, 0.3, 0.3)": lambda: spectrum(DC, DEEP),
         "spectrum z0 = 0.9997 well": lambda: spectrum(DC, PotentialParams(
             519.3001686780265, 330.1893523433154, 0.2576858226816229, 0.933114315474702)),
+        "spectrum 91-level well (741.397, 527.365, 0.1474, 0.3143), C = 0.1688":
+            lambda: spectrum(DiracConstants(m=1.0, c_spin=0.1688),
+                             PotentialParams(741.397, 527.365, 0.1474, 0.3143),
+                             SolverConfig(max_levels=200)),
+        "shoot_eigenvalues deep Morse (400, 300, 0.3, 0)": lambda: shoot_eigenvalues(
+            DC, DEEP_MORSE, n_max=len(levels[DEEP_MORSE]) + 1, tol=1e-10 * DC.m),
+        "shoot_eigenvalues deep (400, 300, 0.3, 0.3)": lambda: shoot_eigenvalues(
+            DC, DEEP, n_max=len(levels[DEEP]) + 1, tol=1e-10 * DC.m),
         "make_wavefunction deep Morse n_r = 3": lambda: make_wavefunction(DC, DEEP_MORSE, level),
         "morse-limit (25, 10, 1, 0), q = 0.1 .. 0.0001": _morse_limit_chain,
     }
@@ -82,10 +99,11 @@ def series_terms(num, c, z):
 
 
 class _Count:
-    """Counts the kernel calls of the solvers and the series terms summed."""
+    """Counts the kernel calls of the solvers, the series terms summed and
+    the oracle's sweeps."""
 
     def __init__(self):
-        self.calls = self.points = self.terms = 0
+        self.calls = self.points = self.terms = self.sweeps = 0
 
     def kernel(self, fn):
         def counted(*args):
@@ -100,18 +118,27 @@ class _Count:
             return fn(num, c, z)
         return counted
 
+    def sweep(self, fn):
+        def counted(*args):
+            self.sweeps += 1
+            return fn(*args)
+        return counted
+
 
 def counts(call):
     count = _Count()
-    saved = solvers.gauss_2f1, solvers.kummer_1f1, special._kahan_series
+    saved = (solvers.gauss_2f1, solvers.kummer_1f1, special._kahan_series,
+             oracle.integrate_radial)
     solvers.gauss_2f1, solvers.kummer_1f1 = map(count.kernel, saved[:2])
     special._kahan_series = count.series(saved[2])
+    oracle.integrate_radial = count.sweep(saved[3])
     try:
         call()
     finally:
-        solvers.gauss_2f1, solvers.kummer_1f1, special._kahan_series = saved
+        (solvers.gauss_2f1, solvers.kummer_1f1, special._kahan_series,
+         oracle.integrate_radial) = saved
     return {"kernel_calls": count.calls, "points": count.points,
-            "series_terms": count.terms}
+            "series_terms": count.terms, "sweeps": count.sweeps}
 
 
 def main():

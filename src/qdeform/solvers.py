@@ -66,6 +66,9 @@ METHOD_DISPUTED = "disputed-closed-form"
 METHOD_MORSE_EXACT = "morse-exact"
 METHOD_MORSE_ASYMPTOTIC = "morse-asymptotic"
 METHOD_ORACLE = "oracle"
+# the label of spectrum's levels by regime, the only levels with an eigenfunction
+_SPECTRUM_METHOD = {"singular": METHOD_Q_GE_1, "regular": METHOD_Q_LT_1,
+                    "morse": METHOD_MORSE_EXACT}
 
 _WINDOW_EPS_FACTOR = 1e-8
 
@@ -313,7 +316,7 @@ def spectrum(dc: DiracConstants, p: PotentialParams,
 
     def f(e):
         return _hypergeometric_factor(e, dc, p, 0.0)
-    method = METHOD_Q_LT_1 if p.q > 0.0 else METHOD_MORSE_EXACT
+    method = _SPECTRUM_METHOD[p.regime]
     e_n = _closed_form_levels(dc, p, cfg, cfg.max_levels + 1)[0]
     if not len(e_n):
         return []

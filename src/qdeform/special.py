@@ -277,11 +277,13 @@ def gauss_2f1(a, b, c, z):
 def _kummer_asym(a, c, z):
     """Large-z > 0 dominant branch of 1F1 as (smooth_factor, log_magnitude).
 
-    The value is smooth_factor * exp(log_magnitude); the smooth factor
-    1/Gamma(a) carries the sign and the zero crossings at a = -n, which is
-    what root bracketing needs.  Each element sums at most 40 terms of the
-    asymptotic series and stops before its first growing term.  Accurate
-    for z >> |a|, |c|.
+    The value is smooth_factor * exp(log_magnitude).  1/|Gamma(a)| is in
+    the log, so a value past the float range is +-inf, not 0 * inf; the
+    smooth factor carries the signs of Gamma(a) and Gamma(c), and at
+    a = -n the zero comes through the log and the sign change, which root
+    bracketing needs, through the sign of Gamma(a).  Each element sums at
+    most 40 terms of the asymptotic series and stops before its first
+    growing term.  Accurate for z >> |a|, |c|.
     """
     s, total, prev = np.ones(z.shape), np.ones(z.shape), np.ones(z.shape)
     live = np.ones(z.shape, dtype=bool)
@@ -296,7 +298,7 @@ def _kummer_asym(a, c, z):
     sign_c, log_c = _gamma_sign_log(c)
     sign_a, log_a = _gamma_sign_log(a)
     L = z + (a - c) * _libm(math.log, z) + log_c
-    return sign_c * sign_a * _safe_exp(-log_a) * total, L
+    return sign_c * sign_a * total, L - log_a
 
 
 def kummer_1f1(a, c, z):

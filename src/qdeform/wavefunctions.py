@@ -32,10 +32,7 @@ from .deformed import PotentialParams, cosh_q, singularity_radius, tanh_q
 from .effective import DiracConstants, effective_eigenvalue, shape_params
 from .errors import DomainError, NonConvergenceError, ZeroNormError
 from .solvers import (
-    METHOD_MORSE_ASYMPTOTIC,
-    METHOD_MORSE_EXACT,
-    METHOD_Q_GE_1,
-    METHOD_Q_LT_1,
+    _SPECTRUM_METHOD,
     EnergyLevel,
     _chandrupatla,
     _hypergeometric_factor,
@@ -45,12 +42,6 @@ from .solvers import (
 from .special import jacobi_p
 
 __all__ = ["WavefunctionGrid", "analytic_upper", "make_wavefunction"]
-
-# the spectrum methods whose levels belong to each regime's well
-_METHODS = {"singular": (METHOD_Q_GE_1,), "regular": (METHOD_Q_LT_1,),
-            "morse": (METHOD_MORSE_EXACT, METHOD_MORSE_ASYMPTOTIC)}
-# the methods whose levels are zeros of H(E, 0), by regime
-_ZEROS_OF_H = {"regular": METHOD_Q_LT_1, "morse": METHOD_MORSE_EXACT}
 
 
 @dataclass(frozen=True)
@@ -65,10 +56,12 @@ class WavefunctionGrid:
 def analytic_upper(r, level: EnergyLevel, dc: DiracConstants, p: PotentialParams):
     """Unnormalized F of one level of the well p at the radii r.
 
-    Raises DomainError for a level that a spectrum of another regime made,
-    for Et >= 0, and for r <= r0 (q >= 1) or r < 0 (q < 1).
+    Only the levels ``spectrum`` returns for this well have an F (below
+    q = 1 ``make_wavefunction`` polishes them first).  Raises DomainError
+    for any other level, for Et >= 0 (in ``shape_params`` or
+    ``_morse_shape``) and for r <= r0 (q >= 1) or r < 0 (q < 1).
     """
-    if level.method not in _METHODS[p.regime]:
+    if level.method != _SPECTRUM_METHOD[p.regime]:
         raise DomainError(f"a {level.method!r} level is not a level of the "
                           f"{p.regime} well with q = {p.q}")
     r = np.asarray(r, dtype=float)
@@ -78,12 +71,9 @@ def analytic_upper(r, level: EnergyLevel, dc: DiracConstants, p: PotentialParams
     if np.any(r < 0.0):
         raise DomainError("radius must be non-negative")
     e = level.energy
-    et = effective_eigenvalue(e, dc)
-    if et >= 0.0:
-        raise DomainError(f"effective eigenvalue {et} >= 0: not a bound state")
     if p.q == 0.0:
         y = _morse_shape(e, dc, p)[2] * np.exp(-p.alpha * r)
-        env = np.exp(-math.sqrt(-et) * r) * np.exp(-0.5 * y)
+        env = np.exp(-math.sqrt(-effective_eigenvalue(e, dc)) * r) * np.exp(-0.5 * y)
     else:
         lam, eta = shape_params(e, dc, p)
         sq = math.sqrt(p.q)
@@ -142,11 +132,12 @@ def make_wavefunction(dc: DiracConstants, p: PotentialParams, level: EnergyLevel
     until F has decayed below 1e-9 of its peak (the right edge is grown
     geometrically until that holds).  Raises NonConvergenceError when F at
     the left edge is not below 1e-6 of its peak: the closed form has lost
-    the boundary condition there.  Below q = 1 an exact level is first
-    polished to the kernel's own zero of H(E, 0), so that F is as near 0
-    at r = 0 as the kernel allows.
+    the boundary condition there.  It accepts only the levels ``spectrum``
+    returns for this well (DomainError otherwise, see ``analytic_upper``).
+    Below q = 1 each such level is first polished to the kernel's own zero
+    of H(E, 0), so that F is as near 0 at r = 0 as the kernel allows.
     """
-    if level.method == _ZEROS_OF_H.get(p.regime):
+    if p.q < 1.0 and level.method == _SPECTRUM_METHOD[p.regime]:
         level = _polished(level, dc, p)
     base = singularity_radius(p) or 0.0
     left = base + 1e-8 / p.alpha

@@ -572,7 +572,10 @@ class TestWavefunction:
 
     def test_q_near_1_ground_state_meets_the_boundary(self, tmp_path, capsys):
         # z0 = 1 - 6.3e-8: the level is polished to the kernel's zero of
-        # H(E, 0) before sampling, so F vanishes at the left edge
+        # H(E, 0) before sampling, so F vanishes at the left edge.  As in
+        # test_wavefunctions' twin, it vanishes only because a(E) rounds to
+        # 0.0 at the polished energy, where gauss_2f1 sums the exact
+        # polynomial H = 1; at the energy spectrum returns H(E, 0) is -9e21
         config = tmp_path / "well.json"
         config.write_text(json.dumps({
             "potential": {"v1": 25.0, "v2": 10.0, "alpha": 1.0, "q": 0.999},

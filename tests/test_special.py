@@ -232,6 +232,15 @@ class TestKummer1F1:
             ref = mpmath.hyp1f1(a, c, z)
             assert math.copysign(1.0, kummer_1f1(a, c, z)) == mpmath.sign(ref)
 
+    @pytest.mark.parametrize("a, c, z", [(300.5, 22.78, 600.0), (200.5, 22.78, 600.0),
+                                         (300.5, 22.783691082019175, 533.5421230913678)])
+    def test_large_z_past_the_float_range_is_infinite(self, a, c, z):
+        # mpmath gives 7.25e443 for the last row; 1/Gamma(a) underflows to 0
+        # while the rest of the magnitude overflows, so the two must meet in
+        # the log, not as 0 * inf = NaN (and with no warning: the test
+        # configuration makes one an error)
+        assert kummer_1f1(a, c, z) == math.inf
+
 
 # One row per branch, each with a z in that branch's region; Kummer
 # reflection maps z < 0 onto a 1F1 branch before dispatch.

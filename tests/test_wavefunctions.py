@@ -8,6 +8,8 @@ from scipy.integrate import simpson
 
 import qdeform.wavefunctions as wavefunctions
 from qdeform import (
+    METHOD_DISPUTED,
+    METHOD_MORSE_ASYMPTOTIC,
     METHOD_MORSE_EXACT,
     METHOD_Q_GE_1,
     METHOD_Q_LT_1,
@@ -19,6 +21,7 @@ from qdeform import (
     SolverConfig,
     ZeroNormError,
     analytic_upper,
+    closed_form_spectrum,
     cosh_q,
     effective_eigenvalue,
     gauss_2f1,
@@ -164,11 +167,20 @@ class TestDomainChecks:
             analytic_upper(np.array([1.0]), level_at(1.5, METHOD_MORSE_EXACT), DC, p)
 
     @pytest.mark.parametrize("q,method", [(0.3, METHOD_MORSE_EXACT), (2.0, METHOD_MORSE_EXACT),
-                                          (0.3, METHOD_Q_GE_1), (0.0, METHOD_Q_LT_1)])
+                                          (0.3, METHOD_Q_GE_1), (0.0, METHOD_Q_LT_1),
+                                          (0.3, METHOD_DISPUTED), (0.0, METHOD_MORSE_ASYMPTOTIC)])
     def test_rejects_a_level_of_another_regime(self, q, method):
         p = PotentialParams(25.0, 10.0, 1.0, q)
         with pytest.raises(DomainError, match="not a level of"):
             analytic_upper(np.array([1.0]), level_at(0.62, method), DC, p)
+
+    @pytest.mark.parametrize("q", [0.0, 0.3])
+    def test_exports_no_closed_form_level_below_q_1(self, q):
+        # only spectrum's levels have an eigenfunction: the asymptotic Morse
+        # and the disputed levels are refused before any sampling
+        p = PotentialParams(25.0, 10.0, 1.0, q)
+        with pytest.raises(DomainError, match="not a level of"):
+            make_wavefunction(DC, p, closed_form_spectrum(DC, p)[0])
 
 
 class TestLeftEdge:
@@ -182,7 +194,15 @@ class TestLeftEdge:
 
     def test_polished_level_meets_the_boundary(self):
         # z0 = 1 - 6.3e-8: sampled at the energy spectrum returns, |F| peaks
-        # at the left edge; at the kernel's own zero of H(E, 0) it vanishes
+        # at the left edge; at the kernel's own zero of H(E, 0) it vanishes.
+        # That zero is exact only by luck: the polished energy
+        # 0.6105070012021182 is a float where a(E) rounds to 0.0, so
+        # gauss_2f1 takes its exact-polynomial row and H = 1 at every r, while
+        # 1.2e-12 M away, at the energy spectrum returns, H(E, 0) is about
+        # -9e21.  The n_r = 0 level of 18 of 63 nearby wells (V1 = 24.0,
+        # 24.1, .., 26.0 and q = 0.998, 0.999, 0.9995) is refused at the left
+        # edge; with a(E) rationalized against its q -> 0+ cancellation, a is
+        # -2.2e-16 at the polished energy, not 0.0, and 34 are refused
         p = PotentialParams(25.0, 10.0, 1.0, 0.999)
         lv = spectrum(DC, p)[0]
         wf = make_wavefunction(DC, p, lv)
