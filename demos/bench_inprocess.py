@@ -6,18 +6,20 @@ A CLI invocation spends about 70 ms starting Python and numpy, so the
 compute of most commands hides behind start-up.  This script times the
 calls themselves, in one process: each entry's wall time is the best of 5
 runs.  One more, untimed run counts what the 2F1/1F1 kernels did for the
-entry: how often the solvers called them, at how many points, and how many
-series terms they summed; and how many sweeps the shooting oracle made.  It
-prints one JSON object.
+entry: how often the solvers called them, at how many points (the
+broadcast size of each call's arguments), and how many series terms they
+summed; and how many sweeps the shooting oracle made.  It prints one JSON
+object.
 
 The entries are `spectrum` of the deep wells, of the z0 = 0.9997 well and
 of the 91-level well (C = 0.1688, `max_levels` 200), the oracle's
 `shoot_eigenvalues` of the deep wells (n_max one past their count, tol
-1e-10 M), the wavefunction export of a deep Morse level, and the
-computations of the `morse-limit` invocation of perfbench's `regular`
-workload: (25, 10, 1, 0), its closed-form levels, and q = 0.1, 0.01, 0.001
-and 0.0001.  Wells are (V1, V2, alpha, q) with M = 1 and C = 0 unless
-stated.
+1e-10 M), searched from the window ends and seeded as `verify` seeds it,
+at E_n +- 1e-6 M of each analytic level, the wavefunction export of a
+deep Morse level, and the computations of the `morse-limit` invocation of
+perfbench's `regular` workload: (25, 10, 1, 0), its closed-form levels,
+and q = 0.1, 0.01, 0.001 and 0.0001.  Wells are (V1, V2, alpha, q) with
+M = 1 and C = 0 unless stated.
 """
 
 import json
@@ -53,6 +55,13 @@ def _morse_limit_chain():
     return levels
 
 
+def _shoot(p, levels, seeded):
+    e = np.array([lv.energy for lv in levels])
+    seeds = np.concatenate([e - 1e-6 * DC.m, e + 1e-6 * DC.m]) if seeded else ()
+    return lambda: shoot_eigenvalues(DC, p, n_max=len(levels) + 1, tol=1e-10 * DC.m,
+                                     seeds=seeds)
+
+
 def entries():
     """name -> the call to time."""
     levels = {p: spectrum(DC, p) for p in (DEEP_MORSE, DEEP)}
@@ -66,10 +75,13 @@ def entries():
             lambda: spectrum(DiracConstants(m=1.0, c_spin=0.1688),
                              PotentialParams(741.397, 527.365, 0.1474, 0.3143),
                              SolverConfig(max_levels=200)),
-        "shoot_eigenvalues deep Morse (400, 300, 0.3, 0)": lambda: shoot_eigenvalues(
-            DC, DEEP_MORSE, n_max=len(levels[DEEP_MORSE]) + 1, tol=1e-10 * DC.m),
-        "shoot_eigenvalues deep (400, 300, 0.3, 0.3)": lambda: shoot_eigenvalues(
-            DC, DEEP, n_max=len(levels[DEEP]) + 1, tol=1e-10 * DC.m),
+        "shoot_eigenvalues deep Morse (400, 300, 0.3, 0)":
+            _shoot(DEEP_MORSE, levels[DEEP_MORSE], seeded=False),
+        "shoot_eigenvalues deep Morse (400, 300, 0.3, 0), seeded":
+            _shoot(DEEP_MORSE, levels[DEEP_MORSE], seeded=True),
+        "shoot_eigenvalues deep (400, 300, 0.3, 0.3)": _shoot(DEEP, levels[DEEP], seeded=False),
+        "shoot_eigenvalues deep (400, 300, 0.3, 0.3), seeded":
+            _shoot(DEEP, levels[DEEP], seeded=True),
         "make_wavefunction deep Morse n_r = 3": lambda: make_wavefunction(DC, DEEP_MORSE, level),
         "morse-limit (25, 10, 1, 0), q = 0.1 .. 0.0001": _morse_limit_chain,
     }
@@ -108,7 +120,7 @@ class _Count:
     def kernel(self, fn):
         def counted(*args):
             self.calls += 1
-            self.points += int(np.size(args[-1]))
+            self.points += int(np.broadcast(*args).size)
             return fn(*args)
         return counted
 

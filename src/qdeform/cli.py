@@ -261,19 +261,23 @@ def _check_against_oracle(constants, params, config, levels):
     when the two count different levels or when |dE| exceeds 1e-6 M.  The
     oracle is asked for one level more than the analytic count, so that a
     level the scan missed shows; at the max_levels cap the analytic list
-    stops on purpose.
+    stops on purpose.  It is seeded at E_n +- 1e-6 M, the ends of each
+    level's pass band: a level inside refines from that narrow cell, and
+    the oracle still counts, labels and places every level on its own.
     """
     from .oracle import shoot_eigenvalues
 
     n_max = len(levels) + (len(levels) < config.max_levels)
+    tol = 1e-6 * constants.m
+    energies = np.array([lv.energy for lv in levels])
     oracle = shoot_eigenvalues(constants, params, n_max=n_max,
-                               tol=config.tol_e * constants.m)
+                               tol=config.tol_e * constants.m,
+                               seeds=np.concatenate([energies - tol, energies + tol]))
     by_n = {lv.n_r: lv.energy for lv in oracle}
     e_oracle = [by_n.get(lv.n_r, float("nan")) for lv in levels]
     worst = 0.0
     for lv, e in zip(levels, e_oracle):
         worst = max(worst, abs(lv.energy - e))
-    tol = 1e-6 * constants.m
     failure = None
     if len(oracle) != len(levels):
         more = " or more" if len(oracle) == n_max > len(levels) else ""

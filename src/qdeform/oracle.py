@@ -44,11 +44,18 @@ n_r is the root of Theta = (n_r + 1) pi, and at a root the two halves match
 for any choice of m.  ``solvers._crossings`` starts from the sweeps at the
 two ends of ``solvers._window``, separates the levels by halving and
 refines them all together: the search ``closed_form_spectrum`` runs on
--a(E) over the same window.
+-a(E) over the same window.  A caller that expects levels somewhere, as
+``verify`` does at the analytic ones, may add seed energies, much as
+Le Roy's LEVEL starts each level's search from a trial energy (J. Quant.
+Spectrosc. Radiat. Transfer 186, 167 (2017)).  Each seed is one more
+first sweep, and a level that a pair of seeds encloses is refined from
+that narrow cell instead of from a cell halved down from the window.  A
+seed changes where Theta is sampled, never what counts as a level: the
+count, the labels and the roots still come from Theta alone.
 
-The module takes only the potential and the effective eigenvalue, no
-closed-form spectrum, so it serves as the ground truth the analytic solvers
-are checked against.
+The module takes only the potential and the effective eigenvalue, and at
+most energies to sample first, no closed-form condition, so it serves as
+the ground truth the analytic solvers are checked against.
 """
 
 from __future__ import annotations
@@ -61,7 +68,7 @@ import numpy as np
 from .deformed import PotentialParams, _well, potential_value, singularity_radius
 from .effective import DiracConstants, effective_eigenvalue
 from .errors import GridError
-from .solvers import METHOD_ORACLE, EnergyLevel, _crossings, _level, _window
+from .solvers import METHOD_ORACLE, EnergyLevel, _crossings, _level, _seed_energies, _window
 
 __all__ = [
     "RadialGrid",
@@ -298,13 +305,17 @@ def integrate_radial(e, dc: DiracConstants, p: PotentialParams,
 
 
 def shoot_eigenvalues(dc: DiracConstants, p: PotentialParams, n_max: int = 64,
-                      tol: float = 1e-9) -> list[EnergyLevel]:
+                      tol: float = 1e-9, *, seeds=()) -> list[EnergyLevel]:
     """All bound levels up to n_max: roots of Theta(E) = (n_r + 1) pi.
 
     ``solvers._crossings`` counts, separates and refines them all from
-    Theta/pi - 1 at the two ends of ``solvers._window``, to the absolute
-    energy tolerance ``tol``, sweeping each energy once, or raises
-    NonConvergenceError.
+    Theta/pi - 1 at the two ends of ``solvers._window`` and at the
+    ``seeds`` inside it, to the absolute energy tolerance ``tol``, sweeping
+    each energy once, or raises NonConvergenceError.  Seeds outside the
+    window are dropped.  A pair E_n +- d around an expected level costs two
+    sweeps and, when the level lies between them, leaves a cell of width
+    2d to refine; it moves no count or label and no root by more than
+    ``tol``, and a level no pair encloses is found by halving.
     """
     grid = build_grid(dc, p)
     terms = sweep_terms(p, grid)
@@ -313,7 +324,7 @@ def shoot_eigenvalues(dc: DiracConstants, p: PotentialParams, n_max: int = 64,
         return np.array([integrate_radial(x, dc, p, grid, terms)[0]
                          for x in e.tolist()]) / math.pi - 1.0
 
-    roots = _crossings(phase, *_window(dc), n_max, tol)
+    roots = _crossings(phase, _seed_energies(*_window(dc), seeds), n_max, tol)
     return [_level(n, e, dc, METHOD_ORACLE) for n, e in enumerate(roots.tolist())]
 
 

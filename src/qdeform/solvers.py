@@ -19,7 +19,9 @@ deep-well asymptotic Morse levels.
 
 ``_crossings`` finds where a counting phase, -a(E) here and Theta(E)/pi - 1
 in the shooting oracle, first reaches each level n.  Both search the one
-window of ``_window`` from its two ends, and halving separates the levels.
+window of ``_window`` from its two ends, the oracle also from seed
+energies inside it where its caller expects levels, and halving separates
+the levels.
 Below q = 1 the closed-form levels bracket the exact ones (see
 ``spectrum``), so H(E, 0) is never scanned.  Every bracket is refined in
 lockstep by Chandrupatla's method (``_chandrupatla``), one array call per
@@ -105,6 +107,15 @@ def _window(dc: DiracConstants):
     lo, hi = bound_window(dc)
     eps = _WINDOW_EPS_FACTOR * dc.m
     return lo + eps, hi - eps
+
+
+def _seed_energies(lo, hi, seeds):
+    """lo, hi and the ``seeds`` strictly between them, ascending and each
+    once: the first samples of ``_crossings``.  Seeds outside (lo, hi),
+    and NaNs, are dropped; np.unique would load numpy.ma."""
+    s = np.sort(np.asarray(seeds, dtype=float).ravel())
+    s = s[(s > lo) & (s < hi)]
+    return np.concatenate(([lo], s[np.diff(s, prepend=lo) > 0.0], [hi]))
 
 
 _RTOL = 4.0 * sys.float_info.epsilon
@@ -200,14 +211,19 @@ def _chandrupatla(f, xa, xb, xtol, *per_bracket, fa=None, fb=None):
     return float(roots[0]) if shape == () else roots.reshape(shape)
 
 
-def _crossings(phase, lo, hi, n_max, tol):
-    """The energies in [lo, hi] where phase(E) reaches n = 0, 1, ..., for
-    n < min(n_max, floor(max v) + 1), v being phase at the samples.
+def _crossings(phase, seeds, n_max, tol):
+    """The energies in [seeds[0], seeds[-1]] where phase(E) reaches n = 0,
+    1, ..., for n < min(n_max, floor(max v) + 1), v being phase at the samples.
 
-    phase is first sampled at lo and hi, and level n is in the first cell
-    where the running maximum of v reaches n.  Crowded cells are halved,
-    one phase call for all, until each holds one level; one lockstep
-    Chandrupatla call then refines phase(E) - n in each.
+    phase is first sampled at ``seeds``, ascending and distinct: the two
+    window ends and, between them, any energies where levels are expected
+    (see ``_seed_energies``).  Level n is in the first cell where the
+    running maximum of v reaches n.  A seed only moves cell edges: the top
+    sample still gives the count, the running maximum the labels, and a
+    level that no pair of seeds encloses alone is separated as without
+    them.  Crowded cells are halved, one phase call for all, until each
+    holds one level; one lockstep Chandrupatla call then refines
+    phase(E) - n in each.
     Raises NonConvergenceError, naming the energy, where phase is NaN or
     infinite at a sample and when the first sample already reaches level 0.
     """
@@ -218,7 +234,7 @@ def _crossings(phase, lo, hi, n_max, tol):
             raise NonConvergenceError(f"phase is {v[bad[0]]} at the sample E = {e[bad[0]]}")
         return v
 
-    e = np.array([lo, hi])
+    e = np.asarray(seeds, dtype=float)
     v = sample(e)
     while True:
         k = np.searchsorted(np.fmax.accumulate(v), np.arange(n_max))
@@ -288,7 +304,7 @@ def _closed_form_levels(dc: DiracConstants, p: PotentialParams, cfg: SolverConfi
             return abc_params(e, dc, p)[0]
         method = METHOD_Q_GE_1 if p.q >= 1.0 else METHOD_DISPUTED
 
-    return _crossings(lambda e: -a(e), *_window(dc), n_max, cfg.tol_e * dc.m), method
+    return _crossings(lambda e: -a(e), np.array(_window(dc)), n_max, cfg.tol_e * dc.m), method
 
 
 def spectrum(dc: DiracConstants, p: PotentialParams,

@@ -447,6 +447,20 @@ def test_spectrum_loads_neither_oracle_nor_wavefunctions(regime_config_paths):
     assert [line for line in out.splitlines() if line.startswith("loaded")] == ["loaded 0 []"] * 3
 
 
+def test_verify_loads_no_numpy_ma(regime_config_paths):
+    # the oracle's seeds are sorted and made distinct without np.unique,
+    # which loads numpy.ma and would cost verify more than the seeds save
+    code = ("import sys, qdeform.cli\n"
+            "for path in sys.argv[1:]:\n"
+            "    for command in (['verify'], ['spectrum', '--verify']):\n"
+            "        rc = qdeform.cli.main([*command, '--config', path])\n"
+            "        print('loaded', rc, [m for m in ('qdeform.oracle', 'numpy.ma') "
+            "if m in sys.modules])")
+    out = _fresh_python(code, *regime_config_paths)
+    assert ([line for line in out.splitlines() if line.startswith("loaded")]
+            == ["loaded 0 ['qdeform.oracle']"] * 6)
+
+
 @pytest.mark.parametrize("command", ["verify", "wavefunction --n-r 0",
                                      "morse-limit --q-list 0.1,0.01"])
 def test_commands_never_sum_a_polynomial_exactly(regime_config_paths, command):
@@ -707,7 +721,7 @@ class TestVerify:
             "solver": {"max_levels": max_levels},
         }))
         # the analytic levels stand in for the oracle's, which take seconds here
-        monkeypatch.setattr(oracle, "shoot_eigenvalues", lambda dc, p, n_max, tol:
+        monkeypatch.setattr(oracle, "shoot_eigenvalues", lambda dc, p, n_max, tol, seeds:
                             spectrum(dc, p, SolverConfig(max_levels=n_max)))
         assert main(command + ["--config", str(path)]) == EXIT_OK
         captured = capsys.readouterr()
@@ -726,6 +740,75 @@ class TestVerify:
         assert main(command + ["--config", config_path]) == EXIT_SOLVER
         err = capsys.readouterr().err
         assert re.fullmatch(r"verify: FAIL \(max \|dE\| = 1\.0000\d*e-05 exceeds 1e-06\)\n", err)
+
+    @staticmethod
+    def _well(tmp_path, q):
+        path = tmp_path / "well.json"
+        path.write_text(json.dumps({
+            "potential": {"v1": 25.0, "v2": 18.0, "alpha": 0.5, "q": q},
+            "dirac": {"mass": 1.0},
+        }))
+        return str(path)
+
+    @pytest.mark.parametrize("shift", [2e-6, -2e-6])
+    @pytest.mark.parametrize("q", [0.5, 1.0])
+    @pytest.mark.parametrize("command", [["verify"], ["spectrum", "--verify"]])
+    def test_levels_shifted_past_the_band_fail(self, command, q, shift, tmp_path, capsys,
+                                               monkeypatch):
+        # the oracle is seeded at E_n +- 1e-6 M of the levels it is given:
+        # shifted by 2e-6 M, no pair encloses a level, and the oracle still
+        # puts every level where the ODE has it
+        real = cli.spectrum
+        monkeypatch.setattr(cli, "spectrum", lambda *args: [
+            dataclasses.replace(lv, energy=lv.energy + shift) for lv in real(*args)])
+        assert main(command + ["--config", self._well(tmp_path, q)]) == EXIT_SOLVER
+        captured = capsys.readouterr()
+        rows = captured.out.splitlines()[1:]
+        assert len(rows) == (5 if q < 1.0 else 6)
+        for row in rows:  # abs_diff, or residual_vs_oracle
+            assert float(row.split(",")[-1]) == pytest.approx(2e-6, abs=1e-9)
+        worst = re.fullmatch(r"verify: FAIL \(max \|dE\| = (\S+) exceeds 1e-06\)\n",
+                             captured.err)
+        assert worst and float(worst.group(1)) == pytest.approx(2e-6, abs=1e-9)
+
+    @pytest.mark.parametrize("command", [["verify"], ["spectrum", "--verify"]])
+    def test_swapped_labels_fail(self, command, tmp_path, capsys, monkeypatch):
+        # the seeds sit at the right energies, but the oracle labels its
+        # levels itself: n_r = 1 and 2 swapped are each compared with the
+        # other's level
+        real = cli.spectrum
+
+        def swapped(*args):
+            levels = real(*args)
+            one, two = levels[1], levels[2]
+            levels[1] = dataclasses.replace(one, n_r=two.n_r)
+            levels[2] = dataclasses.replace(two, n_r=one.n_r)
+            return levels
+        monkeypatch.setattr(cli, "spectrum", swapped)
+        assert main(command + ["--config", self._well(tmp_path, 0.5)]) == EXIT_SOLVER
+        worst = re.fullmatch(r"verify: FAIL \(max \|dE\| = (\S+) exceeds 1e-06\)\n",
+                             capsys.readouterr().err)
+        assert worst and float(worst.group(1)) > 1e-2
+
+    @pytest.mark.parametrize("command", [["verify"], ["spectrum", "--verify"]])
+    def test_oracle_is_seeded_at_the_levels(self, command, tmp_path, monkeypatch):
+        # E_n +- 1e-6 M of each level, and at most 5.5 sweeps a level on
+        # these five levels (49 sweeps from the window ends alone)
+        seen, sweeps = [], []
+        real, real_sweep = oracle.shoot_eigenvalues, oracle.integrate_radial
+
+        def spy(*args, **kwargs):
+            seen.append(np.sort(kwargs["seeds"]))
+            return real(*args, **kwargs)
+        monkeypatch.setattr(oracle, "shoot_eigenvalues", spy)
+        monkeypatch.setattr(oracle, "integrate_radial",
+                            lambda *args: sweeps.append(1) or real_sweep(*args))
+        path = self._well(tmp_path, 0.5)
+        assert main(command + ["--config", path]) == EXIT_OK
+        e = np.array([lv.energy for lv in spectrum(*cli.load_config(path)[:2])])
+        assert len(seen) == 1 and len(e) == 5
+        np.testing.assert_array_equal(seen[0], np.sort(np.concatenate([e - 1e-6, e + 1e-6])))
+        assert len(sweeps) <= 5.5 * len(e)
 
     @pytest.mark.parametrize("command", [["verify"], ["spectrum", "--verify"]])
     def test_oracle_tolerance_from_config(self, command, tmp_path, monkeypatch):

@@ -39,6 +39,7 @@ from qdeform.solvers import (
     _chandrupatla,
     _crossings,
     _morse_shape,
+    _seed_energies,
     _window,
 )
 
@@ -212,14 +213,15 @@ def test_closed_form_and_oracle_seed_one_window(m, c_spin, q, monkeypatch):
     real_crossings = solvers._crossings
     calls, seeds = [], []
 
-    def crossings(phase, lo, hi, n_max, tol):
+    def crossings(phase, window, n_max, tol):
+        lo, hi = window
         calls.append((lo, hi))
 
         def traced(e):
             if len(seeds) < len(calls):
                 seeds.append(np.array(e))
             return phase(e)
-        return real_crossings(traced, lo, hi, n_max, tol)
+        return real_crossings(traced, window, n_max, tol)
 
     monkeypatch.setattr(solvers, "_crossings", crossings)
     monkeypatch.setattr(oracle, "_crossings", crossings)
@@ -543,7 +545,7 @@ class TestCrossings:
     def test_crowded_levels_are_separated(self):
         # ten levels in the one cell [0, 1], at E = (n + 1/2)/10
         phase, seen = self._traced(lambda e: 10.0 * e - 0.5)
-        roots = _crossings(phase, 0.0, 1.0, 64, 1e-12)
+        roots = _crossings(phase, np.array([0.0, 1.0]), 64, 1e-12)
         assert roots == pytest.approx((np.arange(10) + 0.5) / 10.0, abs=1e-12)
         assert len(set(seen)) == len(seen)  # no energy is evaluated twice
 
@@ -553,7 +555,7 @@ class TestCrossings:
         def dip(e):
             return 4.0 * (e - 0.3) ** 2 - 0.37
         phase, seen = self._traced(dip)
-        roots = _crossings(phase, 0.0, 1.0, 64, 1e-12)
+        roots = _crossings(phase, np.array([0.0, 1.0]), 64, 1e-12)
         assert roots == pytest.approx(0.3 + np.sqrt((np.arange(2) + 0.37) / 4.0), abs=1e-12)
         assert dip(0.5) < dip(0.0) and 0.5 in seen  # the first halving lands in the dip
         assert len(set(seen)) == len(seen)
@@ -561,21 +563,128 @@ class TestCrossings:
     def test_first_sample_at_level_0_raises(self):
         with pytest.raises(NonConvergenceError,
                            match=r"level 0 is reached at the first sample E = 0\.25"):
-            _crossings(lambda e: e, 0.25, 1.0, 64, 1e-12)
+            _crossings(lambda e: e, np.array([0.25, 1.0]), 64, 1e-12)
 
     def test_non_finite_seed_raises(self):
         # np.fmax.accumulate skips a NaN: the NaN top seed would hide all ten levels
         def phase(e):
             return np.where(e < 1.0, 10.0 * e - 0.5, np.nan)
         with pytest.raises(NonConvergenceError, match=r"^phase is nan at the sample E = 1\.0$"):
-            _crossings(phase, 0.0, 1.0, 64, 1e-12)
+            _crossings(phase, np.array([0.0, 1.0]), 64, 1e-12)
 
     def test_non_finite_midpoint_raises(self):
         # the first halving of the crowded cell [0, 1] samples E = 0.5
         def phase(e):
             return np.where(e == 0.5, np.inf, 10.0 * e - 0.5)
         with pytest.raises(NonConvergenceError, match=r"^phase is inf at the sample E = 0\.5$"):
-            _crossings(phase, 0.0, 1.0, 64, 1e-12)
+            _crossings(phase, np.array([0.0, 1.0]), 64, 1e-12)
+
+
+class TestSeeds:
+    # ten levels of 10 E - 1/2 at E = (n + 1/2)/10 in [0, 1]; a seed is
+    # only one more first sample, so each set gives the free search's
+    # labels and roots
+    @pytest.mark.parametrize("seeds", [
+        [-0.5, -1e-300, 0.0, 1.0, 1.5, np.nan, np.inf, -np.inf],  # none inside the window
+        [0.14, 0.16, 0.14, 0.16, 0.16, 0.54, 0.56, 0.54],  # duplicates, given unsorted
+        [0.25],  # on the root of level 2: phase is 2.0 there to the bit
+        [0.2, 0.25, 0.3, 0.65, 0.75],  # roots at seeds and between pairs
+        [-0.02, 0.12, 0.08, 0.22, 0.18, 0.32],  # pairs E_n +- 0.07 that overlap
+        [0.49, 0.51, 0.999, 0.9999],  # pairs that enclose no level
+        np.linspace(0.0, 1.0, 101)[1:-1],  # a cell per level, and many empty ones
+    ], ids=["outside", "duplicates", "on-a-root", "roots-at-seeds", "overlapping-pairs",
+            "missing-pairs", "dense"])
+    def test_adversarial_seeds_keep_the_free_labels(self, seeds):
+        free = _crossings(lambda e: 10.0 * e - 0.5, np.array([0.0, 1.0]), 64, 1e-12)
+        samples = _seed_energies(0.0, 1.0, seeds)
+        inside = [x for x in seeds if 0.0 < x < 1.0]
+        assert samples[0] == 0.0 and samples[-1] == 1.0 and np.all(np.diff(samples) > 0.0)
+        assert sorted(set(inside)) == samples[1:-1].tolist()
+        seen = []
+
+        def phase(e):
+            seen.extend(e.tolist())
+            return 10.0 * e - 0.5
+        roots = _crossings(phase, samples, 64, 1e-12)
+        assert len(roots) == len(free) == 10
+        assert roots == pytest.approx(free, abs=2e-12)
+        assert len(set(seen)) == len(seen)  # no energy is evaluated twice
+        if 0.25 in inside:
+            assert roots[2] == 0.25
+
+    def test_seeds_in_the_dip_keep_the_free_labels(self):
+        # the phase of test_phase_that_dips_before_it_rises, seeded at its
+        # minimum, on both sides of it and past its two levels
+        def dip(e):
+            return 4.0 * (e - 0.3) ** 2 - 0.37
+        free = _crossings(dip, np.array([0.0, 1.0]), 64, 1e-12)
+        roots = _crossings(dip, _seed_energies(0.0, 1.0, [0.1, 0.3, 0.5, 0.95]), 64, 1e-12)
+        assert len(roots) == len(free) == 2
+        assert roots == pytest.approx(free, abs=2e-12)
+
+
+# the deep Morse and deep q = 0.3 wells, the z0 = 0.9997 well and the
+# 91-level well
+DEEP_WELLS = [
+    (DC, PotentialParams(400.0, 300.0, 0.3, 0.0)),
+    (DC, PotentialParams(400.0, 300.0, 0.3, 0.3)),
+    (DC, PotentialParams(519.3001686780265, 330.1893523433154,
+                         0.2576858226816229, 0.933114315474702)),
+    (DiracConstants(m=1.0, c_spin=0.1688), PotentialParams(741.397, 527.365, 0.1474, 0.3143)),
+]
+
+
+class TestSeededOracle:
+    """The oracle seeded as ``verify`` seeds it, at E_n +- 1e-6 M of each
+    analytic level, against the oracle searching from the window ends."""
+
+    @staticmethod
+    def _both(wells, monkeypatch):
+        """(free, seeded) level lists of each well, and the sweeps of each side."""
+        import qdeform.oracle as oracle
+
+        swept = []
+        real = oracle.integrate_radial
+        monkeypatch.setattr(oracle, "integrate_radial",
+                            lambda *args: swept.append(1) or real(*args))
+        runs, sweeps = [], [0, 0]
+        for dc, p in wells:
+            levels = spectrum(dc, p, SolverConfig(max_levels=200))
+            e = np.array([lv.energy for lv in levels])
+            pair = []
+            for side, seeds in enumerate([(), np.concatenate([e - 1e-6 * dc.m,
+                                                              e + 1e-6 * dc.m])]):
+                swept.clear()
+                pair.append(shoot_eigenvalues(dc, p, n_max=len(levels) + 1,
+                                              tol=1e-10 * dc.m, seeds=seeds))
+                sweeps[side] += len(swept)
+            runs.append((dc, *pair))
+        return runs, sweeps
+
+    @staticmethod
+    def _assert_agree(runs):
+        for dc, free, seeded in runs:
+            assert [lv.n_r for lv in seeded] == [lv.n_r for lv in free]
+            for a, b in zip(free, seeded):
+                assert abs(a.energy - b.energy) <= 1e-10 * dc.m
+
+    @pytest.mark.parametrize("regime", ["morse", "regular", "singular"])
+    def test_random_wells(self, regime, monkeypatch):
+        draw_well, rng = _draw_well(), random.Random(7)
+        wells = [draw_well(rng, regime) for _ in range(150)]
+        runs, (free, seeded) = self._both(wells, monkeypatch)
+        self._assert_agree(runs)
+        assert sum(len(r[1]) for r in runs) > 150  # most wells bind a level
+        assert seeded < 0.6 * free
+
+    @pytest.mark.parametrize("well", range(len(DEEP_WELLS)),
+                             ids=["deep-morse", "deep-q0.3", "z0-0.9997", "91-levels"])
+    def test_deep_wells(self, well, monkeypatch):
+        runs, (free, seeded) = self._both([DEEP_WELLS[well]], monkeypatch)
+        self._assert_agree(runs)
+        n_levels = len(runs[0][1])
+        assert n_levels >= 35
+        assert seeded <= 5 * n_levels < 0.6 * free
 
 
 class TestDisputed:
