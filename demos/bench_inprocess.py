@@ -16,14 +16,19 @@ of the 91-level well (C = 0.1688, `max_levels` 200), the oracle's
 `shoot_eigenvalues` of the deep wells (n_max one past their count, tol
 1e-10 M), searched from the window ends and seeded as `verify` seeds it,
 at E_n +- 1e-6 M of each analytic level, the wavefunction export of a
-deep Morse level, and the computations of the `morse-limit` invocation of
+deep Morse level, the computations of the `morse-limit` invocation of
 perfbench's `regular` workload: (25, 10, 1, 0), its closed-form levels,
-and q = 0.1, 0.01, 0.001 and 0.0001.  Wells are (V1, V2, alpha, q) with
-M = 1 and C = 0 unless stated.
+and q = 0.1, 0.01, 0.001 and 0.0001, and the table writer
+(`cli._write_table`) on two 10,001-row `wavefunction` exports, as CSV and
+JSON files in a scratch directory; for these the count `fmt_cells` is the
+float cells formatted one at a time by `cli._fmt`.  Wells are
+(V1, V2, alpha, q) with M = 1 and C = 0 unless stated.
 """
 
 import json
+import os
 import platform
+import tempfile
 import time
 
 import numpy as np
@@ -35,11 +40,13 @@ from qdeform import (
     closed_form_spectrum,
     make_wavefunction,
     oracle,
+    potential_value,
     shoot_eigenvalues,
     solvers,
     spectrum,
     special,
 )
+from qdeform import cli
 
 DC = DiracConstants(m=1.0, c_spin=0.0)
 DEEP_MORSE = PotentialParams(400.0, 300.0, 0.3, 0.0)
@@ -62,8 +69,15 @@ def _shoot(p, levels, seeded):
                                      seeds=seeds)
 
 
-def entries():
-    """name -> the call to time."""
+def _write_export(p, n_r, workdir):
+    wf = make_wavefunction(DC, p, spectrum(DC, p)[n_r])
+    cols = [wf.radii, wf.f_values, wf.g_values, potential_value(wf.radii, p)]
+    path = os.path.join(workdir, "wf.csv")
+    return lambda: cli._write_table(["r", "F", "G", "potential_value"], cols, path, "csv")
+
+
+def entries(workdir):
+    """name -> the call to time; the writer entries write into workdir."""
     levels = {p: spectrum(DC, p) for p in (DEEP_MORSE, DEEP)}
     level = levels[DEEP_MORSE][3]
     return {
@@ -84,6 +98,10 @@ def entries():
             _shoot(DEEP, levels[DEEP], seeded=True),
         "make_wavefunction deep Morse n_r = 3": lambda: make_wavefunction(DC, DEEP_MORSE, level),
         "morse-limit (25, 10, 1, 0), q = 0.1 .. 0.0001": _morse_limit_chain,
+        "_write_table wavefunction (25, 10, 1, 2) n_r = 0":
+            _write_export(PotentialParams(25.0, 10.0, 1.0, 2.0), 0, workdir),
+        "_write_table wavefunction (25, 18, 0.5, 1) n_r = 5":
+            _write_export(PotentialParams(25.0, 18.0, 0.5, 1.0), 5, workdir),
     }
 
 
@@ -111,11 +129,11 @@ def series_terms(num, c, z):
 
 
 class _Count:
-    """Counts the kernel calls of the solvers, the series terms summed and
-    the oracle's sweeps."""
+    """Counts the kernel calls of the solvers, the series terms summed, the
+    oracle's sweeps and the table cells formatted one at a time."""
 
     def __init__(self):
-        self.calls = self.points = self.terms = self.sweeps = 0
+        self.calls = self.points = self.terms = self.sweeps = self.cells = 0
 
     def kernel(self, fn):
         def counted(*args):
@@ -136,21 +154,28 @@ class _Count:
             return fn(*args)
         return counted
 
+    def cell(self, fn):
+        def counted(x):
+            self.cells += 1
+            return fn(x)
+        return counted
+
 
 def counts(call):
     count = _Count()
     saved = (solvers.gauss_2f1, solvers.kummer_1f1, special._kahan_series,
-             oracle.integrate_radial)
+             oracle.integrate_radial, cli._fmt)
     solvers.gauss_2f1, solvers.kummer_1f1 = map(count.kernel, saved[:2])
     special._kahan_series = count.series(saved[2])
     oracle.integrate_radial = count.sweep(saved[3])
+    cli._fmt = count.cell(saved[4])
     try:
         call()
     finally:
         (solvers.gauss_2f1, solvers.kummer_1f1, special._kahan_series,
-         oracle.integrate_radial) = saved
+         oracle.integrate_radial, cli._fmt) = saved
     return {"kernel_calls": count.calls, "points": count.points,
-            "series_terms": count.terms, "sweeps": count.sweeps}
+            "series_terms": count.terms, "sweeps": count.sweeps, "fmt_cells": count.cells}
 
 
 def main():
@@ -160,10 +185,11 @@ def main():
         "repeats": REPEATS,
         "entries": {},
     }
-    for name, call in entries().items():
-        call()
-        best = min(_seconds(call) for _ in range(REPEATS))
-        report["entries"][name] = {"best_s": round(best, 6), **counts(call)}
+    with tempfile.TemporaryDirectory() as workdir:
+        for name, call in entries(workdir).items():
+            call()
+            best = min(_seconds(call) for _ in range(REPEATS))
+            report["entries"][name] = {"best_s": round(best, 6), **counts(call)}
     print(json.dumps(report, indent=2))
 
 

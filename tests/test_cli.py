@@ -9,6 +9,8 @@ import os
 import re
 import subprocess
 import sys
+import tempfile
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -322,6 +324,8 @@ WELLS = {
              "dirac": {"mass": 1.0, "c_spin": 0.0}},
     "morse": {"potential": {"v1": 25.0, "v2": 10.0, "alpha": 1.0, "q": 0.0},
               "dirac": {"mass": 1.0, "c_spin": 0.0}},
+    "q4": {"potential": {"v1": 25.0, "v2": 10.0, "alpha": 1.0, "q": 4.0},
+           "dirac": {"mass": 1.0, "c_spin": 0.0}},
 }
 WF_COLUMNS = ["r", "F", "G", "potential_value"]
 
@@ -346,6 +350,12 @@ TABLES = {
         [10**400, 1234567890123456.5, 1e-307, "z"],
     ]),
     "wavefunction": (WF_COLUMNS, _wavefunction_rows(WELLS["q2"], 0)),
+    # the other exports of the benchmark workloads; q1-deep18 n_r = 5 has
+    # 3,328 zero potential cells and tail cells below 1e-290
+    "wavefunction q0.3": (WF_COLUMNS, _wavefunction_rows(WELLS["q0.3"], 0)),
+    "wavefunction morse": (WF_COLUMNS, _wavefunction_rows(WELLS["morse"], 0)),
+    "wavefunction q4 n_r=1": (WF_COLUMNS, _wavefunction_rows(WELLS["q4"], 1)),
+    "wavefunction q1-deep18 n_r=5": (WF_COLUMNS, _wavefunction_rows(WELLS["q1-deep18"], 5)),
 }
 
 
@@ -354,18 +364,78 @@ class TestTableWriter:
     def test_mirrors_match_reference(self, name, tmp_path, monkeypatch):
         columns, rows = TABLES[name]
         want_csv, want_json = _reference_table(columns, rows)
-        cli._write_table(columns, rows, str(tmp_path / "t.csv"), "csv")
+        cli._write_table(columns, list(zip(*rows)), str(tmp_path / "t.csv"), "csv")
         assert (tmp_path / "t.csv").read_text() == want_csv
         assert (tmp_path / "t.json").read_text() == want_json
         for fmt, want in (("csv", want_csv), ("json", want_json)):
             out = io.StringIO()
             monkeypatch.setattr(sys, "stdout", out)
-            cli._write_table(columns, rows, None, fmt)
+            cli._write_table(columns, list(zip(*rows)), None, fmt)
             assert out.getvalue() == want
 
     def test_column_of_mixed_kinds_is_refused(self):
         with pytest.raises(TypeError, match="mixes"):
-            cli._write_table(["x"], [[1], [0.5]], None, "csv")
+            cli._write_table(["x"], [[1, 0.5]], None, "csv")
+
+    def test_a_long_export_needs_no_more_memory_than_the_per_cell_writer(self):
+        # the bound is the peak of the writer that formatted each cell as a
+        # Python string, on the rows cmd_wavefunction then passed it (lists
+        # of floats), measured with this helper on x86_64 with Python
+        # 3.11.7 and numpy 2.4.6; the block writer stays under half of it
+        config = WELLS["q1-deep18"]
+        dc = DiracConstants(m=config["dirac"]["mass"], c_spin=config["dirac"]["c_spin"])
+        p = PotentialParams(**config["potential"])
+        wf = make_wavefunction(dc, p, spectrum(dc, p)[5])
+        cols = [wf.radii, wf.f_values, wf.g_values, potential_value(wf.radii, p)]
+        assert len(cols[0]) == 10_001
+        with tempfile.TemporaryDirectory() as tmp:
+            args = (WF_COLUMNS, cols, os.path.join(tmp, "wf.csv"), "csv")
+            assert _peak_bytes(cli._write_table, args) <= 8_509_020
+
+
+def _peak_bytes(fn, args):
+    """The most memory traced at once during a call (numpy reports its
+    array buffers to tracemalloc), after one call to warm up."""
+    fn(*args)
+    tracemalloc.start()
+    try:
+        fn(*args)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def _cell_texts(x):
+    """The CSV and JSON texts of each float of x, as _float_cells lays them out."""
+    cells, keep, json_cells, json_keep = cli._float_cells(np.array(x, dtype=float))
+    return ([bytes(c[k]).decode() for c, k in zip(cells, keep)],
+            [bytes(c[k]).decode() for c, k in zip(json_cells, json_keep)])
+
+
+def _double(bits):
+    return float(np.array(bits, dtype=np.uint64).view(np.float64))
+
+
+@given(xs=st.lists(st.integers(0, 2**64 - 1).map(_double), min_size=1, max_size=64))
+# where %g switches notation: X = -5 | -4 and 14 | 15
+@example(xs=[1.5e-5, -9.99999999999999e-05, 1e-4, 0.000123456789012345, 1.5e14, -1e15,
+             999999999999999.0, 123456789012345.67, 1234567890123456.0])
+# a carry into the next power of ten, and a log10 one off (both ways)
+@example(xs=[999999999999999.4, 999999999999999.6, 9.999999999999996, -0.9999999999999996,
+             9.9999999999999995e-05, 9.999999999999999e22, 1e23, 1e100, 9.999999999999998e99,
+             9.99999999999998e99, -9.9999999999998e199])
+# ties, broken to even by "%"
+@example(xs=[0.5, 2.5, 1234567890123456.5, 123456789012345.5, 123456789012344.5])
+@example(xs=[5e-324, -2.2250738585072014e-308, 1e-290, 9.9e-291, 1e290, 1.1e290])
+# the e+308 texts, one of which rounds past the largest double
+@example(xs=[1e308, 1.7976931348623157e308, -1.7976931348623151e308, 1.797693134862315e308])
+@example(xs=[0.0, -0.0, float("nan"), float("inf"), -float("inf"), 1.0, 10.0, 1e16])
+@settings(max_examples=300, deadline=None)
+def test_float_cells_are_the_texts_of_fmt(xs):
+    csv_texts, json_texts = _cell_texts(xs)
+    want = [_fmt(x) for x in xs]
+    assert csv_texts == want
+    assert json_texts == cli._json_texts(xs, "%.15g", want)
 
 
 @given(x=st.floats(allow_nan=True, allow_infinity=True, allow_subnormal=True))
@@ -560,6 +630,15 @@ class TestWavefunction:
         err = capsys.readouterr().err
         assert err == "error: cannot write %s: No such file or directory\n" % out
         assert not out.parent.exists()
+
+    def test_failed_out_keeps_the_last_export(self, config_path, tmp_path, capsys):
+        # the mirrors are emptied only once both are open
+        out = tmp_path / "x.csv"
+        out.write_text("n_r,E\n0,1\n")
+        (tmp_path / "x.json").mkdir()
+        assert main(["spectrum", "--config", config_path, "--out", str(out)]) == EXIT_CONFIG
+        assert capsys.readouterr().err.startswith("error: cannot write %s: " % (tmp_path / "x.json"))
+        assert out.read_text() == "n_r,E\n0,1\n"
 
     def test_json_mirror_that_is_a_directory_exits_2(self, config_path, tmp_path, capsys):
         # both mirrors are opened before either is written: no CSV rows
