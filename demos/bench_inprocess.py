@@ -20,7 +20,7 @@ deep Morse level, the computations of the `morse-limit` invocation of
 perfbench's `regular` workload: (25, 10, 1, 0), its closed-form levels,
 and q = 0.1, 0.01, 0.001 and 0.0001, and the table writer
 (`cli._write_table`) on two 10,001-row `wavefunction` exports, as CSV and
-JSON files in a scratch directory; for these the count `fmt_cells` is the
+JSON files in a temporary directory; for these the count `fmt_cells` is the
 float cells formatted one at a time by `cli._fmt`.  Wells are
 (V1, V2, alpha, q) with M = 1 and C = 0 unless stated.
 """

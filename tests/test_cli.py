@@ -329,6 +329,19 @@ WELLS = {
 }
 WF_COLUMNS = ["r", "F", "G", "potential_value"]
 
+EDGES = [
+    [0, 0.0, -0.0, "a,b"],
+    [10**15, 1e15, -1e15, "quote\" inside"],
+    [-(10**16), 999999999999999.9, 1e16, "\u00e9"],
+    [np.int64(2**62), 1e-4, 1e-5, ""],
+    [123456789012345678901234567890, 5e-324, 2.2250738585072014e-308, "plain"],
+    [np.int64(-7), 1e308, float("nan"), "x"],
+    [1, 1.7976931348623157e308, -1.797693134862315e308, "100%d"],
+    [999999999999999, float("inf"), -float("inf"), "y"],
+    [2, 1.7976931348623151e308, -1.7976931348623151e308, "near max"],
+    [10**400, 1234567890123456.5, 1e-307, "z"],
+]
+
 TABLES = {
     "mixed": (["n_r", "E", "method", "x"], [
         [0, 0.587541449360766, "closed-form-q>=1", float("nan")],
@@ -337,19 +350,10 @@ TABLES = {
         [7, -0.0, "a,b", 1.0 / 3.0],
     ]),
     "empty": (["n_r", "E_analytic", "E_oracle", "abs_diff"], []),
-    "edges": (["n", "x", "y %s", "label"], [
-        [0, 0.0, -0.0, "a,b"],
-        [10**15, 1e15, -1e15, "quote\" inside"],
-        [-(10**16), 999999999999999.9, 1e16, "\u00e9"],
-        [np.int64(2**62), 1e-4, 1e-5, ""],
-        [123456789012345678901234567890, 5e-324, 2.2250738585072014e-308, "plain"],
-        [np.int64(-7), 1e308, float("nan"), "x"],
-        [1, 1.7976931348623157e308, -1.797693134862315e308, "100%d"],
-        [999999999999999, float("inf"), -float("inf"), "y"],
-        [2, 1.7976931348623151e308, -1.7976931348623151e308, "near max"],
-        [10**400, 1234567890123456.5, 1e-307, "z"],
-    ]),
+    "edges": (["n", "x", "y %s", "label"], EDGES),
     "wavefunction": (WF_COLUMNS, _wavefunction_rows(WELLS["q2"], 0)),
+    # long enough that its floats take the array path, beside ints and strings
+    "edges x30": (["n", "x", "y %s", "label"], [row for _ in range(30) for row in EDGES]),
     # the other exports of the benchmark workloads; q1-deep18 n_r = 5 has
     # 3,328 zero potential cells and tail cells below 1e-290
     "wavefunction q0.3": (WF_COLUMNS, _wavefunction_rows(WELLS["q0.3"], 0)),
@@ -381,7 +385,7 @@ class TestTableWriter:
         # the bound is the peak of the writer that formatted each cell as a
         # Python string, on the rows cmd_wavefunction then passed it (lists
         # of floats), measured with this helper on x86_64 with Python
-        # 3.11.7 and numpy 2.4.6; the block writer stays under half of it
+        # 3.11.7 and numpy 2.4.6; the block writer peaks at about 4.7 MB
         config = WELLS["q1-deep18"]
         dc = DiracConstants(m=config["dirac"]["mass"], c_spin=config["dirac"]["c_spin"])
         p = PotentialParams(**config["potential"])
