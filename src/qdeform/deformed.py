@@ -78,15 +78,17 @@ def tanh_q(x, q):
 
     Evaluated in a form that never overflows: for x >= 0 the ratio is
     (1 - q e^-2x) / (1 + q e^-2x), for x < 0 it is (e^2x - q)/(e^2x + q).
-    Raises DomainError at zeros of cosh_q (possible only for q < 0).
+    At q = 0 it is 1, also where e^2x underflows.  Raises DomainError at
+    zeros of cosh_q (possible only for q < 0).
     """
     x = np.asarray(x, dtype=float)
     e = np.exp(-2.0 * np.abs(x))
     num = np.where(x >= 0, 1.0 - q * e, e - q)
     den = np.where(x >= 0, 1.0 + q * e, e + q)
-    if np.any(den == 0.0):
+    if np.any((den == 0.0) & (np.asarray(q) != 0.0)):
         raise DomainError("tanh_q undefined where cosh_q vanishes")
-    out = num / den
+    # at q = 0 the x < 0 form is e^2x / e^2x, 0/0 where e^2x underflows
+    out = np.divide(num, den, out=np.ones_like(den), where=den != 0.0)
     return out if out.ndim else float(out)
 
 

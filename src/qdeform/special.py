@@ -3,20 +3,21 @@
 All evaluators are real-argument, double precision and array-first: the
 parameters and the argument broadcast together, and scalar inputs return a
 float.  Each kernel has one dispatch, one row per evaluation method, and
-every element picks its row by mask.  In both, an element whose series
-terminates (a, or b for 2F1, a non-positive integer) is a polynomial, summed
-exactly and rounded once.  The rest of 2F1 has three rows: the direct series
-(|z| <= 1/2, and z > 1/2 where c-a-b is an exact integer), the Pfaff
-transform for z < -1/2, and the 1-z connection formula for the rest of
-z > 1/2.  The rest of 1F1 is mapped from z < 0 to -z by Kummer reflection,
-carrying e^z as a log shift, and has two rows: the series (z <= 500) and the
-large-z asymptotic branch.  The series are summed with compensated (Kahan)
-accumulation, each element until its own terms stop mattering; a sum that
-leaves the float range raises.  A pass sums a block of up to 16 terms for
-every element still summing, fewer when the array is long, and does the
-same arithmetic in the same order as one term per pass: a value does not
-depend on the block length, nor on the other elements of its call.  A
-value past the float range is +-inf, without a warning.
+every element picks its row by mask.  The domain is what the solvers pass:
+every element needs c > 0, and one whose series does not terminate needs
+0 <= z < 1 (2F1) or z >= 0 (1F1); anything else raises DomainError.  In
+both, an element whose series terminates (a, or b for 2F1, a non-positive
+integer) is a polynomial at any finite z, summed exactly and rounded once.
+The rest of 2F1 has two rows: the direct series (z <= 1/2, and z > 1/2
+where c-a-b is an exact integer) and the 1-z connection formula for the
+rest of z > 1/2.  The rest of 1F1 has two rows: the series (z <= 500) and
+the large-z asymptotic branch.  The series are summed with compensated
+(Kahan) accumulation, each element until its own terms stop mattering; a
+sum that leaves the float range raises.  A pass sums a block of up to 16
+terms for every element still summing, fewer when the array is long, and
+does the same arithmetic in the same order as one term per pass: a value
+does not depend on the block length, nor on the other elements of its
+call.  A value past the float range is +-inf, without a warning.
 """
 
 from __future__ import annotations
@@ -25,7 +26,7 @@ import math
 
 import numpy as np
 
-from .errors import DomainError, NonConvergenceError, ParameterError
+from .errors import DomainError, NonConvergenceError
 
 __all__ = [
     "gauss_2f1",
@@ -193,17 +194,6 @@ def _terminating_exact(num, c, z, n):
     return out
 
 
-def _reject_poles(n, c, name):
-    """Raise where a non-positive integer c is reached by the series of
-    degree n (NaN: non-terminating)."""
-    nc = _nonpos_int_degree(c)
-    pole = ~np.isnan(nc) & (np.isnan(n) | (n > nc))
-    if pole.any():
-        raise ParameterError(
-            f"{name} pole: c={c[pole][0]} is a non-positive integer reached by the series"
-        )
-
-
 def _gamma_ratio_sign_log(num, den):
     """sign and log-magnitude of prod Gamma(num_i) / prod Gamma(den_i)."""
     sign = np.ones_like(num[0])
@@ -247,27 +237,22 @@ def gauss_2f1(a, b, c, z):
     """Gauss hypergeometric 2F1(a, b; c; z) for real arguments.
 
     a, b, c and z broadcast together; scalar inputs return a float.  Each
-    element needs |z| < 1 unless its series terminates.
+    element needs c > 0, and 0 <= z < 1 unless its series terminates.
     """
     shape, (a, b, c, z) = _broadcast(a, b, c, z)
     n = np.fmin(_nonpos_int_degree(a), _nonpos_int_degree(b))
-    _reject_poles(n, c, "2F1")
     poly = ~np.isnan(n)
-    if not np.all(np.abs(z[~poly]) < 1.0):  # NaN too: it would fit no row
-        raise DomainError("non-terminating 2F1 requires |z| < 1")
+    if not (np.all(c > 0.0) and np.all(poly | ((z >= 0.0) & (z < 1.0)))):  # NaN fails
+        raise DomainError("2F1 requires c > 0, and 0 <= z < 1 unless the series terminates")
     m = c - a - b
     # at an exact integer m the connection formula is undefined, and the
-    # direct series still converges for |z| < 1
-    series = ~poly & ((np.abs(z) <= 0.5) | ((z > 0.5) & (m == np.round(m))))
-    far = ~poly & ~series
+    # direct series still converges for z < 1
+    series = ~poly & ((z <= 0.5) | (m == np.round(m)))
     out = np.empty(z.shape)
     for mask, fn in (
         (poly, lambda a, b, c, z: _terminating_exact((a, b), c, z, n[poly])),
         (series, lambda a, b, c, z: _kahan_series((a, b), c, z)),
-        # Pfaff transform maps z in (-1, -1/2) to w in (1/3, 1/2)
-        (far & (z < -0.5), lambda a, b, c, z:
-         (1.0 - z) ** (-a) * _kahan_series((a, c - b), c, z / (z - 1.0))),
-        (far & (z > 0.5), _connection_2f1),
+        (~poly & ~series, _connection_2f1),
     ):
         if mask.any():
             out[mask] = fn(a[mask], b[mask], c[mask], z[mask])
@@ -275,15 +260,14 @@ def gauss_2f1(a, b, c, z):
 
 
 def _kummer_asym(a, c, z):
-    """Large-z > 0 dominant branch of 1F1 as (smooth_factor, log_magnitude).
+    """Large-z > 0 dominant branch of 1F1, smooth_factor * exp(log_magnitude).
 
-    The value is smooth_factor * exp(log_magnitude).  1/|Gamma(a)| is in
-    the log, so a value past the float range is +-inf, not 0 * inf; the
-    smooth factor carries the signs of Gamma(a) and Gamma(c), and at
-    a = -n the zero comes through the log and the sign change, which root
-    bracketing needs, through the sign of Gamma(a).  Each element sums at
-    most 40 terms of the asymptotic series and stops before its first
-    growing term.  Accurate for z >> |a|, |c|.
+    1/|Gamma(a)| is in the log, so a value past the float range is +-inf,
+    not 0 * inf; the smooth factor carries the signs of Gamma(a) and
+    Gamma(c), and at a = -n the zero comes through the log and the sign
+    change, which root bracketing needs, through the sign of Gamma(a).
+    Each element sums at most 40 terms of the asymptotic series and stops
+    before its first growing term.  Accurate for z >> |a|, |c|.
     """
     s, total, prev = np.ones(z.shape), np.ones(z.shape), np.ones(z.shape)
     live = np.ones(z.shape, dtype=bool)
@@ -298,40 +282,35 @@ def _kummer_asym(a, c, z):
     sign_c, log_c = _gamma_sign_log(c)
     sign_a, log_a = _gamma_sign_log(a)
     L = z + (a - c) * _libm(math.log, z) + log_c
-    return sign_c * sign_a * total, L - log_a
+    with np.errstate(over="ignore"):
+        return sign_c * sign_a * total * _safe_exp(L - log_a)
 
 
 def kummer_1f1(a, c, z):
     """Confluent hypergeometric 1F1(a; c; z) for real arguments.
 
-    a, c and z broadcast together; scalar inputs return a float.  A
-    polynomial (a = -n) is summed exactly; otherwise the direct compensated
-    series for moderate z, with Kummer reflection for z < 0.  For
-    |z| > 500 the dominant asymptotic branch is used; there the magnitude
-    saturates at the float range but signs and zero locations (a near -n)
-    remain faithful, which is all the quantization root-finders require.
+    a, c and z broadcast together; scalar inputs return a float.  Each
+    element needs c > 0, and z >= 0 unless it is a polynomial (a = -n),
+    which is summed exactly.  Otherwise the compensated series serves
+    z <= 500 and the dominant asymptotic branch larger z, where the
+    magnitude saturates at the float range but signs and zero locations
+    (a near -n) remain faithful, which is all the root-finders require.
     """
     shape, (a, c, z) = _broadcast(a, c, z)
     n = _nonpos_int_degree(a)
-    _reject_poles(n, c, "1F1")
     poly = ~np.isnan(n)
-    # Kummer reflection 1F1(a,c;z) = e^z 1F1(c-a,c;-z): the direct
-    # alternating series cancels catastrophically already at z ~ -20,
-    # while the reflected series has (eventually) single-signed terms.
-    flip = ~poly & (z < 0.0)
-    shift = np.where(flip, z, 0.0)
-    a, z = np.where(flip, c - a, a), np.where(flip, -z, z)
+    if not (np.all(c > 0.0) and np.all(poly | (z >= 0.0))):  # NaN fails
+        raise DomainError("1F1 requires c > 0, and z >= 0 unless a = -n")
     series = ~poly & (z <= _KUMMER_ASYM_Z)
-    value, log = np.empty(z.shape), np.zeros(z.shape)
+    out = np.empty(z.shape)
     for mask, fn in (
-        (poly, lambda a, c, z: (_terminating_exact((a,), c, z, n[poly]), 0.0)),
-        (series, lambda a, c, z: (_kahan_series((a,), c, z), 0.0)),
+        (poly, lambda a, c, z: _terminating_exact((a,), c, z, n[poly])),
+        (series, lambda a, c, z: _kahan_series((a,), c, z)),
         (~poly & ~series, _kummer_asym),
     ):
         if mask.any():
-            value[mask], log[mask] = fn(a[mask], c[mask], z[mask])
-    with np.errstate(over="ignore"):
-        return _result(value * _safe_exp(log + shift), shape)
+            out[mask] = fn(a[mask], c[mask], z[mask])
+    return _result(out, shape)
 
 
 def jacobi_p(n: int, alpha: float, beta: float, x):

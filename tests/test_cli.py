@@ -19,6 +19,7 @@ from hypothesis import strategies as st
 
 import qdeform.cli as cli
 import qdeform.oracle as oracle
+from qdeform._floattext import float_cells
 from qdeform import (
     DiracConstants,
     PotentialParams,
@@ -410,8 +411,8 @@ def _peak_bytes(fn, args):
 
 
 def _cell_texts(x):
-    """The CSV and JSON texts of each float of x, as _float_cells lays them out."""
-    cells, keep, json_cells, json_keep = cli._float_cells(np.array(x, dtype=float))
+    """The CSV and JSON texts of each float of x, as float_cells lays them out."""
+    cells, keep, json_cells, json_keep = float_cells(np.array(x, dtype=float), cli._one_by_one)
     return ([bytes(c[k]).decode() for c, k in zip(cells, keep)],
             [bytes(c[k]).decode() for c, k in zip(json_cells, json_keep)])
 
@@ -511,12 +512,13 @@ def regime_config_paths(config_path, morse_config_path, tmp_path):
 
 
 def test_spectrum_loads_neither_oracle_nor_wavefunctions(regime_config_paths):
-    # nor numpy.ma (np.unique loads it) nor fractions and decimal
+    # nor numpy.ma (np.unique loads it) nor fractions and decimal, nor the
+    # array writer, which only a block of 256 or more float cells needs
     code = ("import sys, qdeform.cli\n"
             "for path in sys.argv[1:]:\n"
             "    rc = qdeform.cli.main(['spectrum', '--config', path])\n"
             "    print('loaded', rc, [m for m in ('qdeform.oracle', 'qdeform.wavefunctions', "
-            "'numpy.ma', 'fractions', 'decimal') if m in sys.modules])")
+            "'numpy.ma', 'fractions', 'decimal', 'qdeform._floattext') if m in sys.modules])")
     out = _fresh_python(code, *regime_config_paths)
     assert [line for line in out.splitlines() if line.startswith("loaded")] == ["loaded 0 []"] * 3
 
@@ -528,8 +530,8 @@ def test_verify_loads_no_numpy_ma(regime_config_paths):
             "for path in sys.argv[1:]:\n"
             "    for command in (['verify'], ['spectrum', '--verify']):\n"
             "        rc = qdeform.cli.main([*command, '--config', path])\n"
-            "        print('loaded', rc, [m for m in ('qdeform.oracle', 'numpy.ma') "
-            "if m in sys.modules])")
+            "        print('loaded', rc, [m for m in ('qdeform.oracle', 'numpy.ma', "
+            "'qdeform._floattext') if m in sys.modules])")
     out = _fresh_python(code, *regime_config_paths)
     assert ([line for line in out.splitlines() if line.startswith("loaded")]
             == ["loaded 0 ['qdeform.oracle']"] * 6)

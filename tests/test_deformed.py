@@ -62,6 +62,15 @@ class TestDeformedFunctions:
         assert tanh_q(500.0, 3.0) == pytest.approx(1.0, abs=1e-15)
         assert np.isfinite(tanh_q(800.0, 3.0))
 
+    def test_tanh_q_at_q_zero_is_one_where_e_2x_underflows(self):
+        # cosh_0(-400) = 9.6e-175 > 0, but e^-800 underflows, so the x < 0
+        # form would be 0/0; q < 0, where cosh_q can vanish, still raises
+        assert cosh_q(-400.0, 0.0) > 0.0
+        assert tanh_q(-400.0, 0.0) == 1.0
+        np.testing.assert_array_equal(tanh_q(np.array([-800.0, -400.0, -3.0, 0.0, 5.0]), 0.0), 1.0)
+        with pytest.raises(DomainError):
+            tanh_q(0.0, -1.0)
+
 
 class TestSingularityRadius:
     def test_q_above_one(self):
