@@ -11,8 +11,9 @@ broadcast size of each call's arguments), and how many series terms they
 summed; and how many sweeps the shooting oracle made.  It prints one JSON
 object.
 
-The entries are `spectrum` of the deep wells, of the z0 = 0.9997 well and
-of the 91-level well (C = 0.1688, `max_levels` 200), the oracle's
+The entries are `spectrum` of the deep wells, of the z0 = 0.9997 well, of
+the 91-level well (C = 0.1688, `max_levels` 200) and of a Morse well whose
+1F1 runs at z up to y0 ~ 891 (C = 0.3, `max_levels` 200), the oracle's
 `shoot_eigenvalues` of the deep wells (n_max one past their count, tol
 1e-10 M), searched from the window ends and seeded as `verify` seeds it,
 at E_n +- 1e-6 M of each analytic level, the wavefunction export of a
@@ -52,6 +53,7 @@ from qdeform import cli
 DC = DiracConstants(m=1.0, c_spin=0.0)
 DEEP_MORSE = PotentialParams(400.0, 300.0, 0.3, 0.0)
 DEEP = PotentialParams(400.0, 300.0, 0.3, 0.3)
+Y0_891 = PotentialParams(1323.1798106080698, 522.5167541105709, 0.21289488550774355, 0.0)
 REPEATS = 5
 
 
@@ -90,6 +92,9 @@ def entries(workdir):
             lambda: spectrum(DiracConstants(m=1.0, c_spin=0.1688),
                              PotentialParams(741.397, 527.365, 0.1474, 0.3143),
                              SolverConfig(max_levels=200)),
+        "spectrum Morse y0 ~ 891 (1323.18, 522.517, 0.2129, 0), C = 0.3":
+            lambda: spectrum(DiracConstants(m=1.0, c_spin=0.3), Y0_891,
+                             SolverConfig(max_levels=200)),
         "shoot_eigenvalues deep Morse (400, 300, 0.3, 0)":
             _shoot(DEEP_MORSE, levels[DEEP_MORSE], seeded=False),
         "shoot_eigenvalues deep Morse (400, 300, 0.3, 0), seeded":
@@ -109,7 +114,8 @@ def entries(workdir):
 def series_terms(num, c, z):
     """How many terms the series of each element sums: the kernel's stop
     rule (3 consecutive terms below 1e-16 of the compensated sum), replayed
-    one term at a time."""
+    one term at a time, with the kernel's exact 2**-600 scale of a sum past
+    2**600 (here at every term) so that the sum stays finite."""
     terms = np.zeros(z.size, dtype=np.int64)
     term, s, comp = np.ones(z.size), np.ones(z.size), np.zeros(z.size)
     small, live, k = np.zeros(z.size, dtype=np.int64), np.ones(z.size, dtype=bool), 0
@@ -122,6 +128,8 @@ def series_terms(num, c, z):
             y = term - comp
             t = s + y
             comp, s = (t - s) - y, t
+            big = np.abs(s) > 2.0 ** 600
+            term, s, comp = (np.where(big, x * 2.0 ** -600, x) for x in (term, s, comp))
             k += 1
             small = np.where(np.abs(term) <= 1e-16 * np.abs(s), small + 1, 0)
             stop = live & (small >= 3)

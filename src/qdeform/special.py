@@ -10,14 +10,14 @@ both, an element whose series terminates (a, or b for 2F1, a non-positive
 integer) is a polynomial at any finite z, summed exactly and rounded once.
 The rest of 2F1 has two rows: the direct series (z <= 1/2, and z > 1/2
 where c-a-b is an exact integer) and the 1-z connection formula for the
-rest of z > 1/2.  The rest of 1F1 has two rows: the series (z <= 500) and
-the large-z asymptotic branch.  The series are summed with compensated
-(Kahan) accumulation, each element until its own terms stop mattering; a
-sum that leaves the float range raises.  A pass sums a block of up to 16
-terms for every element still summing, fewer when the array is long, and
-does the same arithmetic in the same order as one term per pass: a value
-does not depend on the block length, nor on the other elements of its
-call.  A value past the float range is +-inf, without a warning.
+rest of z > 1/2.  The rest of 1F1 is the series, at any z.  The series are
+summed with compensated (Kahan) accumulation and an exact power-of-two
+scale, each element until its own terms stop mattering; a NaN or infinite
+input raises.  A pass sums a block of up to 16 terms for every element
+still summing, fewer when the array is long, and does the same arithmetic
+in the same order as one term per pass: a value does not depend on the
+block length, nor on the other elements of its call.  A value past the
+float range is +-inf, without a warning.
 """
 
 from __future__ import annotations
@@ -35,7 +35,8 @@ __all__ = [
 ]
 
 _MAX_TERMS = 100_000
-_KUMMER_ASYM_Z = 500.0
+_RESCALE = 600  # a running sum past 2**_RESCALE is multiplied by 2**-_RESCALE
+_BIG, _SHRINK = 2.0 ** _RESCALE, 2.0 ** -_RESCALE
 _BLOCK_CELLS = 4096  # terms x elements in one block of _kahan_series
 
 
@@ -61,13 +62,7 @@ def _nonpos_int_degree(x):
     return np.where((x <= 0.0) & (x == np.round(x)), -np.round(x), np.nan)
 
 
-def _safe_exp(L):
-    """exp(L), +inf past the float range without a warning."""
-    with np.errstate(over="ignore"):
-        return np.exp(L)
-
-
-@np.errstate(over="ignore", invalid="ignore")  # a sum that overflows raises
+@np.errstate(over="ignore", invalid="ignore")  # a non-finite sum raises, ldexp gives +-inf
 def _kahan_series(num, c, z):
     """Sum a non-terminating hypergeometric-type series by term recurrence.
 
@@ -75,9 +70,13 @@ def _kahan_series(num, c, z):
     The parameters and z are 1-d arrays of one length.  An element stops
     once its term has been below 1e-16 of its running sum for 3 consecutive
     terms (a transformed series that happens to terminate stops on its zero
-    terms), and its sum is read at that term.  A running sum that leaves the
-    float range (or starts from a NaN parameter) raises NonConvergenceError
-    within 32 terms, and before its element stops.
+    terms), and its sum is read at that term.  At a check (every 32 terms,
+    and where an element stops), a running sum past 2**_RESCALE has its
+    term, sum and compensation multiplied by 2**-_RESCALE, exactly, and its
+    exponent raised by _RESCALE; an element returns ldexp(sum, exponent),
+    +-inf past the float range.  A sum that is not finite at a check (a NaN
+    or infinite input, or growth by 2**(1024 - _RESCALE) between two
+    checks) raises NonConvergenceError, before its element stops.
 
     A pass sums the next n terms of every live element as an (n, live)
     block: the ratios come from one broadcast expression in k, the terms
@@ -95,6 +94,7 @@ def _kahan_series(num, c, z):
     out = np.ones(z.size)
     live = np.arange(z.size)
     term, s, comp = np.ones(z.size), np.ones(z.size), np.zeros(z.size)
+    exponent = np.zeros(z.size, dtype=np.int32)
     # were the last two terms small?  (False before the first term)
     small2, small1 = np.zeros(z.size, dtype=bool), np.zeros(z.size, dtype=bool)
     k = 0
@@ -139,8 +139,9 @@ def _kahan_series(num, c, z):
         hit = done.any(axis=0)
         stops = hit.any()
         k += n
-        # a sum out of the float range stays out, so the last row shows it
-        if (stops or k % 32 == 0) and not np.isfinite(s).all():
+        # a sum out of the float range stays out, so the last row shows it; NaN fails both
+        big = (stops or k % 32 == 0) and not (-_BIG <= s.min() and s.max() <= _BIG)
+        if big and not np.isfinite(s).all():
             live_at = np.ones_like(done)  # not stopped before the row
             live_at[1:] = ~np.logical_or.accumulate(done, axis=0)[:-1]
             # the rows the sums are checked at: where an element stops, and
@@ -155,11 +156,16 @@ def _kahan_series(num, c, z):
         term, small2, small1 = terms[-1], rows[-2], rows[-1]
         if stops:
             at = np.flatnonzero(hit)
-            out[live[at]] = sums[done[:, at].argmax(axis=0), at]
+            out[live[at]] = np.ldexp(sums[done[:, at].argmax(axis=0), at], exponent[at])
             keep = ~hit
-            live, term, s, comp, small2, small1 = (
-                x[keep] for x in (live, term, s, comp, small2, small1))
+            live, term, s, comp, small2, small1, exponent = (
+                x[keep] for x in (live, term, s, comp, small2, small1, exponent))
             cols = [x[keep] for x in cols]
+        if big:  # in place, on the elements still summing
+            at = np.flatnonzero(np.abs(s) > _BIG)
+            for x in (term, s, comp):
+                x[at] *= _SHRINK
+            exponent[at] += _RESCALE
     return out
 
 
@@ -217,9 +223,14 @@ def _connection_2f1(a, b, c, z):
     s2, L2 = _gamma_ratio_sign_log((c, -m), (a, b))
     f1 = _kahan_series((a, b), 1.0 - m, w)
     f2 = _kahan_series((c - a, c - b), 1.0 + m, w)
-    with np.errstate(invalid="ignore", over="ignore"):
-        t2 = s2 * _safe_exp(L2 + m * np.log(w)) * f2
-    return s1 * _safe_exp(L1) * f1 + t2
+    with np.errstate(invalid="ignore", over="ignore"):  # past the float range: +-inf
+        out = s1 * np.exp(L1) * f1 + s2 * np.exp(L2 + m * np.log(w)) * f2
+    bad = np.flatnonzero(np.isnan(out))  # 0 * inf, or inf - inf
+    if len(bad):
+        i = bad[0]
+        raise NonConvergenceError(
+            f"the 1-z connection formula of 2F1({a[i]}, {b[i]}; {c[i]}; {z[i]}) is NaN")
+    return out
 
 
 def _broadcast(*xs):
@@ -259,54 +270,23 @@ def gauss_2f1(a, b, c, z):
     return _result(out, shape)
 
 
-def _kummer_asym(a, c, z):
-    """Large-z > 0 dominant branch of 1F1, smooth_factor * exp(log_magnitude).
-
-    1/|Gamma(a)| is in the log, so a value past the float range is +-inf,
-    not 0 * inf; the smooth factor carries the signs of Gamma(a) and
-    Gamma(c), and at a = -n the zero comes through the log and the sign
-    change, which root bracketing needs, through the sign of Gamma(a).
-    Each element sums at most 40 terms of the asymptotic series and stops
-    before its first growing term.  Accurate for z >> |a|, |c|.
-    """
-    s, total, prev = np.ones(z.shape), np.ones(z.shape), np.ones(z.shape)
-    live = np.ones(z.shape, dtype=bool)
-    for k in range(40):
-        s = s * ((c - a + k) * (1.0 - a + k) / ((k + 1.0) * z))
-        live &= ~(np.abs(s) > prev)  # asymptotic series: stop at the smallest term
-        if not live.any():
-            break
-        s = np.where(live, s, 0.0)
-        prev = np.where(live, np.abs(s), prev)
-        total = total + s
-    sign_c, log_c = _gamma_sign_log(c)
-    sign_a, log_a = _gamma_sign_log(a)
-    L = z + (a - c) * _libm(math.log, z) + log_c
-    with np.errstate(over="ignore"):
-        return sign_c * sign_a * total * _safe_exp(L - log_a)
-
-
 def kummer_1f1(a, c, z):
     """Confluent hypergeometric 1F1(a; c; z) for real arguments.
 
     a, c and z broadcast together; scalar inputs return a float.  Each
     element needs c > 0, and z >= 0 unless it is a polynomial (a = -n),
-    which is summed exactly.  Otherwise the compensated series serves
-    z <= 500 and the dominant asymptotic branch larger z, where the
-    magnitude saturates at the float range but signs and zero locations
-    (a near -n) remain faithful, which is all the root-finders require.
+    which is summed exactly.  Every other element is the compensated
+    series, at any z; a value past the float range is +-inf.
     """
     shape, (a, c, z) = _broadcast(a, c, z)
     n = _nonpos_int_degree(a)
     poly = ~np.isnan(n)
     if not (np.all(c > 0.0) and np.all(poly | (z >= 0.0))):  # NaN fails
         raise DomainError("1F1 requires c > 0, and z >= 0 unless a = -n")
-    series = ~poly & (z <= _KUMMER_ASYM_Z)
     out = np.empty(z.shape)
     for mask, fn in (
         (poly, lambda a, c, z: _terminating_exact((a,), c, z, n[poly])),
-        (series, lambda a, c, z: _kahan_series((a,), c, z)),
-        (~poly & ~series, _kummer_asym),
+        (~poly, lambda a, c, z: _kahan_series((a,), c, z)),
     ):
         if mask.any():
             out[mask] = fn(a[mask], c[mask], z[mask])

@@ -142,8 +142,8 @@ class TestSpectrum:
         (670.164, 243.099, 0.1704, 0.6470, 1.0, 0.0, 64),
         # its first 64 levels solve; H overflows in a bracket above them
         (741.397, 527.365, 0.1474, 0.3143, 2.5, 1.3, 200),
-        (587.451, 294.494, 0.1070, 0.0, 1.0, 0.3116, 64),  # Morse, asymptotic branch
-        (946.852, 177.943, 0.18416, 1.12e-8, 2.5, 0.0, 64),  # the 2F1 series overflows
+        (587.451, 294.494, 0.1070, 0.0, 1.0, 0.3116, 64),  # Morse, 1F1 = inf at z > 500
+        (946.852, 177.943, 0.18416, 1.12e-8, 2.5, 0.0, 64),  # the 2F1 series is inf
     ])
     def test_kernel_overflow_is_only_the_solver_error(self, tmp_path, capsys, well):
         # the kernels overflow on these valid wells: the CLI prints the

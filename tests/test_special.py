@@ -212,7 +212,7 @@ class TestKummer1F1:
                                                         abs=1e-12)
 
     def test_large_z_sign_agreement(self):
-        # beyond the series cutoff only the sign pattern is contractual
+        # the series at z > 500: finite at 600, +inf at 900
         a, c = -3.7, 2.1
         for z in (600.0, 900.0):
             ref = mpmath.hyp1f1(a, c, z)
@@ -221,11 +221,42 @@ class TestKummer1F1:
     @pytest.mark.parametrize("a, c, z", [(300.5, 22.78, 600.0), (200.5, 22.78, 600.0),
                                          (300.5, 22.783691082019175, 533.5421230913678)])
     def test_large_z_past_the_float_range_is_infinite(self, a, c, z):
-        # mpmath gives 7.25e443 for the last row; 1/Gamma(a) underflows to 0
-        # while the rest of the magnitude overflows, so the two must meet in
-        # the log, not as 0 * inf = NaN (and with no warning: the test
+        # mpmath gives 7.25e443 for the last row: the scaled series sum is
+        # finite, and only its ldexp overflows (with no warning: the test
         # configuration makes one an error)
         assert kummer_1f1(a, c, z) == math.inf
+
+    @pytest.mark.parametrize("a, c, z, expected", [
+        (31.905268175063615, 547.0999480386279, 1239.102947439284, 1.61006438344e163),
+        (-81.90681054953637, 60.49289223228528, 707.6587911498474, 7.49843612562e112),
+    ])
+    def test_large_z_value(self, a, c, z, expected):
+        # z is not >> |a|, c, so the large-z asymptotic expansion is far off
+        # here: 1.71e170 and 9.94e103
+        ref = float(mpmath.hyp1f1(a, c, z))
+        assert ref == pytest.approx(expected, rel=1e-11)
+        assert kummer_1f1(a, c, z) == pytest.approx(ref, rel=1e-12, abs=0.0)
+
+    def test_large_z_against_mpmath(self):
+        # a, c and z drawn from (-40, 40) x (0.5, 60) x (500, 1200); about
+        # half the values are past 1e300 and skipped
+        rng = np.random.default_rng(11)
+        a, c, z = (rng.uniform(lo, hi, 150) for lo, hi in ((-40.0, 40.0), (0.5, 60.0),
+                                                            (500.0, 1200.0)))
+        got = kummer_1f1(a, c, z)
+        checked = 0
+        for args, value in zip(zip(a, c, z), got):
+            ref = mpmath.hyp1f1(*args)
+            if abs(ref) < 1e300:
+                assert value == pytest.approx(float(ref), rel=1e-12, abs=0.0), args
+                checked += 1
+        assert checked >= 50
+
+    @pytest.mark.parametrize("a, c, z", [(math.nan, 1.5, 600.0), (0.3, 1.2, math.inf)])
+    def test_non_finite_input_raises(self, a, c, z):
+        # quietly: the test configuration makes a RuntimeWarning an error
+        with pytest.raises(NonConvergenceError, match="not finite"):
+            kummer_1f1(a, c, z)
 
 
 @pytest.mark.parametrize("c", [0.0, -0.7, -2.0, math.nan])
@@ -249,7 +280,7 @@ GAUSS_BRANCHES = [
 ]
 KUMMER_BRANCHES = [
     ((0.7, 1.9), 12.0),         # direct series
-    ((-3.7, 2.1), 900.0),       # asymptotic, z > 500
+    ((-3.7, 2.1), 900.0),       # direct series, z > 500: +inf
     ((-2.0, 1.5), 3.0),         # terminating: exact polynomial
 ]
 
@@ -313,10 +344,10 @@ class TestTerminatingPolynomials:
             kummer_1f1(-2.0, 1.5, np.array([0.3, z]))
 
 
-# inputs whose series sum leaves the float range
+# inputs whose series sum is not finite at a check, which no scale absorbs
 NON_FINITE_SERIES = [
-    (gauss_2f1, (300.5, 300.5, 1.5, 0.49)),  # the sum overflows
-    (kummer_1f1, (1000.5, 1.5, 400.0)),
+    (gauss_2f1, (1e70, 1e70, 0.5, 0.3)),  # from 6e278 to past 1e308 in one term
+    (kummer_1f1, (0.3, 1.2, math.inf)),
     (gauss_2f1, (math.nan, 1.5, 2.5, 0.3)),
 ]
 
@@ -330,18 +361,38 @@ class TestNonFiniteSeries:
             fn(*args)
         assert int(str(info.value).split()[-2]) <= 1000
 
+    @pytest.mark.parametrize("fn, args", [
+        (gauss_2f1, (300.5, 300.5, 1.5, 0.49)),  # mpmath: 3.48e310
+        (kummer_1f1, (1000.5, 1.5, 400.0)),      # 5.56e641
+        (kummer_1f1, (-4.5, 2.1, 900.0)),        # -4.23e372
+    ])
+    def test_past_the_float_range_is_infinite(self, fn, args):
+        # the running sums are scaled by 2**-600, so they stay finite, and
+        # the value is +-inf with the sign of the true one; no warning
+        ref = (mpmath.hyp2f1 if fn is gauss_2f1 else mpmath.hyp1f1)(*args)
+        assert abs(ref) > np.finfo(float).max
+        assert fn(*args) == math.copysign(math.inf, ref)
 
-@np.errstate(over="ignore", invalid="ignore")  # a sum that overflows raises
+    def test_connection_formula_nan_raises(self):
+        # the first series of the 1-z connection row is -inf, and its weight
+        # 0: c - a = -680 is a pole of its denominator.  mpmath: -1.92e-274
+        with pytest.raises(NonConvergenceError, match="connection formula .* is NaN"):
+            gauss_2f1(np.array([0.3, 800.5]), -1400.5, 120.5, 0.55)
+
+
+@np.errstate(over="ignore", invalid="ignore")  # a non-finite sum raises, ldexp gives +-inf
 def one_term_series(num, c, z, stops=None):
     """special._kahan_series as it was when it summed one term per pass for
     every live element: the reference that the blocked sums must equal to
-    the bit.  The term count at which each element stops is appended to
-    the list ``stops``, when one is given."""
+    the bit.  At each check a sum past 2**600 is scaled by 2**-600 and its
+    exponent raised by 600.  The term count at which each element stops is
+    appended to the list ``stops``, when one is given."""
     cols = [z, c, *num]
     out = np.ones(z.size)
     live = np.arange(z.size)
     term, s = np.ones(z.size), np.ones(z.size)
     comp, small = np.zeros(z.size), np.zeros(z.size, dtype=np.int64)
+    exponent = np.zeros(z.size, dtype=np.int64)
     k = 0
     while live.size:
         if k == special._MAX_TERMS:
@@ -365,12 +416,17 @@ def one_term_series(num, c, z, stops=None):
             raise NonConvergenceError(
                 f"hypergeometric series sum is not finite after {k} terms")
         if stop:
-            out[live[done]] = s[done]
+            out[live[done]] = np.ldexp(s[done], exponent[done])
             if stops is not None:
                 stops += [k] * int(done.sum())
             keep = ~done
-            live, term, s, comp, small = (x[keep] for x in (live, term, s, comp, small))
+            live, term, s, comp, small, exponent = (
+                x[keep] for x in (live, term, s, comp, small, exponent))
             cols = [x[keep] for x in cols]
+        if stop or k % 32 == 0:
+            big = np.abs(s) > 2.0 ** 600
+            term, s, comp = (np.where(big, x * 2.0 ** -600, x) for x in (term, s, comp))
+            exponent = np.where(big, exponent + 600, exponent)
     return out
 
 
@@ -438,6 +494,16 @@ class TestBlockedSeries:
         one_term_series((c - a, c - b), 1.0 + c - a - b, 1.0 - z, stops)
         assert sorted(stops) == sorted(n[ends] + 3)
 
+    @pytest.mark.parametrize("size, seeds", [(1, range(20)), (3, range(10)), (40, range(4))])
+    def test_scaled_sums_equal_the_one_term_loop(self, size, seeds, monkeypatch):
+        # at z in (500, 1200) the running sums pass 2**600 and are scaled,
+        # at checks that the blocks and the one-term loop place apart; many
+        # values are past the float range, +-inf in both
+        for seed in seeds:
+            a, b, c, z = _series_draw(size, seed)
+            args = (3.5 * a, 5.0 * c, 500.0 + 700.0 * z / 0.95)
+            assert not isinstance(self._assert_same(kummer_1f1, args, monkeypatch), tuple)
+
     @pytest.mark.parametrize("fn, args", NON_FINITE_SERIES)
     @pytest.mark.parametrize("size", [1, 3, 40, 300, 10_001])
     def test_errors_equal_the_one_term_loop(self, fn, args, size, monkeypatch):
@@ -493,16 +559,14 @@ class TestBroadcastKernels:
                                           (kummer_1f1, KUMMER_BRANCHES)],
                              ids=["gauss_2f1", "kummer_1f1"])
     def test_array_call_equals_scalar_calls(self, fn, rows, kind, monkeypatch):
-        calls = {"exact": 0, "asymptotic": 0}
-        for key, name in (("exact", "_terminating_exact"),
-                          ("asymptotic", "_kummer_asym")):
-            orig = getattr(special, name)
+        calls = {"exact": 0}
+        orig = special._terminating_exact
 
-            def spy(*args, key=key, orig=orig):
-                calls[key] += 1
-                return orig(*args)
+        def spy(*args):
+            calls["exact"] += 1
+            return orig(*args)
 
-            monkeypatch.setattr(special, name, spy)
+        monkeypatch.setattr(special, "_terminating_exact", spy)
         args = _broadcast_cases(rows)[kind]
         got = fn(*args[0], args[1])
         params = np.broadcast_arrays(*args[0], args[1])
@@ -511,8 +575,6 @@ class TestBroadcastKernels:
         assert got.shape == params[0].shape
         np.testing.assert_allclose(got.reshape(-1), want, rtol=1e-14, atol=0.0)
         assert calls["exact"] > 0
-        if kind != "scalar-z" and fn is kummer_1f1:
-            assert calls["asymptotic"] > 0
         assert isinstance(fn(*(float(x) for x in rows[0][0]), rows[0][1]), float)
 
 
