@@ -94,46 +94,57 @@ def shape_params(e, dc: DiracConstants, p: PotentialParams):
     lambda = (1 + sqrt(1 + (4/alpha^2)(Vt1/q - Vt2/sqrt(q)))) / 4 and
     eta = sqrt(-Et)/alpha; both must be positive.
     """
+    if p.q <= 0.0:
+        raise DomainError("shape_params needs q > 0: lambda is infinite at q = 0")
     return _shape_and_strengths(e, dc, p)[:2]
 
 
 def _shape_and_strengths(e, dc: DiracConstants, p: PotentialParams):
-    """(lambda, eta) of shape_params and the (Vt1, Vt2) they were made from."""
-    if p.q <= 0.0:
-        raise DomainError("shape_params needs q > 0; use the Morse forms at q = 0")
+    """(lambda, eta) of shape_params, lambda = inf at q = 0, and (Vt1, Vt2)."""
     et = _bound_eigenvalue(e, dc)
     v1t, v2t = effective_strengths(e, dc, p)
     sq = math.sqrt(p.q)
     with np.errstate(all="ignore"):
+        eta = np.sqrt(-et) / p.alpha
+        if p.q == 0.0:
+            return np.inf, eta, v1t, v2t
         disc = 1.0 + np.divide(4.0, p.alpha * p.alpha) * (v1t / p.q - v2t / sq)
     if np.any(disc < 0.0):
         raise DiscriminantError(
             f"negative discriminant {np.min(disc)}: exponent lambda would be complex"
         )
     _finite("the discriminant of lambda", disc, e)  # so eta = sqrt(-Et)/alpha is finite
-    lam = 0.25 * (1.0 + np.sqrt(disc))
-    eta = np.sqrt(-et) / p.alpha
-    return lam, eta, v1t, v2t
+    return 0.25 * (1.0 + np.sqrt(disc)), eta, v1t, v2t
 
 
 def abc_params(e, dc: DiracConstants, p: PotentialParams):
-    """Hypergeometric parameters (a, b, c) at trial energy E.
+    """Hypergeometric parameters (a, b, c) at trial energy E, at every q >= 0.
 
     a, b = eta + lambda + (1 -+ sqrt(1 + (4/(alpha^2 q))(Vt1 + Vt2 sqrt(q))))/4
-    and c = 2 eta + 1.  The same expressions drive the q >= 1 quantization,
-    where the condition is a(E) = -n_r.
+    and c = 2 eta + 1; the q >= 1 condition is a(E) = -n_r.  Below q = 1/4,
+    where lambda and the root cancel, a is rationalized (Higham, sec. 1.7) as
+    eta + 1/2 - Vt2/(alpha (rho1 + rho2)), rho_i = sqrt(Vt1 -+ Vt2 sqrt(q) +
+    q alpha^2/4); at q = 0 that is the Kummer parameter eta + 1/2 - Vt2/(2 alpha
+    sqrt(Vt1)) of the Morse 1F1, bit for bit, and b = inf.
     """
     lam, eta, v1t, v2t = _shape_and_strengths(e, dc, p)
-    with np.errstate(all="ignore"):
-        disc = 1.0 + np.divide(4.0, p.alpha * p.alpha * p.q) * (v1t + v2t * math.sqrt(p.q))
-    _finite("the discriminant of (a, b)", disc, e)
+    sq = math.sqrt(p.q)
+    with np.errstate(all="ignore"):  # at q = 0 the root and b are inf
+        disc = 1.0 + np.divide(4.0, p.alpha * p.alpha * p.q) * (v1t + v2t * sq)
+    if p.q > 0.0:
+        _finite("the discriminant of (a, b)", disc, e)
     if np.any(disc < 0.0):
         raise DiscriminantError(f"negative discriminant {np.min(disc)} in (a, b)")
     root = np.sqrt(disc)
-    a = eta + lam + 0.25 * (1.0 - root)
     b = eta + lam + 0.25 * (1.0 + root)
     c = 2.0 * eta + 1.0
-    return a, b, c
+    if p.q >= 0.25:
+        return eta + lam + 0.25 * (1.0 - root), b, c
+    shift = 0.25 * p.q * p.alpha * p.alpha
+    with np.errstate(all="ignore"):
+        a = eta + 0.5 - v2t / (p.alpha * (np.sqrt(v1t - v2t * sq + shift)
+                                          + np.sqrt(v1t + v2t * sq + shift)))
+    return _finite("the parameter a", a, e), b, c
 
 
 def bound_window(dc: DiracConstants):

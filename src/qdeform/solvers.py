@@ -8,14 +8,14 @@ deformation q:
   strengths depend on E);
 * 0 < q < 1: zeros in E of 2F1(a(E), b(E), c(E); z0) with the fixed
   argument z0 = 4 sqrt(q)/(1 + sqrt(q))^2;
-* q = 0 (Morse): zeros of 1F1 at argument 4 sqrt(Vt1)/alpha.
+* q = 0 (Morse): zeros of 1F1(a(E); c(E); y0) with y0 = 4 sqrt(Vt1)/alpha.
 
 Both are zeros at r = 0 of the factor of F that the wavefunctions use.
 
 ``closed_form_spectrum`` solves a(E) = -n_r at every q >= 0.  It is exact
 only for q >= 1; below, it gives the disputed closed-form levels, and at
-q = 0, where a(E) has the limit eta + 1/2 - s of the Kummer parameter, the
-deep-well asymptotic Morse levels.
+q = 0, where a(E) is the Kummer parameter eta + 1/2 - s, the deep-well
+asymptotic Morse levels.
 
 ``_crossings`` finds where a counting phase, -a(E) here and Theta(E)/pi - 1
 in the shooting oracle, first reaches each level n.  Both search the one
@@ -39,7 +39,6 @@ import numpy as np
 from .deformed import PotentialParams, cosh_q
 from .effective import (
     DiracConstants,
-    _bound_eigenvalue,
     _finite,
     abc_params,
     bound_window,
@@ -68,9 +67,12 @@ METHOD_DISPUTED = "disputed-closed-form"
 METHOD_MORSE_EXACT = "morse-exact"
 METHOD_MORSE_ASYMPTOTIC = "morse-asymptotic"
 METHOD_ORACLE = "oracle"
-# the label of spectrum's levels by regime, the only levels with an eigenfunction
+# the labels by regime of the levels of spectrum, the only ones with an
+# eigenfunction, and of closed_form_spectrum
 _SPECTRUM_METHOD = {"singular": METHOD_Q_GE_1, "regular": METHOD_Q_LT_1,
                     "morse": METHOD_MORSE_EXACT}
+_CLOSED_FORM_METHOD = {"singular": METHOD_Q_GE_1, "regular": METHOD_DISPUTED,
+                       "morse": METHOD_MORSE_ASYMPTOTIC}
 
 _WINDOW_EPS_FACTOR = 1e-8
 
@@ -259,52 +261,38 @@ def _level(n_r, e, dc, method):
     return EnergyLevel(n_r, e, effective_eigenvalue(e, dc), method)
 
 
-def _morse_shape(e, dc: DiracConstants, p: PotentialParams):
-    """(eta, s, y0) of the Morse problem: 1F1(1/2 + eta - s, 2 eta + 1; y0)
-    with s = Vt2/(2 alpha sqrt(Vt1)) and y0 = 4 sqrt(Vt1)/alpha."""
-    et = _bound_eigenvalue(e, dc)
-    v1t, v2t = effective_strengths(e, dc, p)
+def _morse_argument(e, dc: DiracConstants, p: PotentialParams):
+    """y0 = 4 sqrt(Vt1)/alpha, the argument at r = 0 of the Morse 1F1."""
     with np.errstate(all="ignore"):
-        shape = (np.sqrt(-et) / p.alpha,
-                 v2t / (2.0 * p.alpha * np.sqrt(v1t)), 4.0 * np.sqrt(v1t) / p.alpha)
-    return tuple(_finite(name, x, e) for name, x in zip(("eta", "s", "y0"), shape))
+        y0 = 4.0 * np.sqrt(effective_strengths(e, dc, p)[0]) / p.alpha
+    return _finite("y0", y0, e)
 
 
 def _hypergeometric_factor(e, dc: DiracConstants, p: PotentialParams, r):
     """The factor H(E, r) of F whose zero at r = 0 is a level when q < 1.
 
-    For 0 < q < 1, H = 2F1(a, b; c; z) with z = sqrt(q)/cosh_q(alpha r/2)^2,
-    written so that r = 0 gives z0 = 4 sqrt(q)/(1 + sqrt(q))^2 to the bit.
-    At q = 0, H = 1F1(1/2 + eta - s; 2 eta + 1; y0 e^{-alpha r}).
+    With (a, b, c) of ``abc_params``: for 0 < q < 1, H = 2F1(a, b; c; z), z =
+    sqrt(q)/cosh_q(alpha r/2)^2 written so that r = 0 gives z0 = 4 sqrt(q)/
+    (1 + sqrt(q))^2 to the bit; at q = 0 (b = inf), H = 1F1(a; c; y0 e^{-alpha r}).
     """
-    if p.q > 0.0:
-        sq = math.sqrt(p.q)
-        with np.errstate(over="ignore"):  # far out, cosh_q = inf and z = 0
-            z = 4.0 * sq / (2.0 * cosh_q(0.5 * p.alpha * r, sq)) ** 2
-        return gauss_2f1(*abc_params(e, dc, p), z)
-    eta, s, y0 = _morse_shape(e, dc, p)
-    return kummer_1f1(0.5 + eta - s, 2.0 * eta + 1.0, y0 * np.exp(-p.alpha * r))
+    a, b, c = abc_params(e, dc, p)
+    if p.q == 0.0:
+        return kummer_1f1(a, c, _morse_argument(e, dc, p) * np.exp(-p.alpha * r))
+    sq = math.sqrt(p.q)
+    with np.errstate(over="ignore"):  # far out, cosh_q = inf and z = 0
+        z = 4.0 * sq / (2.0 * cosh_q(0.5 * p.alpha * r, sq)) ** 2
+    return gauss_2f1(a, b, c, z)
 
 
 def _closed_form_levels(dc: DiracConstants, p: PotentialParams, cfg: SolverConfig, n_max):
     """The roots E_n of a(E) = -n for n < n_max, and their method label;
     see ``closed_form_spectrum``."""
-    if p.q == 0.0:
-        def a(e):
-            eta, s, _ = _morse_shape(e, dc, p)
-            return eta + 0.5 - s
-        method = METHOD_MORSE_ASYMPTOTIC
-    elif p.v1 < p.v2 * math.sqrt(p.q):
-        raise DiscriminantError(
-            f"attractive wall: V1 = {p.v1} < V2 sqrt(q) = {p.v2 * math.sqrt(p.q)}; "
-            "the discriminant of lambda is negative in the bound window"
-        )
-    else:
-        def a(e):
-            return abc_params(e, dc, p)[0]
-        method = METHOD_Q_GE_1 if p.q >= 1.0 else METHOD_DISPUTED
-
-    return _crossings(lambda e: -a(e), np.array(_window(dc)), n_max, cfg.tol_e * dc.m), method
+    if p.v1 < p.v2 * math.sqrt(p.q):
+        raise DiscriminantError(f"attractive wall: V1 = {p.v1} < V2 sqrt(q) = "
+                                f"{p.v2 * math.sqrt(p.q)}; the discriminant of lambda "
+                                "is negative in the bound window")
+    return (_crossings(lambda e: -abc_params(e, dc, p)[0], np.array(_window(dc)), n_max,
+                       cfg.tol_e * dc.m), _CLOSED_FORM_METHOD[p.regime])
 
 
 def spectrum(dc: DiracConstants, p: PotentialParams,
@@ -322,9 +310,9 @@ def spectrum(dc: DiracConstants, p: PotentialParams,
     the level count by at most one (Dirichlet bracketing; Reed & Simon IV,
     XIII.15).  So level n lies in (E_n, E_(n+1)), the last one below the
     window top, and H changes sign there once: each n_r is certified by
-    its bracket, not counted.  The bracket starts at s_n = E_n - min(1e-6 M,
-    (E_n - E_(n-1))/4), which covers the rounding of E_n at tiny q, and H
-    at u_n = E_n + (s_(n+1) - E_n)/4 picks the half that holds the level.
+    its bracket, not counted.  A level lies at most E_n's root tolerance
+    tol_e M below E_n, so the bracket starts lower, at s_n = E_n - min(1e-6 M,
+    (E_n - E_(n-1))/4); H at u_n = E_n + (s_(n+1) - E_n)/4 picks its half.
     One lockstep call then refines all levels.
     """
     if p.q >= 1.0:
@@ -357,9 +345,9 @@ def closed_form_spectrum(dc: DiracConstants, p: PotentialParams,
                          cfg: SolverConfig = SolverConfig()) -> list[EnergyLevel]:
     """The levels of the closed-form condition a(E) = -n_r, n_r = 0, 1, ...
 
-    a is the first hypergeometric parameter for q > 0 and the Kummer
-    parameter eta + 1/2 - s, with s = Vt2/(2 alpha sqrt(Vt1)), at q = 0;
-    the first tends to the second as q -> 0+.  The levels are exact for
+    a is the first hypergeometric parameter of ``abc_params``; at q = 0 it
+    is the Kummer parameter eta + 1/2 - s, with s = Vt2/(2 alpha sqrt(Vt1)),
+    and it moves by O(q) as q grows from 0.  The levels are exact for
     q >= 1.  For 0 < q < 1 the condition ignores the r = 0 boundary: these
     are the disputed levels, generally wrong and for comparison only.  At
     q = 0 they are the deep-well asymptotic Morse levels.

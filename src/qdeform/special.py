@@ -1,4 +1,4 @@
-"""Analytic kernels: log-gamma, Gauss 2F1, Kummer 1F1, Jacobi polynomials.
+"""Analytic kernels: Gauss 2F1, Kummer 1F1 and Jacobi polynomials.
 
 All evaluators are real-argument, double precision and array-first: the
 parameters and the argument broadcast together, and scalar inputs return a

@@ -29,7 +29,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .deformed import PotentialParams, cosh_q, singularity_radius, tanh_q
-from .effective import DiracConstants, effective_eigenvalue, shape_params
+from .effective import DiracConstants, _bound_eigenvalue, shape_params
 from .errors import DomainError, NonConvergenceError, ZeroNormError
 from .solvers import (
     _SPECTRUM_METHOD,
@@ -37,7 +37,7 @@ from .solvers import (
     _chandrupatla,
     _hypergeometric_factor,
     _level,
-    _morse_shape,
+    _morse_argument,
 )
 from .special import jacobi_p
 
@@ -56,10 +56,9 @@ class WavefunctionGrid:
 def analytic_upper(r, level: EnergyLevel, dc: DiracConstants, p: PotentialParams):
     """Unnormalized F of one level of the well p at the radii r.
 
-    Only the levels ``spectrum`` returns for this well have an F (below
-    q = 1 ``make_wavefunction`` polishes them first).  Raises DomainError
-    for any other level, for Et >= 0 (in ``shape_params`` or
-    ``_morse_shape``) and for r <= r0 (q >= 1) or r < 0 (q < 1).
+    Only the levels ``spectrum`` returns for this well have an F (below q = 1
+    ``make_wavefunction`` polishes them first).  Raises DomainError for any
+    other level, for Et >= 0 and for r <= r0 (q >= 1) or r < 0 (q < 1).
     """
     if level.method != _SPECTRUM_METHOD[p.regime]:
         raise DomainError(f"a {level.method!r} level is not a level of the "
@@ -72,8 +71,9 @@ def analytic_upper(r, level: EnergyLevel, dc: DiracConstants, p: PotentialParams
         raise DomainError("radius must be non-negative")
     e = level.energy
     if p.q == 0.0:
-        y = _morse_shape(e, dc, p)[2] * np.exp(-p.alpha * r)
-        env = np.exp(-math.sqrt(-effective_eigenvalue(e, dc)) * r) * np.exp(-0.5 * y)
+        kappa = math.sqrt(-_bound_eigenvalue(e, dc))
+        y = _morse_argument(e, dc, p) * np.exp(-p.alpha * r)
+        env = np.exp(-kappa * r) * np.exp(-0.5 * y)
     else:
         lam, eta = shape_params(e, dc, p)
         sq = math.sqrt(p.q)

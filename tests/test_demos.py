@@ -29,3 +29,24 @@ Morse-exact levels: -0.732789742, -0.056509314, 0.430278226, 0.766429922, 0.9624
      3                7.876e-09
     10                3.471e-13
 """
+
+
+def test_stress_ledger_counts_every_well(capsys):
+    sweep = _load("oracle_sweep")
+    ledger = sweep.stress(5, 7)  # one well of each band
+    assert list(ledger) == list(sweep.STRESS_BANDS)
+    for counts in ledger.values():
+        assert sum(counts[o] for o in sweep.OUTCOMES) == 1
+    assert not any(counts["silently wrong"] for counts in ledger.values())
+
+
+def test_stress_ledger_fails_on_a_silently_wrong_well(monkeypatch, capsys):
+    # a spectrum that drops its top level exits 0 at a glance; the ledger
+    # calls it silently wrong and the script exits 1
+    sweep = _load("oracle_sweep")
+    solve = sweep.spectrum
+    monkeypatch.setattr(sweep, "spectrum", lambda dc, p, cfg: solve(dc, p, cfg)[:-1])
+    monkeypatch.setattr("sys.argv", ["oracle_sweep.py", "--stress", "--wells", "1",
+                                     "--seed", "7"])
+    assert sweep.main() == 1
+    assert "silently wrong" in capsys.readouterr().out

@@ -175,6 +175,25 @@ class TestAbcParams:
             assert c == pytest.approx(2.0 * eta + 1.0, rel=1e-13)
             checked += 1
 
+    def test_q_zero_is_the_kummer_parameter_to_the_bit(self):
+        # a at q = 0 is eta + 1/2 - Vt2/(2 alpha sqrt(Vt1)), with b = inf
+        rng = np.random.default_rng(41)
+        for _ in range(500):
+            m = rng.choice([1.0, 2.5])
+            dc = DiracConstants(m=m, c_spin=rng.uniform(0.0, 1.9 * m))
+            v1 = 10.0 ** rng.uniform(0.5, 3.2)
+            p = PotentialParams(v1, rng.uniform(0.05, 0.98) * v1,
+                                10.0 ** rng.uniform(-1.2, 0.4), 0.0)
+            lo, hi = bound_window(dc)
+            e = rng.uniform(lo, hi, 20)
+            e = e[e > lo]
+            a, b, c = abc_params(e, dc, p)
+            v1t, v2t = effective_strengths(e, dc, p)
+            eta = np.sqrt(-effective_eigenvalue(e, dc)) / p.alpha
+            assert a.tolist() == (eta + 0.5 - v2t / (2.0 * p.alpha * np.sqrt(v1t))).tolist()
+            assert c.tolist() == (2.0 * eta + 1.0).tolist()
+            assert np.all(b == np.inf)
+
     def test_b_minus_a_from_joint_discriminant(self):
         e = 0.4
         a, b, _ = abc_params(e, DC, POT)

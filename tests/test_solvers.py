@@ -38,7 +38,6 @@ import qdeform.solvers as solvers
 from qdeform.solvers import (
     _chandrupatla,
     _crossings,
-    _morse_shape,
     _seed_energies,
     _window,
 )
@@ -263,14 +262,8 @@ def _brent_cases():
 
 
 def _quantization(p):
-    """F(E) of the 0 < q < 1 or the Morse solver, on arrays of energies."""
-    if p.q == 0.0:
-        def f(e):
-            eta, s, y0 = _morse_shape(e, DC, p)
-            return kummer_1f1(0.5 + eta - s, 2.0 * eta + 1.0, y0)
-        return f
-    z0 = 4.0 * math.sqrt(p.q) / (1.0 + math.sqrt(p.q)) ** 2
-    return lambda e: gauss_2f1(*abc_params(e, DC, p), z0)
+    """H(E, 0) of the 0 < q < 1 or the Morse solver, on arrays of energies."""
+    return lambda e: solvers._hypergeometric_factor(e, DC, p, 0.0)
 
 
 def _with_good_brackets(f_bad, lo, hi, xtol):
@@ -718,8 +711,8 @@ class TestClosedForm:
     @pytest.mark.parametrize("well, c_spin", [((25.0, 10.0, 1.0), 0.0),
                                               ((400.0, 300.0, 0.3), 0.3)])
     def test_tends_to_the_morse_asymptotic_levels(self, well, c_spin):
-        # a(E) -> eta + 1/2 - s as q -> 0+, so the disputed levels at a
-        # tiny q are the deep-well asymptotic Morse levels, to O(q)
+        # a(E) is eta + 1/2 - s at q = 0 and moves by O(q), so the disputed
+        # levels at a tiny q are the deep-well asymptotic Morse levels, to O(q)
         dc = DiracConstants(m=1.0, c_spin=c_spin)
         morse = closed_form_spectrum(dc, PotentialParams(*well, 0.0))
         tiny = closed_form_spectrum(dc, PotentialParams(*well, 1e-8))
@@ -730,11 +723,31 @@ class TestClosedForm:
             assert abs(a.energy - b.energy) <= 1e-8 * dc.m
 
 
+# q = 10^-k, k = 2..30, and 1e-100: a(E) does not cancel as q -> 0+
+SWEEP_Q = [10.0 ** -k for k in range(2, 31)] + [1e-100]
+
+
+@pytest.mark.parametrize("solve", [spectrum, closed_form_spectrum])
+@pytest.mark.parametrize("well", [(25.0, 10.0, 1.0), (25.0, 18.0, 0.5), (400.0, 300.0, 0.3)])
+def test_q_to_zero_reaches_the_morse_levels(well, solve):
+    # each q keeps the q = 0 count, and level n moves by at most
+    # max(2 s_n q, 10 tol_e M), with the slope s_n fitted at q = 1e-2, 1e-3
+    cfg = SolverConfig()
+    morse = np.array([lv.energy for lv in solve(DC, PotentialParams(*well, 0.0), cfg)])
+    assert len(morse) >= 1
+    moved = {}
+    for q in SWEEP_Q:
+        levels = solve(DC, PotentialParams(*well, q), cfg)
+        assert [lv.n_r for lv in levels] == list(range(len(morse))), q
+        moved[q] = np.abs(np.array([lv.energy for lv in levels]) - morse)
+    slope = np.maximum(moved[1e-2] / 1e-2, moved[1e-3] / 1e-3)
+    for q in SWEEP_Q:
+        bound = np.maximum(2.0 * slope * q, 10.0 * cfg.tol_e * DC.m)
+        assert np.all(moved[q] <= bound), (q, moved[q].max())
+
+
 def _closed_form_a(e, dc, p):
     """a(E) of closed_form_spectrum: the Kummer parameter at q = 0."""
-    if p.q == 0.0:
-        eta, s, _ = _morse_shape(e, dc, p)
-        return eta + 0.5 - s
     return abc_params(e, dc, p)[0]
 
 
