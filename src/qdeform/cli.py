@@ -137,30 +137,11 @@ def load_config(path):
 _JSON_NONFINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
 
 
-def _json_texts(values, code, texts):
-    """The JSON spellings of one number column, from its values, %-code and
-    texts: the shortest repr of the float each text parses to, with NaN,
-    Infinity and -Infinity for the non-finite ones.
-
-    A finite "%.15g" text parses to the one double whose shortest repr has
-    the same digits, save for integral texts, non-finite values, exponents
-    e+15 and e+308, and subnormals.  Only the cells that can have such a
-    text are parsed again: every int, and the floats that are not finite,
-    below 1e-307 in magnitude, or within 1e-14 relative of an integer, as
-    every float from 1e14 up is.
-    """
-    out = list(texts)
-    if code == "%d":
-        maybe = range(len(out))
-    else:
-        x = np.abs(np.asarray(values, dtype=float))
-        with np.errstate(invalid="ignore"):
-            plain = (x >= 1e-307) & (np.abs(x - np.round(x)) > 1e-14 * x)
-        maybe = np.flatnonzero(~plain)
-    for i in maybe:
-        text = repr(float(out[i]))
-        out[i] = _JSON_NONFINITE.get(text, text)
-    return out
+def _json_texts(texts):
+    """The JSON spellings of number texts: the shortest repr of the float
+    each text parses to, with NaN, Infinity and -Infinity for the
+    non-finite ones."""
+    return [_JSON_NONFINITE.get(t, t) for t in map(repr, map(float, texts))]
 
 
 def _column_code(values):
@@ -195,7 +176,7 @@ def _one_by_one(values):
     """The texts of floats formatted one at a time by ``_fmt`` and
     ``_json_texts``, as ``_floattext.float_cells`` returns them."""
     texts = [_fmt(v) for v in values]
-    return (*_text_cells(texts), *_text_cells(_json_texts(values, "%.15g", texts)))
+    return (*_text_cells(texts), *_text_cells(_json_texts(texts)))
 
 
 _BLOCK = 2048  # rows formatted and written at a time: bounds an export's memory
@@ -225,7 +206,7 @@ def _table_blocks(keys, cols, codes, n):
         if code != "%.15g":
             csv = list(map(str, col)) if code == "%s" else ["%d" % v for v in col]
             texts[j] = (*_text_cells(csv), *_text_cells(
-                map(json.dumps, col) if code == "%s" else _json_texts(col, code, csv)))
+                map(json.dumps, col) if code == "%s" else _json_texts(csv)))
     for lo in range(0, n, _BLOCK):
         rows = np.arange(lo, min(n, lo + _BLOCK))
         size = rows.size

@@ -1,6 +1,7 @@
 """Exception hierarchy shared across the package."""
 
 import math
+import numbers
 
 
 class QdeformError(Exception):
@@ -46,3 +47,9 @@ def _require_finite(params):
         if not math.isfinite(value):
             raise ParameterError(
                 f"{type(params).__name__}.{name} must be finite, got {value}")
+
+
+def _require_count(name, value, least):
+    """Raise ParameterError unless value is an integer (not a bool) >= least."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < least:
+        raise ParameterError(f"{name} must be an integer >= {least}, got {value!r}")

@@ -45,7 +45,13 @@ from .effective import (
     effective_eigenvalue,
     effective_strengths,
 )
-from .errors import DiscriminantError, NonConvergenceError, ParameterError, _require_finite
+from .errors import (
+    DiscriminantError,
+    NonConvergenceError,
+    ParameterError,
+    _require_count,
+    _require_finite,
+)
 from .special import gauss_2f1, kummer_1f1
 
 __all__ = [
@@ -90,7 +96,8 @@ class EnergyLevel:
 @dataclass(frozen=True)
 class SolverConfig:
     """Solver settings: ``tol_e`` is the absolute energy tolerance of every
-    root, in units of M; a spectrum lists at most ``max_levels``."""
+    root, in units of M; a spectrum lists at most ``max_levels``, an
+    integer >= 1."""
 
     tol_e: float = 1e-10
     max_levels: int = 64
@@ -99,8 +106,7 @@ class SolverConfig:
         _require_finite(self)
         if self.tol_e <= 0.0:
             raise ParameterError(f"tol_e must be positive, got {self.tol_e}")
-        if self.max_levels < 1:
-            raise ParameterError(f"max_levels must be >= 1, got {self.max_levels}")
+        _require_count("SolverConfig.max_levels", self.max_levels, 1)
 
 
 def _window(dc: DiracConstants):

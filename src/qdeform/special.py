@@ -42,7 +42,7 @@ _BLOCK_CELLS = 4096  # terms x elements in one block of _kahan_series
 
 def _libm(fn, x):
     """fn (a math function) of each element of the array x, as the C library
-    computes it: numpy has no lgamma, and its log can differ in the last bit."""
+    computes it; math.lgamma, the one fn passed, has no numpy twin."""
     return np.fromiter(map(fn, x.ravel().tolist()), float, x.size).reshape(x.shape)
 
 

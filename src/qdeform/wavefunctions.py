@@ -29,8 +29,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .deformed import PotentialParams, cosh_q, singularity_radius, tanh_q
-from .effective import DiracConstants, _bound_eigenvalue, shape_params
-from .errors import DomainError, NonConvergenceError, ZeroNormError
+from .effective import DiracConstants, _bound_eigenvalue, abc_params, shape_params
+from .errors import DomainError, NonConvergenceError, ZeroNormError, _require_count
 from .solvers import (
     _SPECTRUM_METHOD,
     EnergyLevel,
@@ -58,7 +58,8 @@ def analytic_upper(r, level: EnergyLevel, dc: DiracConstants, p: PotentialParams
 
     Only the levels ``spectrum`` returns for this well have an F (below q = 1
     ``make_wavefunction`` polishes them first).  Raises DomainError for any
-    other level, for Et >= 0 and for r <= r0 (q >= 1) or r < 0 (q < 1).
+    other level, for a q >= 1 level whose n_r is not -a(E) to within 1/2,
+    for Et >= 0 and for r <= r0 (q >= 1) or r < 0 (q < 1).
     """
     if level.method != _SPECTRUM_METHOD[p.regime]:
         raise DomainError(f"a {level.method!r} level is not a level of the "
@@ -67,9 +68,13 @@ def analytic_upper(r, level: EnergyLevel, dc: DiracConstants, p: PotentialParams
     r0 = singularity_radius(p)
     if r0 is not None and np.any(r <= r0):
         raise DomainError(f"wavefunction domain is r > r0 = {r0}")
+    e = level.energy
+    if r0 is not None:  # the Jacobi degree is n_r, which a(E) = -n_r must certify
+        a = float(abc_params(e, dc, p)[0])
+        if not abs(a + level.n_r) < 0.5:
+            raise DomainError(f"a(E) = {a} at E = {e}: not the level n_r = {level.n_r}")
     if np.any(r < 0.0):
         raise DomainError("radius must be non-negative")
-    e = level.energy
     if p.q == 0.0:
         kappa = math.sqrt(-_bound_eigenvalue(e, dc))
         y = _morse_argument(e, dc, p) * np.exp(-p.alpha * r)
@@ -136,7 +141,10 @@ def make_wavefunction(dc: DiracConstants, p: PotentialParams, level: EnergyLevel
     returns for this well (DomainError otherwise, see ``analytic_upper``).
     Below q = 1 each such level is first polished to the kernel's own zero
     of H(E, 0), so that F is as near 0 at r = 0 as the kernel allows.
+    n_points, the size of the grid, is an integer >= 5, the 5-point
+    stencil of G (ParameterError otherwise).
     """
+    _require_count("n_points", n_points, 5)
     if p.q < 1.0 and level.method == _SPECTRUM_METHOD[p.regime]:
         level = _polished(level, dc, p)
     base = singularity_radius(p) or 0.0

@@ -440,7 +440,7 @@ def test_float_cells_are_the_texts_of_fmt(xs):
     csv_texts, json_texts = _cell_texts(xs)
     want = [_fmt(x) for x in xs]
     assert csv_texts == want
-    assert json_texts == cli._json_texts(xs, "%.15g", want)
+    assert json_texts == cli._json_texts(want)
 
 
 @given(x=st.floats(allow_nan=True, allow_infinity=True, allow_subnormal=True))
@@ -461,7 +461,7 @@ def test_json_number_is_repr_of_parsed_text(x):
     assert math.isfinite(float(text)) == math.isfinite(x)
     want = repr(float(text))
     want = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}.get(want, want)
-    assert cli._json_texts([0.5, x], "%.15g", ["0.5", text]) == ["0.5", want]
+    assert _cell_texts([x]) == ([text], [want])
 
 
 def _fresh_python(code, *args, **env):

@@ -178,6 +178,12 @@ class TestSpectrumDispatch:
         with pytest.raises(ParameterError):
             SolverConfig(max_levels=0)
 
+    @pytest.mark.parametrize("max_levels", [2.5, 3.0, 0, -2, True])
+    def test_max_levels_is_an_integer_of_at_least_1(self, max_levels):
+        # a fractional cap used to list ceil(max_levels) levels
+        with pytest.raises(ParameterError, match="max_levels must be an integer >= 1"):
+            SolverConfig(max_levels=max_levels)
+
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
     @pytest.mark.parametrize("make, field", [
         (lambda x: PotentialParams(x, 10.0, 1.0, 2.0), "PotentialParams.v1"),

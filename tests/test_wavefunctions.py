@@ -17,6 +17,7 @@ from qdeform import (
     DomainError,
     EnergyLevel,
     NonConvergenceError,
+    ParameterError,
     PotentialParams,
     SolverConfig,
     ZeroNormError,
@@ -181,6 +182,24 @@ class TestDomainChecks:
         p = PotentialParams(25.0, 10.0, 1.0, q)
         with pytest.raises(DomainError, match="not a level of"):
             make_wavefunction(DC, p, closed_form_spectrum(DC, p)[0])
+
+    @pytest.mark.parametrize("p,n_true,n_label", [(PotentialParams(25.0, 10.0, 1.0, 2.0), 0, 3),
+                                                  (DEEP, 2, 4)],
+                             ids=["q2-n0-as-3", "deep-q1-n2-as-4"])
+    def test_rejects_a_q_ge_1_level_under_another_n_r(self, p, n_true, n_label):
+        # the Jacobi degree is the label: under a wrong one F would be the
+        # envelope times P_n_label, of the wrong degree, with an ODE residual
+        # of 4 to 12 where the true label gives about 1e-9
+        lv = spectrum(DC, p)[n_true]
+        with pytest.raises(DomainError, match="not the level"):
+            make_wavefunction(DC, p, EnergyLevel(n_label, lv.energy, lv.e_tilde, lv.method))
+
+    @pytest.mark.parametrize("n_points", [4, 1, 0, -3, 2.5, 10001.0, True])
+    def test_n_points_is_an_integer_of_at_least_5(self, n_points):
+        # the 5-point stencil of G needs five samples
+        p = PotentialParams(25.0, 10.0, 1.0, 2.0)
+        with pytest.raises(ParameterError, match="n_points must be an integer >= 5"):
+            make_wavefunction(DC, p, spectrum(DC, p)[0], n_points=n_points)
 
 
 class TestLeftEdge:
