@@ -68,14 +68,6 @@ def effective_eigenvalue(e, dc: DiracConstants) -> float:
     return _finite("the effective eigenvalue Et", et, e)
 
 
-def _bound_eigenvalue(e, dc: DiracConstants):
-    """Et of effective_eigenvalue, which a bound state needs negative."""
-    et = effective_eigenvalue(e, dc)
-    if np.any(et >= 0.0):
-        raise DomainError(f"effective eigenvalue {np.max(et)} >= 0: not a bound state")
-    return et
-
-
 def effective_strengths(e, dc: DiracConstants, p: PotentialParams):
     """(Vt1, Vt2) = (M + E - C) (V1, V2); requires an attractive prefactor."""
     pref = dc.m + e - dc.c_spin
@@ -99,16 +91,28 @@ def shape_params(e, dc: DiracConstants, p: PotentialParams):
     return _shape_and_strengths(e, dc, p)[:2]
 
 
-def _shape_and_strengths(e, dc: DiracConstants, p: PotentialParams):
-    """(lambda, eta) of shape_params, lambda = inf at q = 0, and (Vt1, Vt2)."""
-    et = _bound_eigenvalue(e, dc)
+def _eta_and_rhos(e, dc: DiracConstants, p: PotentialParams):
+    """eta, rho_i = sqrt(Vt1 -+ Vt2 sqrt(q) + q alpha^2/4), Vt1 and Vt2 at an
+    energy E where Et < 0, as a bound state needs (DomainError otherwise).
+
+    The rho_i hold the exponents without 1/sqrt(q): 4 lambda = 1 + 2 rho1/
+    (alpha sqrt(q)), and rho1 is real where lambda is; at q = 0 both are sqrt(Vt1).
+    """
+    et = effective_eigenvalue(e, dc)
+    if np.any(et >= 0.0):
+        raise DomainError(f"effective eigenvalue {np.max(et)} >= 0: not a bound state")
     v1t, v2t = effective_strengths(e, dc, p)
-    sq = math.sqrt(p.q)
+    sq, shift = math.sqrt(p.q), 0.25 * p.q * p.alpha * p.alpha
     with np.errstate(all="ignore"):
-        eta = np.sqrt(-et) / p.alpha
-        if p.q == 0.0:
-            return np.inf, eta, v1t, v2t
-        disc = 1.0 + np.divide(4.0, p.alpha * p.alpha) * (v1t / p.q - v2t / sq)
+        return (np.sqrt(-et) / p.alpha, np.sqrt(v1t - v2t * sq + shift),
+                np.sqrt(v1t + v2t * sq + shift), v1t, v2t)
+
+
+def _shape_and_strengths(e, dc: DiracConstants, p: PotentialParams):
+    """(lambda, eta) of shape_params at q > 0, and (Vt1, Vt2)."""
+    eta, _, _, v1t, v2t = _eta_and_rhos(e, dc, p)
+    with np.errstate(all="ignore"):
+        disc = 1.0 + np.divide(4.0, p.alpha * p.alpha) * (v1t / p.q - v2t / math.sqrt(p.q))
     if np.any(disc < 0.0):
         raise DiscriminantError(
             f"negative discriminant {np.min(disc)}: exponent lambda would be complex"
@@ -122,29 +126,25 @@ def abc_params(e, dc: DiracConstants, p: PotentialParams):
 
     a, b = eta + lambda + (1 -+ sqrt(1 + (4/(alpha^2 q))(Vt1 + Vt2 sqrt(q))))/4
     and c = 2 eta + 1; the q >= 1 condition is a(E) = -n_r.  Below q = 1/4,
-    where lambda and the root cancel, a is rationalized (Higham, sec. 1.7) as
-    eta + 1/2 - Vt2/(alpha (rho1 + rho2)), rho_i = sqrt(Vt1 -+ Vt2 sqrt(q) +
-    q alpha^2/4); at q = 0 that is the Kummer parameter eta + 1/2 - Vt2/(2 alpha
-    sqrt(Vt1)) of the Morse 1F1, bit for bit, and b = inf.
+    where lambda and the root grow as 1/sqrt(q) and cancel in a, both come
+    from the rho_i of ``_eta_and_rhos``: a = eta + 1/2 - Vt2/(alpha (rho1 +
+    rho2)), rationalized (Higham, sec. 1.7), and b = eta + 1/2 + (rho1 +
+    rho2)/(2 alpha sqrt(q)).  At q = 0, a is the Kummer parameter eta + 1/2 -
+    Vt2/(2 alpha sqrt(Vt1)) of the Morse 1F1, bit for bit, and b = inf.
     """
+    if p.q < 0.25:
+        eta, rho1, rho2, _, v2t = _eta_and_rhos(e, dc, p)
+        with np.errstate(all="ignore"):  # at q = 0, b = inf
+            a = eta + 0.5 - v2t / (p.alpha * (rho1 + rho2))
+            b = eta + 0.5 + (rho1 + rho2) / (2.0 * p.alpha * math.sqrt(p.q))
+        if p.q > 0.0:
+            _finite("the parameter b", b, e)
+        return _finite("the parameter a", a, e), b, 2.0 * eta + 1.0
     lam, eta, v1t, v2t = _shape_and_strengths(e, dc, p)
-    sq = math.sqrt(p.q)
-    with np.errstate(all="ignore"):  # at q = 0 the root and b are inf
-        disc = 1.0 + np.divide(4.0, p.alpha * p.alpha * p.q) * (v1t + v2t * sq)
-    if p.q > 0.0:
-        _finite("the discriminant of (a, b)", disc, e)
-    if np.any(disc < 0.0):
-        raise DiscriminantError(f"negative discriminant {np.min(disc)} in (a, b)")
-    root = np.sqrt(disc)
-    b = eta + lam + 0.25 * (1.0 + root)
-    c = 2.0 * eta + 1.0
-    if p.q >= 0.25:
-        return eta + lam + 0.25 * (1.0 - root), b, c
-    shift = 0.25 * p.q * p.alpha * p.alpha
-    with np.errstate(all="ignore"):
-        a = eta + 0.5 - v2t / (p.alpha * (np.sqrt(v1t - v2t * sq + shift)
-                                          + np.sqrt(v1t + v2t * sq + shift)))
-    return _finite("the parameter a", a, e), b, c
+    with np.errstate(all="ignore"):  # disc >= 1 since Vt1, Vt2 > 0
+        disc = 1.0 + np.divide(4.0, p.alpha * p.alpha * p.q) * (v1t + v2t * math.sqrt(p.q))
+    root = np.sqrt(_finite("the discriminant of (a, b)", disc, e))
+    return eta + lam + 0.25 * (1.0 - root), eta + lam + 0.25 * (1.0 + root), 2.0 * eta + 1.0
 
 
 def bound_window(dc: DiracConstants):

@@ -41,12 +41,17 @@ class ZeroNormError(QdeformError, ValueError):
     """Cannot normalize an identically-zero wavefunction."""
 
 
-def _require_finite(params):
-    """Raise ParameterError unless every field of the dataclass is finite."""
+def _require_finite(params, *counts):
+    """Raise ParameterError, naming the class and the field, unless every field
+    is a finite real number, not a bool, and each one named in counts an integer >= 1."""
     for name, value in vars(params).items():
-        if not math.isfinite(value):
-            raise ParameterError(
-                f"{type(params).__name__}.{name} must be finite, got {value}")
+        field = f"{type(params).__name__}.{name}"
+        if isinstance(value, numbers.Real) and not math.isfinite(value):
+            raise ParameterError(f"{field} must be finite, got {value}")
+        if name in counts:
+            _require_count(field, value, 1)
+        elif isinstance(value, bool) or not isinstance(value, numbers.Real):
+            raise ParameterError(f"{field} must be a number, got {value!r}")
 
 
 def _require_count(name, value, least):

@@ -49,7 +49,6 @@ from .errors import (
     DiscriminantError,
     NonConvergenceError,
     ParameterError,
-    _require_count,
     _require_finite,
 )
 from .special import gauss_2f1, kummer_1f1
@@ -103,10 +102,9 @@ class SolverConfig:
     max_levels: int = 64
 
     def __post_init__(self):
-        _require_finite(self)
+        _require_finite(self, "max_levels")
         if self.tol_e <= 0.0:
             raise ParameterError(f"tol_e must be positive, got {self.tol_e}")
-        _require_count("SolverConfig.max_levels", self.max_levels, 1)
 
 
 def _window(dc: DiracConstants):
@@ -267,23 +265,19 @@ def _level(n_r, e, dc, method):
     return EnergyLevel(n_r, e, effective_eigenvalue(e, dc), method)
 
 
-def _morse_argument(e, dc: DiracConstants, p: PotentialParams):
-    """y0 = 4 sqrt(Vt1)/alpha, the argument at r = 0 of the Morse 1F1."""
-    with np.errstate(all="ignore"):
-        y0 = 4.0 * np.sqrt(effective_strengths(e, dc, p)[0]) / p.alpha
-    return _finite("y0", y0, e)
-
-
 def _hypergeometric_factor(e, dc: DiracConstants, p: PotentialParams, r):
     """The factor H(E, r) of F whose zero at r = 0 is a level when q < 1.
 
     With (a, b, c) of ``abc_params``: for 0 < q < 1, H = 2F1(a, b; c; z), z =
     sqrt(q)/cosh_q(alpha r/2)^2 written so that r = 0 gives z0 = 4 sqrt(q)/
-    (1 + sqrt(q))^2 to the bit; at q = 0 (b = inf), H = 1F1(a; c; y0 e^{-alpha r}).
+    (1 + sqrt(q))^2 to the bit; at q = 0 (b = inf), H = 1F1(a; c; y0 e^{-alpha r})
+    with y0 = 4 sqrt(Vt1)/alpha.
     """
     a, b, c = abc_params(e, dc, p)
     if p.q == 0.0:
-        return kummer_1f1(a, c, _morse_argument(e, dc, p) * np.exp(-p.alpha * r))
+        with np.errstate(all="ignore"):
+            y0 = 4.0 * np.sqrt(effective_strengths(e, dc, p)[0]) / p.alpha
+        return kummer_1f1(a, c, _finite("y0", y0, e) * np.exp(-p.alpha * r))
     sq = math.sqrt(p.q)
     with np.errstate(over="ignore"):  # far out, cosh_q = inf and z = 0
         z = 4.0 * sq / (2.0 * cosh_q(0.5 * p.alpha * r, sq)) ** 2

@@ -1,17 +1,21 @@
 """Analytic bound-state wavefunctions and their normalization.
 
 One closed form F serves every regime; only the boundary that fixes the
-level differs.  For q > 0, with x = alpha r / 2 and t = tanh_q(x, sqrt(q)),
+level differs.  With w = sqrt(q) e^(-alpha r), kappa = alpha eta and the
+rho1 of ``effective._eta_and_rhos``,
 
-    F(r) = (q^(1/4) / cosh_q(x, sqrt(q)))^(2 eta) t^(2 lambda) H(r),
+    F(r) = exp(-kappa r - 2 eta log1p(w) - atanh(w)
+               - (2 rho1/alpha) e^(-alpha r) atanh(w)/w) H(r),
 
-where H is the Jacobi polynomial P_{n_r}^(2 lambda - 1/2, 2 eta)(1 - 2 t^2)
-for q >= 1 (the wall at r0 terminates the series) and, for 0 < q < 1, the
-hypergeometric factor 2F1(a, b; c; z) of the solver, z = sqrt(q)/cosh_q^2,
-whose zero at r = 0 is the level.  The envelope is z^eta (1 - z)^lambda
-written through t^2 = 1 - z: forming 1 - z subtracts two numbers near 1
-when q -> 1- and r -> 0, while tanh_q keeps its digits there.  At q = 0
-(Morse), F = e^(-kappa r) e^(-y/2) H with H = 1F1 at y = y0 e^(-alpha r).
+that is (q^(1/4)/cosh_q)^(2 eta) t^(2 lambda) H with t = tanh_q = (1 - w)/
+(1 + w) at alpha r/2 and sqrt(q), less the r-independent (2 q^(1/4))^(2 eta).
+H is the Jacobi polynomial P_{n_r}^(2 lambda - 1/2, 2 eta)(1 - 2 t^2) for
+q >= 1 (the wall at r0 terminates the series) and, for 0 < q < 1, the
+factor 2F1(a, b; c; z = 1 - t^2) of the solver, whose zero at r = 0 is the
+level.  At q = 0 (Morse) w = 0, the envelope is e^(-kappa r - y/2) and H =
+1F1(a; c; y), y = y0 e^(-alpha r).  The envelope forms neither t nor 1 - z:
+as q -> 0+, t^(2 lambda) scales each rounding of t by 2 lambda ~ 1/sqrt(q),
+and as q -> 1- and r -> 0, 1 - z cancels.
 
 The lower component follows from the first-order coupling,
 
@@ -28,8 +32,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .deformed import PotentialParams, cosh_q, singularity_radius, tanh_q
-from .effective import DiracConstants, _bound_eigenvalue, abc_params, shape_params
+from .deformed import PotentialParams, singularity_radius
+from .effective import DiracConstants, _eta_and_rhos, abc_params
 from .errors import DomainError, NonConvergenceError, ZeroNormError, _require_count
 from .solvers import (
     _SPECTRUM_METHOD,
@@ -37,7 +41,6 @@ from .solvers import (
     _chandrupatla,
     _hypergeometric_factor,
     _level,
-    _morse_argument,
 )
 from .special import jacobi_p
 
@@ -54,7 +57,7 @@ class WavefunctionGrid:
 
 
 def analytic_upper(r, level: EnergyLevel, dc: DiracConstants, p: PotentialParams):
-    """Unnormalized F of one level of the well p at the radii r.
+    """Unnormalized F, less (2 q^(1/4))^(2 eta), of one level of the well p at the radii r.
 
     Only the levels ``spectrum`` returns for this well have an F (below q = 1
     ``make_wavefunction`` polishes them first).  Raises DomainError for any
@@ -75,19 +78,17 @@ def analytic_upper(r, level: EnergyLevel, dc: DiracConstants, p: PotentialParams
             raise DomainError(f"a(E) = {a} at E = {e}: not the level n_r = {level.n_r}")
     if np.any(r < 0.0):
         raise DomainError("radius must be non-negative")
-    if p.q == 0.0:
-        kappa = math.sqrt(-_bound_eigenvalue(e, dc))
-        y = _morse_argument(e, dc, p) * np.exp(-p.alpha * r)
-        env = np.exp(-kappa * r) * np.exp(-0.5 * y)
-    else:
-        lam, eta = shape_params(e, dc, p)
-        sq = math.sqrt(p.q)
-        x = 0.5 * p.alpha * r
-        t = np.asarray(tanh_q(x, sq))
-        with np.errstate(over="ignore"):  # far out, cosh_q = inf and the envelope 0
-            env = (p.q ** 0.25 / np.asarray(cosh_q(x, sq))) ** (2.0 * eta) * t ** (2.0 * lam)
-        if r0 is not None:
-            return env * jacobi_p(level.n_r, 2.0 * lam - 0.5, 2.0 * eta, 1.0 - 2.0 * (t * t))
+    eta, rho1 = _eta_and_rhos(e, dc, p)[:2]
+    sq = math.sqrt(p.q)
+    x = np.exp(-p.alpha * r)
+    w = np.minimum(sq * x, 1.0)  # w > 1 only by rounding, at r -> r0+ where F = 0
+    with np.errstate(divide="ignore"):  # atanh(1) = inf
+        atanh_w = np.arctanh(w)
+    u = atanh_w / sq if sq else x  # e^(-alpha r) atanh(w)/w, with atanh(w)/w = 1 at q = 0
+    env = np.exp(-eta * (p.alpha * r + 2.0 * np.log1p(w)) - atanh_w - 2.0 * rho1 / p.alpha * u)
+    if r0 is not None:
+        t = (1.0 - w) / (1.0 + w)
+        return env * jacobi_p(level.n_r, rho1 / (p.alpha * sq), 2.0 * eta, 1.0 - 2.0 * (t * t))
     return env * _hypergeometric_factor(e, dc, p, r)
 
 

@@ -184,8 +184,7 @@ class TestSpectrumDispatch:
         with pytest.raises(ParameterError, match="max_levels must be an integer >= 1"):
             SolverConfig(max_levels=max_levels)
 
-    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
-    @pytest.mark.parametrize("make, field", [
+    FIELDS = [
         (lambda x: PotentialParams(x, 10.0, 1.0, 2.0), "PotentialParams.v1"),
         (lambda x: PotentialParams(25.0, x, 1.0, 2.0), "PotentialParams.v2"),
         (lambda x: PotentialParams(25.0, 10.0, x, 2.0), "PotentialParams.alpha"),
@@ -194,10 +193,23 @@ class TestSpectrumDispatch:
         (lambda x: DiracConstants(m=1.0, c_spin=x), "DiracConstants.c_spin"),
         (lambda x: SolverConfig(tol_e=x), "SolverConfig.tol_e"),
         (lambda x: SolverConfig(max_levels=x), "SolverConfig.max_levels"),
-    ])
+    ]
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("make, field", FIELDS)
     def test_non_finite_field_raises(self, make, field, bad):
         # NaN fails every ordered comparison, so range checks let it through
         with pytest.raises(ParameterError, match=rf"{field} must be finite"):
+            make(bad)
+
+    # max_levels=True is test_max_levels_is_an_integer_of_at_least_1's case
+    @pytest.mark.parametrize("make, field, bad", [
+        (make, field, bad) for make, field in FIELDS for bad in ("3", None, True)
+        if (field, bad) != ("SolverConfig.max_levels", True)])
+    def test_non_number_field_raises(self, make, field, bad):
+        # a str or None used to raise a bare TypeError from math.isfinite,
+        # and a bool passed as the number 0 or 1
+        with pytest.raises(ParameterError, match=rf"^{field} must be "):
             make(bad)
 
     def test_deeper_well_binds_more(self):

@@ -94,6 +94,29 @@ class TestClosedFormResiduals:
             assert count_nodes(wf.f_values) == lv.n_r
 
 
+class TestMorseLimit:
+    # as q -> 0+ the export is the Morse export: the envelope forms neither
+    # t = tanh_q, which rounds toward 1, nor its power 2 lambda ~ 1/sqrt(q),
+    # which turned that rounding into ODE residuals of 0.01 (q = 1e-16) to
+    # 4e4 (q = 1e-30); below q = 1e-306 spectrum raised.  The grid is
+    # 20,001 points: at 10,001 the h^4 truncation of the n_r = 4 residual is
+    # 3.2e-8, at q = 0 as well
+    P0 = PotentialParams(25.0, 18.0, 0.5, 0.0)
+
+    @pytest.mark.parametrize("q", [1e-16, 1e-20, 1e-24, 1e-30, 1e-100, 1e-310, 5e-324])
+    def test_every_level_exports_the_morse_eigenfunction(self, q):
+        p = PotentialParams(25.0, 18.0, 0.5, q)
+        morse, levels = spectrum(DC, self.P0), spectrum(DC, p)
+        assert len(levels) == len(morse) == 5
+        for lv, lv0 in zip(levels, morse):
+            wf0 = make_wavefunction(DC, self.P0, lv0, n_points=20001)
+            wf = make_wavefunction(DC, p, lv, n_points=20001)
+            np.testing.assert_allclose(wf.radii, wf0.radii, rtol=1e-12)
+            peak = np.max(np.abs(wf0.f_values))
+            assert np.max(np.abs(wf.f_values - wf0.f_values)) <= 1e-8 * peak, lv.n_r
+            assert ode_residual(wf.radii, wf.f_values, lv.energy, DC, p) <= 1e-8, lv.n_r
+
+
 class TestNormalization:
     def test_unit_norm(self):
         for lv in spectrum(DC, DEEP)[:3]:
@@ -156,6 +179,17 @@ class TestDomainChecks:
         p = PotentialParams(25.0, 10.0, 1.0, 4.0)
         with pytest.raises(DomainError):
             analytic_upper(np.array([0.1]), level_at(0.5, METHOD_Q_GE_1), DC, p)
+
+    @pytest.mark.parametrize("p", [PotentialParams(25.0, 10.0, 1.0, 2.0),
+                                   PotentialParams(25.0, 10.0, 1.36, 2.85)])
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_q_ge_1_is_zero_at_the_first_radius_past_the_wall(self, p):
+        # there sqrt(q) e^(-alpha r) rounds to 1 or to 1 + 2^-52 (second
+        # well), which gave NaN and a RuntimeWarning
+        r0 = singularity_radius(p)
+        f = analytic_upper(np.array([np.nextafter(r0, np.inf), r0 + 0.5]), spectrum(DC, p)[0],
+                           DC, p)
+        assert f[0] == 0.0 and f[1] != 0.0
 
     def test_q_lt_1_rejects_negative_radius(self):
         p = PotentialParams(25.0, 10.0, 1.0, 0.3)
